@@ -235,6 +235,7 @@ func benchRefresh(rep *Report, res *gen.Result, trains sig.SpikeTrains, hybrid *
 	for _, evs := range byTick {
 		sort.Ints(evs)
 	}
+	benchObserveTick(rep, byTick, cfg, horizon)
 	observe := func(acc *sig.Accumulator, tick, pattern int) {
 		evs := byTick[pattern]
 		counts := make(map[int]int, len(evs))
@@ -273,6 +274,41 @@ func benchRefresh(rep *Report, res *gen.Result, trains sig.SpikeTrains, hybrid *
 		extra["speedup_vs_train"] = trainNs / float64(r.NsPerOp())
 	}
 	rep.add("refresh/incremental", r, extra)
+}
+
+// benchObserveTick measures the accumulator's share of a tick close, the
+// row CI gates: the day's outlier hit sets (byTick, sorted) replayed in a
+// loop through an accumulator that has already seen the whole day once —
+// every event id known, the counter table grown, a full MaxLag window in
+// the ring — and is held in the exact regime. Allocations must read 0.
+func benchObserveTick(rep *Report, byTick map[int][]int, cfg correlate.Config, horizon int) {
+	acfg := correlate.AccumConfigFor(correlate.Hybrid, cfg)
+	acfg.Budget = math.MaxInt // the loop would blow any real budget; the bucket path is not what a monitor runs
+	acfg.HorizonCap = horizon
+	acc := sig.NewAccumulator(acfg)
+	next, hits := 0, 0
+	observe := func() {
+		acc.ObserveTick(next, nil, byTick[next%horizon])
+		next++
+	}
+	for next < horizon {
+		hits += len(byTick[next])
+		observe()
+	}
+	r := testing.Benchmark(func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			observe()
+		}
+	})
+	extra := map[string]float64{
+		"hits_per_tick": float64(hits) / float64(horizon),
+		"events":        float64(acc.Events()),
+	}
+	if acc.Exact() {
+		extra["exact"] = 1 // absent fails the CI gate: the row would have timed the bucket path
+	}
+	rep.add("accum/observe_tick", r, extra)
 }
 
 // benchKernels races the FFT cross-correlation kernel against the frozen

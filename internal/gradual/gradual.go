@@ -114,15 +114,11 @@ func Mine(trains sig.SpikeTrains, seeds []sig.PairCorrelation, cfg Config) []Ite
 	return refineAll(trains, maximal(kept, cfg.DelayTolerance), cfg)
 }
 
-// evalScratch holds the per-worker reusable buffers for candidate scoring
-// and delay refinement: the hit/background indicator vectors of the
-// Mann-Whitney test and the offset scan's working slice. Scoring thousands
-// of candidates recycles three allocations instead of making three per
-// candidate. Not safe for concurrent use; each worker owns one. The zero
-// value is ready to use.
+// evalScratch holds the per-worker reusable buffer of delay refinement:
+// the offset scan's working slice. (Scoring needs none: the Mann-Whitney
+// test runs on indicator counts.) Not safe for concurrent use; each worker
+// owns one. The zero value is ready to use.
 type evalScratch struct {
-	hits    []float64
-	bg      []float64
 	offsets []int
 }
 
@@ -140,9 +136,9 @@ func refineAll(trains sig.SpikeTrains, sets []Itemset, cfg Config) []Itemset {
 	parallelEach(len(sets), func(i int, sc *evalScratch) {
 		s := sets[i]
 		items := refineDelays(trains, s.Items, cfg.DelayTolerance, sc)
-		if r, ok := score(trains, bits, items, cfg, sc); ok {
+		if r, ok := score(trains, bits, items, cfg); ok {
 			refined[i], keep[i] = r, true
-		} else if r, ok := score(trains, bits, s.Items, cfg, sc); ok {
+		} else if r, ok := score(trains, bits, s.Items, cfg); ok {
 			// Refinement degraded the pattern (rare); keep the original.
 			refined[i], keep[i] = r, true
 		}
@@ -343,8 +339,8 @@ func Evaluate(trains sig.SpikeTrains, cands [][]Item, cfg Config) []Itemset {
 	out := make([]Itemset, len(cands))
 	keep := make([]bool, len(cands))
 	bits := sig.IndexTrains(trains)
-	parallelEach(len(cands), func(i int, sc *evalScratch) {
-		if s, ok := score(trains, bits, cands[i], cfg, sc); ok {
+	parallelEach(len(cands), func(i int, _ *evalScratch) {
+		if s, ok := score(trains, bits, cands[i], cfg); ok {
 			out[i] = s
 			keep[i] = true
 		}
@@ -379,25 +375,18 @@ func Rescore(trains sig.SpikeTrains, sets []Itemset, cfg Config) []Itemset {
 }
 
 // score evaluates one candidate: support, confidence and Mann-Whitney
-// significance against background probes. The hit and background
-// indicator vectors come from the worker's scratch; MannWhitney copies
-// what it needs, so reuse across candidates is safe.
-func score(trains sig.SpikeTrains, bits sig.BitTrains, items []Item, cfg Config, sc *evalScratch) (Itemset, bool) {
+// significance against background probes.
+func score(trains sig.SpikeTrains, bits sig.BitTrains, items []Item, cfg Config) (Itemset, bool) {
 	first := trains[items[0].Event]
 	if len(first) == 0 {
 		return Itemset{}, false
 	}
 	support := 0
-	hits := sc.hits[:0]
 	for _, t := range first {
 		if matchesAt(trains, bits, items, t, cfg.DelayTolerance) {
 			support++
-			hits = append(hits, 1)
-		} else {
-			hits = append(hits, 0)
 		}
 	}
-	sc.hits = hits[:0]
 	if support < cfg.MinSupport {
 		return Itemset{}, false
 	}
@@ -405,7 +394,7 @@ func score(trains sig.SpikeTrains, bits sig.BitTrains, items []Item, cfg Config,
 	if conf < cfg.MinConfidence {
 		return Itemset{}, false
 	}
-	p, bg := significance(trains, bits, items, hits, cfg, sc)
+	p, bg := significance(trains, bits, items, len(first), support, cfg)
 	if p >= cfg.Alpha {
 		return Itemset{}, false
 	}
@@ -472,15 +461,15 @@ func matchesAt(trains sig.SpikeTrains, bits sig.BitTrains, items []Item, t, tol 
 }
 
 // significance runs the Mann-Whitney test comparing the pattern indicator
-// at trigger times (hits) against the indicator at evenly spaced
-// background probe times, returning the p-value and the background match
-// rate. A low p-value means followers co-occur with the trigger far more
-// often than with arbitrary instants.
-func significance(trains sig.SpikeTrains, bits sig.BitTrains, items []Item, hits []float64, cfg Config, sc *evalScratch) (p, background float64) {
+// at the trigger times (support hits among triggers) against the
+// indicator at evenly spaced background probe times, returning the p-value
+// and the background match rate. A low p-value means followers co-occur
+// with the trigger far more often than with arbitrary instants.
+func significance(trains sig.SpikeTrains, bits sig.BitTrains, items []Item, triggers, support int, cfg Config) (p, background float64) {
 	if cfg.Horizon <= 0 {
 		return 0, 0 // no background to compare against; accept
 	}
-	probes := 4 * len(hits)
+	probes := 4 * triggers
 	if probes < 40 {
 		probes = 40
 	}
@@ -491,22 +480,18 @@ func significance(trains sig.SpikeTrains, bits sig.BitTrains, items []Item, hits
 	if stride < 1 {
 		stride = 1
 	}
-	bg := sc.bg[:0]
-	bgHits := 0.0
+	probed, bgHits := 0, 0
 	for t := stride / 2; t < cfg.Horizon; t += stride {
+		probed++
 		if matchesAt(trains, bits, items, t, cfg.DelayTolerance) {
-			bg = append(bg, 1)
 			bgHits++
-		} else {
-			bg = append(bg, 0)
 		}
 	}
-	sc.bg = bg[:0]
 	rate := 0.0
-	if len(bg) > 0 {
-		rate = bgHits / float64(len(bg))
+	if probed > 0 {
+		rate = float64(bgHits) / float64(probed)
 	}
-	return stats.MannWhitney(hits, bg).P, rate
+	return stats.MannWhitneyIndicators(triggers, support, probed, bgHits).P, rate
 }
 
 // maximal removes itemsets that are sub-patterns of another kept itemset

@@ -167,7 +167,7 @@ func TestSignificanceRejectsCoincidence(t *testing.T) {
 	cfg := DefaultConfig(last1 + 100)
 	cfg.MinConfidence = 0 // let support pass; significance must reject
 	items := []Item{{Event: 1, Delay: 0}, {Event: 2, Delay: 5}}
-	if s, ok := score(trains, sig.IndexTrains(trains), items, cfg, new(evalScratch)); ok {
+	if s, ok := score(trains, sig.IndexTrains(trains), items, cfg); ok {
 		t.Errorf("coincidental pattern accepted: support=%d conf=%.2f p=%.4f",
 			s.Support, s.Confidence, s.PValue)
 	}

@@ -76,8 +76,8 @@ type Config struct {
 
 	// Workers caps the filter stage's fan-out across detector shards.
 	// <= 0 selects runtime.NumCPU(). The effective width also never
-	// exceeds one worker per minShardSize detectors, so small models run
-	// sequentially.
+	// exceeds one worker per minShardSize detectors, so all but very wide
+	// models run sequentially.
 	Workers int
 
 	// GraceTicks is how many sampling ticks a record may lag the newest
@@ -136,8 +136,12 @@ const DefaultBuffer = 256
 // tick, per the monitor's documented ingest contract.
 const DefaultGraceTicks = 1
 
-// minShardSize is the fewest detectors worth giving a filter worker.
-const minShardSize = 16
+// minShardSize is the fewest detectors worth giving a filter worker: the
+// measured crossover of BenchmarkDetectFanout (2 vCPUs). Two workers lose
+// 2x to the sequential loop at 170 detectors (the bgl200 model: ~35 us of
+// work against the cost of waking a goroutine and waiting for it), break
+// even at 1000 and win 1.5x at 4000.
+const minShardSize = 512
 
 // DefaultConfig returns the standard driver configuration.
 func DefaultConfig() Config {
@@ -199,17 +203,7 @@ func New(eng *predict.Engine, org TemplateLearner, cfg Config) *Pipeline {
 		cfg.GraceTicks = 0
 	}
 	p := &Pipeline{eng: eng, org: org, cfg: cfg, ids: eng.DetectorIDs()}
-	w := cfg.Workers
-	if max := len(p.ids) / minShardSize; w > max {
-		w = max
-	}
-	if w < 1 {
-		w = 1
-	}
-	p.shards = make([][]int, w)
-	for i, id := range p.ids {
-		p.shards[i%w] = append(p.shards[i%w], id)
-	}
+	p.shards = partition(p.ids, max(1, min(cfg.Workers, len(p.ids)/minShardSize)))
 	if cfg.DedupWindow > 0 {
 		p.dedup = newDedupRing(cfg.DedupWindow)
 	}
@@ -224,6 +218,15 @@ func New(eng *predict.Engine, org TemplateLearner, cfg Config) *Pipeline {
 		}
 	}
 	return p
+}
+
+// partition deals ids round-robin into w shards.
+func partition(ids []int, w int) [][]int {
+	shards := make([][]int, w)
+	for i, id := range ids {
+		shards[i%w] = append(shards[i%w], id)
+	}
+	return shards
 }
 
 // Engine returns the wrapped prediction engine.
@@ -360,33 +363,27 @@ func (p *Pipeline) detect(t *predict.Tick, tickStart time.Time) []predict.Hit {
 	start := time.Now()
 	var hits []predict.Hit
 	if len(p.shards) <= 1 {
-		for _, id := range p.ids {
-			if h, ok := p.eng.ObserveDetector(id, t, tickStart); ok {
-				hits = append(hits, h)
-			}
-		}
+		hits = p.observeShard(p.ids, t, tickStart)
 	} else {
 		partial := make([][]predict.Hit, len(p.shards))
+		run := func(w int) {
+			// A panic on a worker goroutine cannot be recovered by the
+			// caller; the barrier must sit here. The shard's hits are
+			// lost for this tick, the process survives.
+			if sup := p.sups[stageFilter]; sup != nil {
+				defer sup.Recover()
+			}
+			partial[w] = p.observeShard(p.shards[w], t, tickStart)
+		}
 		var wg sync.WaitGroup
-		for w := range p.shards {
+		for w := 1; w < len(p.shards); w++ {
 			wg.Add(1)
 			go func(w int) {
 				defer wg.Done()
-				// A panic on a worker goroutine cannot be recovered by
-				// the caller; the barrier must sit here. The shard's
-				// hits are lost for this tick, the process survives.
-				if sup := p.sups[stageFilter]; sup != nil {
-					defer sup.Recover()
-				}
-				var hs []predict.Hit
-				for _, id := range p.shards[w] {
-					if h, ok := p.eng.ObserveDetector(id, t, tickStart); ok {
-						hs = append(hs, h)
-					}
-				}
-				partial[w] = hs
+				run(w)
 			}(w)
 		}
+		run(0) // on this goroutine: it would only wait otherwise
 		wg.Wait()
 		for _, hs := range partial {
 			hits = append(hits, hs...)
@@ -396,6 +393,17 @@ func (p *Pipeline) detect(t *predict.Tick, tickStart time.Time) []predict.Hit {
 	predict.SortHits(hits)
 	c.addWall(time.Since(start))
 	c.out.Add(int64(len(hits)))
+	return hits
+}
+
+// observeShard feeds the tick to the given detectors in order.
+func (p *Pipeline) observeShard(ids []int, t *predict.Tick, tickStart time.Time) []predict.Hit {
+	var hits []predict.Hit
+	for _, id := range ids {
+		if h, ok := p.eng.ObserveDetector(id, t, tickStart); ok {
+			hits = append(hits, h)
+		}
+	}
 	return hits
 }
 

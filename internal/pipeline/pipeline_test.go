@@ -270,9 +270,8 @@ func TestFilterShardingMatchesSequential(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	wide := DefaultConfig()
-	wide.Workers = 8
-	p2 := New(predict.NewEngine(model, profiles, predict.DefaultConfig()), nil, wide)
+	p2 := New(predict.NewEngine(model, profiles, predict.DefaultConfig()), nil, DefaultConfig())
+	p2.shards = partition(p2.ids, 8) // the model is far narrower than minShardSize allows to fan out
 	r2, err := p2.Run(context.Background(), logs.NewSliceSource(test), cut, end)
 	if err != nil {
 		t.Fatal(err)

@@ -14,15 +14,17 @@ import (
 // counters (Model.Refresh) without replaying the horizon.
 //
 // The pair counters mirror the batch prefilter exactly. While the total
-// co-occurrence mass stays within Budget the accumulator runs a
-// streaming version of exactSweep: a ring holds every spike within
-// MaxLag of the newest tick, each arriving spike pairs against the ring
-// (same-event pairs skipped, simultaneous spikes counted toward both
-// orders), so the counters equal what exactSweep would produce over the
-// merged timeline. Past the budget it degrades to the block-bucket
-// upper bound of blockSweep: per-block event counts whose adjacent
-// products bound the true totals from above, so candidate emission
-// stays conservative — a pair that could reach MinCount is never lost.
+// co-occurrence mass stays within Budget they equal what exactSweep would
+// produce over the merged timeline: a spike of event e pairs with every
+// earlier spike within MaxLag (same-event pairs skipped, simultaneous
+// spikes counted toward both orders). The accumulator keeps, per event,
+// how many of its spikes are inside that window, so a new spike costs one
+// counter update per distinct live event, not one per live spike; the
+// ring of recent spikes only expires them. Past the budget it degrades to
+// the block-bucket upper bound of blockSweep: per-block event counts whose
+// adjacent products bound the true totals from above, so candidate
+// emission stays conservative — a pair that could reach MinCount is never
+// lost.
 //
 // Ticks must be observed in strictly increasing order (the sampler
 // closes them that way); an Accumulator is not safe for concurrent use.
@@ -32,14 +34,17 @@ type Accumulator struct {
 	//elsa:ephemeral configuration is a constructor argument, not stream state
 	cfg AccumConfig
 
-	trains SpikeTrains         // event id -> sorted outlier ticks
-	counts map[uint64]int32    // ordered pair -> co-occurrence count (upper bound past the budget)
-	dirty  map[uint64]struct{} // pairs whose count changed since the last drain
-	events map[int]*EventStat
+	trains SpikeTrains // event id -> sorted outlier ticks
+	// pairs holds, per ordered pair, the co-occurrence count (an upper
+	// bound past the budget) and whether it changed since the last drain.
+	pairs  *pairCounter
+	events eventTable // per-event statistics and window counts
 
-	ring []accSpike // spikes within MaxLag of the newest tick
+	ring []accSpike // spikes within MaxLag of the newest tick, oldest first
 	//elsa:ephemeral ring head offset; State emits only the live entries
 	head int
+	//elsa:ephemeral derived from ring on restore: the events with a spike inside the ring
+	live []int
 
 	lastTick int
 	ticks    int
@@ -54,6 +59,63 @@ type Accumulator struct {
 
 	//elsa:ephemeral trim cursor; a resumed accumulator re-trims lazily
 	lastTrim int
+}
+
+// accEvent is one event type's slot: its statistics and how many of its
+// spikes are inside the ring.
+type accEvent struct {
+	EventStat
+	seen bool // noted at least once; a slot the table merely grew over is not
+	//elsa:ephemeral derived from ring on restore: the event's spikes inside the ring
+	win int32
+}
+
+// eventTable holds the per-event slots: one per id below denseCounterMax,
+// indexed directly and grown by doubling (NoteSeverity runs per record),
+// and a map entry for any other id.
+type eventTable struct {
+	dense []accEvent
+	out   map[int]*accEvent
+}
+
+// at returns the id's slot, created on first sight: the dense slots double
+// until they cover an id below the bound, any other id gets a map entry.
+// The pointer is valid until the next call.
+//
+//elsa:hotpath
+func (t *eventTable) at(id int) *accEvent {
+	if uint(id) >= uint(len(t.dense)) {
+		if uint(id) >= denseCounterMax {
+			ev := t.out[id]
+			if ev == nil {
+				ev = &accEvent{EventStat: EventStat{LastTick: -1}, seen: true} //nolint:elsahotpath // once per event id outside the dense bound
+				t.out[id] = ev
+			}
+			return ev
+		}
+		n := max(len(t.dense), 64)
+		for n <= id {
+			n *= 2
+		}
+		t.dense = append(t.dense, make([]accEvent, n-len(t.dense))...) //nolint:elsahotpath // amortized: doubles at most log2(denseCounterMax) times
+	}
+	ev := &t.dense[id]
+	if !ev.seen {
+		ev.seen, ev.LastTick = true, -1
+	}
+	return ev
+}
+
+// each calls fn for every event noted so far.
+func (t *eventTable) each(fn func(id int, es EventStat)) {
+	for id := range t.dense {
+		if t.dense[id].seen {
+			fn(id, t.dense[id].EventStat)
+		}
+	}
+	for id, ev := range t.out {
+		fn(id, ev.EventStat)
+	}
 }
 
 // accSpike is one ring entry: a spike of event E at tick T.
@@ -110,54 +172,19 @@ func NewAccumulator(cfg AccumConfig) *Accumulator {
 	return &Accumulator{
 		cfg:    cfg,
 		trains: make(SpikeTrains),
-		counts: make(map[uint64]int32),
-		dirty:  make(map[uint64]struct{}),
-		events: make(map[int]*EventStat),
+		pairs:  newPairCounter(0),
+		events: eventTable{out: make(map[int]*accEvent)},
 		exact:  true,
 	}
-}
-
-// counterCap is the saturation ceiling, shared with the batch
-// pairCounter's order of magnitude but clamped (min(cap, total)) so the
-// final value never depends on bucket iteration order.
-const counterCap = 1 << 30
-
-func pairKey(a, b int) uint64 { return uint64(uint32(a))<<32 | uint64(uint32(b)) }
-
-// bump adds n co-occurrences to the ordered pair (a, b), clamped at the
-// cap, and marks the pair dirty.
-//
-//elsa:hotpath
-func (ac *Accumulator) bump(a, b int, n int32) {
-	k := pairKey(a, b)
-	v := ac.counts[k]
-	if v >= counterCap {
-		return
-	}
-	if v > counterCap-n {
-		v = counterCap
-	} else {
-		v += n
-	}
-	ac.counts[k] = v
-	ac.dirty[k] = struct{}{}
-}
-
-// stat returns the event's stat record, creating it on first sight.
-func (ac *Accumulator) stat(id int) *EventStat {
-	es := ac.events[id]
-	if es == nil {
-		es = &EventStat{LastTick: -1}
-		ac.events[id] = es
-	}
-	return es
 }
 
 // NoteSeverity records the severity of one record of the event (as an
 // int; callers pass their severity enum's value). The per-event maximum
 // feeds the refresh path's predictive-chain elimination.
+//
+//elsa:hotpath
 func (ac *Accumulator) NoteSeverity(id, sev int) {
-	if es := ac.stat(id); sev > es.MaxSeverity {
+	if es := ac.events.at(id); sev > es.MaxSeverity {
 		es.MaxSeverity = sev
 	}
 }
@@ -174,20 +201,12 @@ func (ac *Accumulator) ObserveTick(tick int, counts map[int]int, outliers []int)
 	ac.ticks++
 	ac.lastTick = tick
 	for id, n := range counts {
-		es := ac.stat(id)
+		es := ac.events.at(id)
 		es.Count += n
 		es.LastTick = tick
 	}
 	if len(outliers) > 0 {
-		// Drop ring entries that fell out of the co-occurrence window.
-		for ac.head < len(ac.ring) && tick-ac.ring[ac.head].T > ac.cfg.MaxLag {
-			ac.head++
-		}
-		if ac.head > 64 && ac.head*2 > len(ac.ring) {
-			n := copy(ac.ring, ac.ring[ac.head:])
-			ac.ring = ac.ring[:n]
-			ac.head = 0
-		}
+		ac.expire(tick)
 	}
 	for _, e := range outliers {
 		tr := ac.trains[e]
@@ -195,7 +214,7 @@ func (ac *Accumulator) ObserveTick(tick int, counts map[int]int, outliers []int)
 			continue // duplicate within the tick's hit set
 		}
 		ac.trains[e] = append(tr, tick)
-		ac.stat(e).Spikes++
+		ac.events.at(e).Spikes++
 		if ac.exact {
 			ac.exactAdd(tick, e)
 		} else {
@@ -205,29 +224,69 @@ func (ac *Accumulator) ObserveTick(tick int, counts map[int]int, outliers []int)
 	ac.maybeTrim()
 }
 
-// exactAdd pairs one new spike against every live ring entry, mirroring
-// exactSweep over the merged timeline: ring entries precede the spike in
-// (tick, event) order, same-event pairs are skipped, and a simultaneous
-// pair also counts in the reverse order (the kernel's delay-0 bin sees
-// it from both sides).
+// expire drops the ring entries that fell out of the co-occurrence window
+// behind tick, and from the live list the events left without one.
+//
+//elsa:hotpath
+func (ac *Accumulator) expire(tick int) {
+	emptied := false
+	for ; ac.head < len(ac.ring) && tick-ac.ring[ac.head].T > ac.cfg.MaxLag; ac.head++ {
+		ev := ac.events.at(ac.ring[ac.head].E)
+		ev.win--
+		emptied = emptied || ev.win == 0
+	}
+	if emptied {
+		live := ac.live[:0]
+		for _, a := range ac.live {
+			if ac.events.at(a).win > 0 {
+				live = append(live, a) //nolint:elsahotpath // filters ac.live in place, never grows
+			}
+		}
+		ac.live = live
+	}
+	if ac.head > 64 && ac.head*2 > len(ac.ring) {
+		n := copy(ac.ring, ac.ring[ac.head:])
+		ac.ring = ac.ring[:n]
+		ac.head = 0
+	}
+}
+
+// exactAdd counts one new spike of e against the live window, mirroring
+// exactSweep over the merged timeline: every live spike precedes it in
+// (tick, event) order, so each live event a != e gains its window count
+// toward (a, e) — one update however many spikes it has in the ring, and
+// the clamp makes the grouping invisible — and a spike of the same tick
+// also counts in the reverse order (the kernel's delay-0 bin sees it from
+// both sides).
 //
 //elsa:hotpath
 func (ac *Accumulator) exactAdd(tick, e int) {
-	for i := ac.head; i < len(ac.ring); i++ {
-		r := ac.ring[i]
-		if r.E == e {
-			continue
+	b := int32(e)
+	for _, a := range ac.live {
+		if a != e {
+			ac.pairs.add(int32(a), b, ac.events.at(a).win)
 		}
-		ac.bump(r.E, e, 1)
-		if r.T == tick {
-			ac.bump(e, r.E, 1)
-		}
+	}
+	for i := len(ac.ring) - 1; i >= ac.head && ac.ring[i].T == tick; i-- {
+		ac.pairs.add(b, int32(ac.ring[i].E), 1) // the ring's tail is this tick's earlier spikes, none of them e's
 	}
 	ac.mass += int64(len(ac.ring) - ac.head)
 	ac.ring = append(ac.ring, accSpike{T: tick, E: e}) //nolint:elsahotpath // amortized: the ring is bounded by the spikes inside one MaxLag window
+	ac.enter(e)
 	if ac.mass > int64(ac.cfg.Budget) {
 		ac.switchToBuckets()
 	}
+}
+
+// enter accounts one more ring spike of e in the window counts.
+//
+//elsa:hotpath
+func (ac *Accumulator) enter(e int) {
+	ev := ac.events.at(e)
+	if ev.win == 0 {
+		ac.live = append(ac.live, e) //nolint:elsahotpath // amortized: bounded by the distinct events inside one MaxLag window
+	}
+	ev.win++
 }
 
 // switchToBuckets degrades to the block-bucket upper bound: the live
@@ -248,7 +307,7 @@ func (ac *Accumulator) switchToBuckets() {
 			ac.prev[r.E]++
 		}
 	}
-	ac.ring, ac.head = nil, 0
+	ac.ring, ac.head, ac.live = nil, 0, nil
 }
 
 // bucketAdd folds a spike into the open block, flushing closed blocks'
@@ -267,46 +326,30 @@ func (ac *Accumulator) bucketAdd(tick, e int) {
 	ac.cur[e]++
 }
 
-// flushBlock adds the closing block's within-block products and the
-// previous block's cross products, exactly as blockSweep does for block
-// b: cur x cur plus prev x cur when the blocks are adjacent. prev then
-// becomes the closed block.
+// flushBlock closes the open block: its products are added and it becomes
+// prev.
 func (ac *Accumulator) flushBlock() {
-	for a, na := range ac.cur {
-		for b, nb := range ac.cur {
-			if a != b {
-				ac.bump(a, b, na*nb)
-			}
-		}
-	}
-	if ac.prevBlock >= 0 && ac.curBlock == ac.prevBlock+1 {
-		for a, na := range ac.prev {
-			for b, nb := range ac.cur {
-				if a != b {
-					ac.bump(a, b, na*nb)
-				}
-			}
-		}
-	}
+	ac.flushPending()
 	ac.prev, ac.cur = ac.cur, ac.prev
 	ac.prevBlock = ac.curBlock
-	for k := range ac.cur {
-		delete(ac.cur, k)
-	}
+	clear(ac.cur)
 }
 
-// flushPending materialises the still-open block's products so emission
-// sees them. The block stays open and keeps its counts, so a later final
-// flush re-adds these products — an over-count, tolerated because bucket
-// mode is an upper bound by construction.
+// flushPending adds the open block's within-block products and the
+// previous block's cross products, exactly as blockSweep does for block b:
+// cur x cur plus prev x cur when the blocks are adjacent. Emission calls it
+// too, so that fresh co-occurrences are visible; the block stays open and
+// keeps its counts, so its final flush re-adds these products — an
+// over-count, tolerated because bucket mode is an upper bound by
+// construction.
 func (ac *Accumulator) flushPending() {
-	if ac.exact || len(ac.cur) == 0 {
+	if ac.exact {
 		return
 	}
 	for a, na := range ac.cur {
 		for b, nb := range ac.cur {
 			if a != b {
-				ac.bump(a, b, na*nb)
+				ac.pairs.add(int32(a), int32(b), na*nb)
 			}
 		}
 	}
@@ -314,7 +357,7 @@ func (ac *Accumulator) flushPending() {
 		for a, na := range ac.prev {
 			for b, nb := range ac.cur {
 				if a != b {
-					ac.bump(a, b, na*nb)
+					ac.pairs.add(int32(a), int32(b), na*nb)
 				}
 			}
 		}
@@ -369,17 +412,15 @@ func (ac *Accumulator) Trains() SpikeTrains { return ac.trains }
 
 // EventStats returns a copy of the per-event statistics.
 func (ac *Accumulator) EventStats() map[int]EventStat {
-	out := make(map[int]EventStat, len(ac.events))
-	for id, es := range ac.events {
-		out[id] = *es
-	}
+	out := make(map[int]EventStat)
+	ac.events.each(func(id int, es EventStat) { out[id] = es })
 	return out
 }
 
 // PairCount returns the accumulated count (or upper bound) for the
 // ordered pair.
 func (ac *Accumulator) PairCount(a, b int) int {
-	n := int(ac.counts[pairKey(a, b)])
+	n := int(ac.pairs.get(int32(a), int32(b)))
 	if !ac.exact {
 		// Include the open block's pending products in the view.
 		n += int(ac.cur[a] * ac.cur[b])
@@ -402,7 +443,7 @@ type PairCand struct {
 // (conservatively) so fresh co-occurrences are never invisible.
 func (ac *Accumulator) Candidates() []PairCand {
 	ac.flushPending()
-	return ac.emit(func(k uint64) bool { return true })
+	return ac.emit(false)
 }
 
 // DrainDirty returns the candidates whose count changed since the last
@@ -412,25 +453,28 @@ func (ac *Accumulator) Candidates() []PairCand {
 // the delta a refresh needs to re-score.
 func (ac *Accumulator) DrainDirty() []PairCand {
 	ac.flushPending()
-	out := ac.emit(func(k uint64) bool { _, d := ac.dirty[k]; return d })
-	ac.dirty = make(map[uint64]struct{})
+	out := ac.emit(true)
+	ac.pairs.clearDirty()
 	return out
 }
 
-// emit collects eligible pairs >= MinCount in deterministic (A, B) order.
-func (ac *Accumulator) emit(eligible func(uint64) bool) []PairCand {
+// emit collects the pairs >= MinCount — only the dirty ones when dirty is
+// set — in the counter's (A, B) order.
+func (ac *Accumulator) emit(dirty bool) []PairCand {
 	need := int32(ac.cfg.MinCount)
-	out := make([]PairCand, 0, len(ac.dirty))
-	for k, v := range ac.counts {
-		if v >= need && eligible(k) {
+	n := 0
+	ac.pairs.each(dirty, func(_ uint64, v int32) {
+		if v >= need {
+			n++
+		}
+	})
+	// Counted first and allocated once: a refresh drains tens of thousands
+	// of pairs, and growing the slice would discard as much again.
+	out := make([]PairCand, 0, n)
+	ac.pairs.each(dirty, func(k uint64, v int32) {
+		if v >= need {
 			out = append(out, PairCand{A: int(k >> 32), B: int(uint32(k)), Count: int(v)})
 		}
-	}
-	sort.Slice(out, func(i, j int) bool {
-		if out[i].A != out[j].A {
-			return out[i].A < out[j].A
-		}
-		return out[i].B < out[j].B
 	})
 	return out
 }
@@ -460,8 +504,8 @@ type AccumState struct {
 }
 
 // State snapshots the accumulator. The snapshot is a deep copy with the
-// dirty set sorted, so identical accumulator states serialise to
-// identical bytes.
+// dirty set in the counter's sorted order, so identical accumulator
+// states serialise to identical bytes.
 //
 //elsa:snapshotter encode
 func (ac *Accumulator) State() *AccumState {
@@ -480,25 +524,19 @@ func (ac *Accumulator) State() *AccumState {
 			st.Trains[id] = append([]int(nil), tr...)
 		}
 	}
-	if len(ac.counts) > 0 {
-		st.Counts = make(map[uint64]int32, len(ac.counts))
-		for k, v := range ac.counts {
-			st.Counts[k] = v
+	ac.pairs.each(false, func(k uint64, v int32) {
+		if st.Counts == nil {
+			st.Counts = make(map[uint64]int32)
 		}
-	}
-	if len(ac.dirty) > 0 {
-		st.Dirty = make([]uint64, 0, len(ac.dirty))
-		for k := range ac.dirty {
-			st.Dirty = append(st.Dirty, k)
+		st.Counts[k] = v
+	})
+	ac.pairs.each(true, func(k uint64, _ int32) { st.Dirty = append(st.Dirty, k) })
+	ac.events.each(func(id int, es EventStat) {
+		if st.Events == nil {
+			st.Events = make(map[int]EventStat)
 		}
-		sort.Slice(st.Dirty, func(i, j int) bool { return st.Dirty[i] < st.Dirty[j] })
-	}
-	if len(ac.events) > 0 {
-		st.Events = make(map[int]EventStat, len(ac.events))
-		for id, es := range ac.events {
-			st.Events[id] = *es
-		}
-	}
+		st.Events[id] = es
+	})
 	if live := ac.ring[ac.head:]; len(live) > 0 {
 		st.Ring = append([]accSpike(nil), live...)
 	}
@@ -513,7 +551,10 @@ func (ac *Accumulator) State() *AccumState {
 
 // RestoreAccumulator rebuilds an accumulator from a snapshot. The
 // configured window must match the snapshot's — counters accumulated
-// under a different MaxLag would silently mean something else.
+// under a different MaxLag would silently mean something else. A snapshot
+// is bytes this process did not necessarily write: anything State could
+// not have produced is an error, and no id in it can index outside a
+// table (ids past the dense bound, or negative, take the map paths).
 //
 //elsa:snapshotter decode
 func RestoreAccumulator(cfg AccumConfig, st *AccumState) (*Accumulator, error) {
@@ -524,6 +565,9 @@ func RestoreAccumulator(cfg AccumConfig, st *AccumState) (*Accumulator, error) {
 	if st.MaxLag != ac.cfg.MaxLag {
 		return nil, fmt.Errorf("sig: accumulator snapshot window MaxLag=%d, config wants %d",
 			st.MaxLag, ac.cfg.MaxLag)
+	}
+	if st.Mass < 0 || st.TickSeen < 0 {
+		return nil, fmt.Errorf("sig: accumulator snapshot mass %d, ticks %d: negative", st.Mass, st.TickSeen)
 	}
 	ac.exact = st.Exact
 	ac.mass = st.Mass
@@ -537,33 +581,47 @@ func RestoreAccumulator(cfg AccumConfig, st *AccumState) (*Accumulator, error) {
 		ac.trains[id] = append([]int(nil), tr...)
 	}
 	for k, v := range st.Counts {
-		ac.counts[k] = v
+		if v < 1 || v > counterCap {
+			return nil, fmt.Errorf("sig: accumulator snapshot count %d for pair %#x out of range", v, k)
+		}
+		ac.pairs.add(int32(k>>32), int32(k), v)
 	}
+	ac.pairs.clearDirty()
 	for _, k := range st.Dirty {
-		ac.dirty[k] = struct{}{}
+		if _, ok := st.Counts[k]; !ok {
+			return nil, fmt.Errorf("sig: accumulator snapshot dirty pair %#x has no count", k)
+		}
+		ac.pairs.mark(int32(k>>32), int32(k))
 	}
 	for id, es := range st.Events {
-		e := es
-		ac.events[id] = &e
+		ac.events.at(id).EventStat = es
+	}
+	if !ac.exact && len(st.Ring) > 0 {
+		return nil, fmt.Errorf("sig: accumulator snapshot past the exact regime carries a ring")
+	}
+	for i, r := range st.Ring {
+		if r.T > st.LastTick || (i > 0 && r.T < st.Ring[i-1].T) {
+			return nil, fmt.Errorf("sig: accumulator snapshot ring entry %d at tick %d out of order", i, r.T)
+		}
+		ac.enter(r.E)
 	}
 	ac.ring = append([]accSpike(nil), st.Ring...)
 	if !ac.exact {
 		ac.prevBlock, ac.curBlock = st.PrevBlock, st.CurBlock
 		ac.prev, ac.cur = copyBlock(st.Prev), copyBlock(st.Cur)
-		if ac.prev == nil {
-			ac.prev = make(map[int]int32)
-		}
-		if ac.cur == nil {
-			ac.cur = make(map[int]int32)
+		for _, m := range []map[int]int32{ac.prev, ac.cur} {
+			for id, n := range m {
+				if n < 1 || int(n) > ac.cfg.MaxLag+1 {
+					return nil, fmt.Errorf("sig: accumulator snapshot block count %d for event %d out of range", n, id)
+				}
+			}
 		}
 	}
 	return ac, nil
 }
 
+// copyBlock returns a non-nil copy of one block's per-event counts.
 func copyBlock(m map[int]int32) map[int]int32 {
-	if m == nil {
-		return nil
-	}
 	out := make(map[int]int32, len(m))
 	for k, v := range m {
 		out[k] = v

@@ -3,6 +3,7 @@ package sig
 import (
 	"bytes"
 	"encoding/json"
+	"fmt"
 	"math/rand"
 	"reflect"
 	"sort"
@@ -53,7 +54,7 @@ func batchCounts(trains SpikeTrains, maxLag int) map[[2]int]int {
 			if ai == bi {
 				continue
 			}
-			if n := counterGet(counts, int32(ai), int32(bi)); n > 0 {
+			if n := int(counts.get(int32(ai), int32(bi))); n > 0 {
 				out[[2]int{ids[ai], ids[bi]}] = n
 			}
 		}
@@ -63,10 +64,8 @@ func batchCounts(trains SpikeTrains, maxLag int) map[[2]int]int {
 
 func accumCounts(ac *Accumulator) map[[2]int]int {
 	out := make(map[[2]int]int)
-	for k, v := range ac.counts {
-		if v > 0 {
-			out[[2]int{int(k >> 32), int(uint32(k))}] = int(v)
-		}
+	for k, v := range ac.State().Counts {
+		out[[2]int{int(k >> 32), int(uint32(k))}] = int(v)
 	}
 	return out
 }
@@ -320,11 +319,291 @@ func TestPairTelemetryDedupesAcrossRounds(t *testing.T) {
 	}
 }
 
+// accumKernel is the surface the equivalence tests drive on both the live
+// accumulator and the frozen reference.
+type accumKernel interface {
+	ObserveTick(tick int, counts map[int]int, outliers []int)
+	NoteSeverity(id, sev int)
+	State() *AccumState
+	Candidates() []PairCand
+	DrainDirty() []PairCand
+}
+
+func stateJSON(t testing.TB, ac accumKernel) []byte {
+	t.Helper()
+	b, err := json.Marshal(ac.State())
+	if err != nil {
+		t.Fatal(err)
+	}
+	return b
+}
+
+// sameState fails unless the live kernel's snapshot equals the frozen
+// one's byte for byte: counters, dirty set, mass, regime, ring, block
+// seeding, trains and event statistics all ride in it.
+func sameState(t testing.TB, got, want accumKernel, at string) {
+	t.Helper()
+	if g, w := stateJSON(t, got), stateJSON(t, want); !bytes.Equal(g, w) {
+		t.Fatalf("%s: state diverges from the frozen kernel\n got=%s\nwant=%s", at, g, w)
+	}
+}
+
+// accumStream describes one randomized tick stream of the equivalence
+// property.
+type accumStream struct {
+	name     string
+	cfg      AccumConfig
+	ids      []int   // event universe
+	p        float64 // chance an event spikes on a tick
+	gapEvery int     // > 0: every so many ticks, jump further than MaxLag
+	messy    bool    // shuffle each hit set and repeat ids inside it
+	lateIDs  []int   // join the universe a third of the way in (table growth under live dirty bits)
+	noResume bool    // the trim cursor restarts on restore, as it always has: trains then trim at other ticks
+}
+
+var accumStreams = []accumStream{
+	{name: "sparse", cfg: AccumConfig{MaxLag: 17, MinCount: 2}, ids: seq(0, 12), p: 0.05},
+	{name: "simultaneous", cfg: AccumConfig{MaxLag: 3, MinCount: 1}, ids: seq(0, 6), p: 0.5},
+	{name: "zero-lag", cfg: AccumConfig{MaxLag: 0, MinCount: 1}, ids: seq(0, 6), p: 0.4},
+	{name: "duplicates", cfg: AccumConfig{MaxLag: 9, MinCount: 2}, ids: seq(0, 9), p: 0.2, messy: true},
+	{name: "gaps", cfg: AccumConfig{MaxLag: 6, MinCount: 1}, ids: seq(0, 8), p: 0.3, gapEvery: 23},
+	{name: "budget", cfg: AccumConfig{MaxLag: 12, MinCount: 3, Budget: 700}, ids: seq(0, 10), p: 0.25},
+	{name: "budget-messy", cfg: AccumConfig{MaxLag: 5, MinCount: 1, Budget: 90}, ids: seq(0, 7), p: 0.4, messy: true, gapEvery: 31},
+	{name: "horizon", cfg: AccumConfig{MaxLag: 8, MinCount: 2, HorizonCap: 40}, ids: seq(0, 8), p: 0.2, noResume: true},
+	{name: "growth", cfg: AccumConfig{MaxLag: 11, MinCount: 1}, ids: seq(0, 5), p: 0.3,
+		lateIDs: []int{63, 64, 70, 130, 300, 1100}},
+	{name: "straddle", cfg: AccumConfig{MaxLag: 7, MinCount: 1}, p: 0.25,
+		ids: []int{-3, 0, 5, denseCounterMax - 1, denseCounterMax, denseCounterMax + 1, 5000, 1 << 31, 1<<31 + 7}},
+}
+
+func seq(lo, hi int) []int {
+	out := make([]int, 0, hi-lo)
+	for i := lo; i < hi; i++ {
+		out = append(out, i)
+	}
+	return out
+}
+
+// TestAccumulatorMatchesFrozenKernel is the replace-not-fork proof: on
+// randomized streams the windowed-count kernel and the frozen ring sweep
+// agree on the snapshot bytes after every tick, on every DrainDirty and
+// Candidates result, across the budget boundary (regime, mass and the
+// prev/cur block seeding are in the snapshot), and when the live side is
+// killed and restored from its own snapshot in the middle of a window.
+func TestAccumulatorMatchesFrozenKernel(t *testing.T) {
+	for si, sc := range accumStreams {
+		t.Run(sc.name, func(t *testing.T) {
+			rng := rand.New(rand.NewSource(int64(900 + si)))
+			var live accumKernel = NewAccumulator(sc.cfg)
+			frozen := newRefAccum(sc.cfg)
+			ids := append([]int(nil), sc.ids...)
+			const ticks = 400
+			tick := 0
+			for i := 0; i < ticks; i++ {
+				tick++
+				if sc.gapEvery > 0 && i%sc.gapEvery == sc.gapEvery-1 {
+					tick += sc.cfg.MaxLag + 1 + rng.Intn(3)
+				}
+				if i == ticks/3 {
+					ids = append(ids, sc.lateIDs...)
+				}
+				var hits []int
+				counts := make(map[int]int)
+				for _, id := range ids {
+					if rng.Float64() < sc.p {
+						hits = append(hits, id)
+						counts[id] = 1 + rng.Intn(4)
+					}
+				}
+				if sc.messy && len(hits) > 0 {
+					hits = append(hits, hits[rng.Intn(len(hits))], hits[0])
+					rng.Shuffle(len(hits), func(a, b int) { hits[a], hits[b] = hits[b], hits[a] })
+				}
+				for id := range counts {
+					sev := rng.Intn(5)
+					live.NoteSeverity(id, sev)
+					frozen.NoteSeverity(id, sev)
+				}
+				live.ObserveTick(tick, counts, hits)
+				frozen.ObserveTick(tick, counts, hits)
+				at := fmt.Sprintf("tick %d (#%d)", tick, i)
+				sameState(t, live, frozen, at)
+
+				switch rng.Intn(12) {
+				case 0:
+					if g, w := live.DrainDirty(), frozen.DrainDirty(); !reflect.DeepEqual(g, w) {
+						t.Fatalf("%s: DrainDirty diverges\n got=%v\nwant=%v", at, g, w)
+					}
+					sameState(t, live, frozen, at+" after drain")
+				case 1:
+					if g, w := live.Candidates(), frozen.Candidates(); !reflect.DeepEqual(g, w) {
+						t.Fatalf("%s: Candidates diverge\n got=%v\nwant=%v", at, g, w)
+					}
+					sameState(t, live, frozen, at+" after candidates")
+				case 2:
+					if sc.noResume {
+						break
+					}
+					// Kill and resume the live side only, through the wire form.
+					var st AccumState
+					if err := json.Unmarshal(stateJSON(t, live), &st); err != nil {
+						t.Fatal(err)
+					}
+					restored, err := RestoreAccumulator(sc.cfg, &st)
+					if err != nil {
+						t.Fatalf("%s: restore: %v", at, err)
+					}
+					live = restored
+					sameState(t, live, frozen, at+" after restore")
+				}
+			}
+			if sc.cfg.Budget > 0 && live.State().Exact {
+				t.Fatalf("budget %d never blown: the stream does not cross the boundary", sc.cfg.Budget)
+			}
+		})
+	}
+}
+
+// TestAccumulatorSaturatesLikeFrozenKernel: a pair a few counts below
+// counterCap takes one windowed update of n > 1 where the ring sweep took n
+// updates of 1; both must stop exactly at the cap, dirty once, and then
+// stay clean.
+func TestAccumulatorSaturatesLikeFrozenKernel(t *testing.T) {
+	cfg := AccumConfig{MaxLag: 10, MinCount: 1}
+	seed := &AccumState{
+		MaxLag: 10, Exact: true, LastTick: 3, TickSeen: 4, Mass: 3,
+		Trains: map[int][]int{1: {1, 2, 3}},
+		Counts: map[uint64]int32{refPairKey(1, 2): counterCap - 2, refPairKey(2, 1): counterCap},
+		Ring:   []accSpike{{T: 1, E: 1}, {T: 2, E: 1}, {T: 3, E: 1}},
+		Events: map[int]EventStat{1: {Spikes: 3, LastTick: -1}},
+	}
+	live, err := RestoreAccumulator(cfg, seed)
+	if err != nil {
+		t.Fatal(err)
+	}
+	frozen, err := restoreRefAccum(cfg, seed)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sameState(t, live, frozen, "seeded")
+	for i, hits := range [][]int{{2}, {2}, {1, 2}} {
+		live.ObserveTick(4+i, nil, hits)
+		frozen.ObserveTick(4+i, nil, hits)
+		at := fmt.Sprintf("spike %d", i)
+		sameState(t, live, frozen, at)
+		if n := live.PairCount(1, 2); n != counterCap {
+			t.Fatalf("%s: pair (1,2) = %d, want the cap %d", at, n, counterCap)
+		}
+		if g, w := live.DrainDirty(), frozen.DrainDirty(); !reflect.DeepEqual(g, w) {
+			t.Fatalf("%s: DrainDirty diverges\n got=%v\nwant=%v", at, g, w)
+		}
+	}
+}
+
+// TestObserveTickWarmZeroAlloc: once every event id has been seen, closing
+// a tick allocates nothing — the counter table, the event slots, the ring
+// and the live lists are all in place (spike trains and the ring grow
+// amortised, which AllocsPerRun's integer average rounds away).
+func TestObserveTickWarmZeroAlloc(t *testing.T) {
+	cfg := DefaultAccumConfig()
+	cfg.Budget = 1 << 50
+	ac := NewAccumulator(cfg)
+	counts := make(map[int]int)
+	hitSets := make([][]int, 97)
+	for i := range hitSets {
+		for j := 0; j < 7; j++ {
+			hitSets[i] = append(hitSets[i], (i*31+j*29)%200)
+		}
+		sort.Ints(hitSets[i])
+		counts[hitSets[i][0]] = 3
+	}
+	tick := 0
+	observe := func() {
+		ac.NoteSeverity(tick%200, 2)
+		ac.ObserveTick(tick, counts, hitSets[tick%len(hitSets)])
+		tick++
+	}
+	for tick < 20000 {
+		observe()
+	}
+	if !ac.Exact() {
+		t.Fatal("warm-up left the exact regime; the test would time the bucket path")
+	}
+	if n := testing.AllocsPerRun(2000, observe); n != 0 {
+		t.Fatalf("warm ObserveTick allocates %v times per tick, want 0", n)
+	}
+}
+
+// TestRestoreAccumulatorRejectsForgedState: a snapshot is hostile input.
+// Whatever State could not have written is an error, and ids no table can
+// hold take the map paths instead of an index or a giant allocation.
+func TestRestoreAccumulatorRejectsForgedState(t *testing.T) {
+	cfg := AccumConfig{MaxLag: 10, MinCount: 1}
+	base := func() *AccumState {
+		return &AccumState{
+			MaxLag: 10, Exact: true, LastTick: 9, TickSeen: 10, Mass: 1,
+			Trains: map[int][]int{1: {8}, 2: {9}},
+			Counts: map[uint64]int32{refPairKey(1, 2): 1},
+			Dirty:  []uint64{refPairKey(1, 2)},
+			Ring:   []accSpike{{T: 8, E: 1}, {T: 9, E: 2}},
+		}
+	}
+	if _, err := RestoreAccumulator(cfg, base()); err != nil {
+		t.Fatalf("well-formed state rejected: %v", err)
+	}
+	for name, forge := range map[string]func(*AccumState){
+		"negative mass":        func(st *AccumState) { st.Mass = -1 },
+		"negative tick count":  func(st *AccumState) { st.TickSeen = -4 },
+		"unsorted ring":        func(st *AccumState) { st.Ring[0].T, st.Ring[1].T = 9, 8 },
+		"ring newer than tick": func(st *AccumState) { st.Ring[1].T = 10 },
+		"ring past the budget": func(st *AccumState) { st.Exact = false },
+		"zero count":           func(st *AccumState) { st.Counts[refPairKey(3, 4)] = 0 },
+		"negative count":       func(st *AccumState) { st.Counts[refPairKey(3, 4)] = -7 },
+		"count past the cap":   func(st *AccumState) { st.Counts[refPairKey(3, 4)] = counterCap + 1 },
+		"dirty without count":  func(st *AccumState) { st.Dirty = append(st.Dirty, refPairKey(5, 6)) },
+		"block count":          func(st *AccumState) { st.Exact, st.Ring, st.Cur = false, nil, map[int]int32{1: -2} },
+		"block count too wide": func(st *AccumState) { st.Exact, st.Ring, st.Prev = false, nil, map[int]int32{1: 12} },
+	} {
+		st := base()
+		forge(st)
+		if _, err := RestoreAccumulator(cfg, st); err == nil {
+			t.Errorf("%s: forged state restored without error", name)
+		}
+	}
+
+	// Ids outside every table: negative, at 2^31, at the top of uint32.
+	st := base()
+	wild := []int{-1, 1 << 31, 1<<32 - 1, denseCounterMax}
+	for i, id := range wild {
+		k := refPairKey(id, 1)
+		st.Counts[k] = int32(i + 1)
+		st.Dirty = append(st.Dirty, k)
+		st.Trains[id] = []int{9}
+		st.Ring = append(st.Ring, accSpike{T: 9, E: id})
+	}
+	sort.Slice(st.Dirty, func(i, j int) bool { return st.Dirty[i] < st.Dirty[j] })
+	ac, err := RestoreAccumulator(cfg, st)
+	if err != nil {
+		t.Fatalf("wild ids rejected: %v", err)
+	}
+	if n := len(ac.pairs.dense); n > 64*64 {
+		t.Fatalf("wild ids grew the flat table to %d cells", n)
+	}
+	ac.ObserveTick(10, map[int]int{-1: 1}, []int{-1, 3, 1 << 31})
+	again, err := RestoreAccumulator(cfg, ac.State())
+	if err != nil {
+		t.Fatal(err)
+	}
+	sameState(t, again, ac, "wild ids round trip")
+}
+
 // FuzzIncrementalCounters feeds arbitrary spike layouts — including the
 // permutations and duplications the ingest dedup ring admits, which all
 // collapse to the same per-tick outlier sets — through the streaming
 // accumulator and asserts its exact-regime counters equal the batch
-// exactSweep over the identical merged timeline.
+// exactSweep over the identical merged timeline, and that under the
+// fuzzed budget (which may be blown anywhere) its snapshot equals the
+// frozen ring-sweep kernel's after every tick and every drain.
 func FuzzIncrementalCounters(f *testing.F) {
 	f.Add([]byte{0, 1, 1, 0, 2, 3, 0, 0, 1, 1, 2, 0, 3, 7, 4, 1}, uint8(6))
 	f.Add([]byte{1, 0, 2, 0, 3, 0, 4, 0, 0, 0}, uint8(0))
@@ -342,5 +621,494 @@ func FuzzIncrementalCounters(f *testing.F) {
 		if got := accumCounts(ac); !reflect.DeepEqual(got, want) {
 			t.Fatalf("incremental counters diverge from batch exactSweep\n got=%v\nwant=%v", got, want)
 		}
+
+		// The top bits of the lag byte pick a budget from "never blown" down
+		// to "blown within a few spikes".
+		cfg := AccumConfig{MaxLag: maxLag, MinCount: 1 + int(lagB>>7), Budget: []int{1 << 30, 200, 40, 6}[lagB>>5&3]}
+		live, frozen := NewAccumulator(cfg), newRefAccum(cfg)
+		last := 0
+		for _, tr := range trains {
+			last = max(last, tr[len(tr)-1])
+		}
+		for tick := 0; tick <= last; tick++ {
+			var hits []int
+			for _, id := range ids {
+				if i := sort.SearchInts(trains[id], tick); i < len(trains[id]) && trains[id][i] == tick {
+					hits = append(hits, id)
+				}
+			}
+			live.ObserveTick(tick, nil, hits)
+			frozen.ObserveTick(tick, nil, hits)
+			sameState(t, live, frozen, fmt.Sprintf("tick %d", tick))
+			if tick%5 == 4 {
+				if g, w := live.DrainDirty(), frozen.DrainDirty(); !reflect.DeepEqual(g, w) {
+					t.Fatalf("tick %d: DrainDirty diverges\n got=%v\nwant=%v", tick, g, w)
+				}
+			}
+		}
 	})
+}
+
+// FuzzRestoreAccumulator: RestoreAccumulator reads bytes it did not
+// necessarily write. Arbitrary JSON must come back as an error or as an
+// accumulator — never a panic, an out-of-range index or an allocation
+// sized by a forged id — and an accepted state must be a fixed point:
+// State of the restored accumulator restores to the same bytes, and the
+// accumulator keeps working.
+func FuzzRestoreAccumulator(f *testing.F) {
+	ac := NewAccumulator(AccumConfig{MaxLag: 4, MinCount: 1})
+	ac.ObserveTick(0, map[int]int{1: 2}, []int{1, 2})
+	ac.ObserveTick(2, nil, []int{2, 2100})
+	seed, _ := json.Marshal(ac.State())
+	f.Add(seed)
+	bucket := NewAccumulator(AccumConfig{MaxLag: 4, MinCount: 1, Budget: 1})
+	bucket.ObserveTick(0, nil, []int{1, 2, 3})
+	bucket.ObserveTick(7, nil, []int{1, 3})
+	seed, _ = json.Marshal(bucket.State())
+	f.Add(seed)
+	f.Add([]byte(`{"max_lag":4,"exact":true,"counts":{"9223372036854775808":1,"18446744073709551615":5},"dirty":[18446744073709551615]}`))
+	f.Add([]byte(`{"max_lag":4,"exact":true,"last_tick":3,"ring":[{"t":3,"e":-1},{"t":3,"e":2147483648}],"trains":{"-1":[3]}}`))
+	f.Add([]byte(`{"max_lag":4,"exact":true,"mass":-1}`))
+	f.Fuzz(func(t *testing.T, data []byte) {
+		var st AccumState
+		if json.Unmarshal(data, &st) != nil {
+			return
+		}
+		cfg := AccumConfig{MaxLag: st.MaxLag, MinCount: 1, Budget: 1 << 20}
+		ac, err := RestoreAccumulator(cfg, &st)
+		if err != nil {
+			return
+		}
+		if n := len(ac.pairs.dense); n > denseCounterMax*denseCounterMax {
+			t.Fatalf("flat table grew to %d cells", n)
+		}
+		first := stateJSON(t, ac)
+		var back AccumState
+		if err := json.Unmarshal(first, &back); err != nil {
+			t.Fatal(err)
+		}
+		again, err := RestoreAccumulator(cfg, &back)
+		if err != nil {
+			t.Fatalf("state of a restored accumulator does not restore: %v", err)
+		}
+		if second := stateJSON(t, again); !bytes.Equal(first, second) {
+			t.Fatalf("restore is not a fixed point\nfirst =%s\nsecond=%s", first, second)
+		}
+		// Both keep observing, identically, from wherever the state left off.
+		for i, hits := range [][]int{{1, 2}, {2, -5, 1 << 31}, {1}} {
+			tick := st.LastTick + 1 + i
+			if tick < 0 || tick > 1<<40 {
+				break
+			}
+			ac.ObserveTick(tick, map[int]int{1: 1}, hits)
+			again.ObserveTick(tick, map[int]int{1: 1}, hits)
+		}
+		sameState(t, again, ac, "continued")
+		ac.Candidates()
+		ac.DrainDirty()
+	})
+}
+
+// refAccum is the accumulator as it was before the windowed-count kernel,
+// frozen: a ring of recent spikes that every new spike walks entry by
+// entry, two map writes per entry. It is the reference the live kernel
+// must equal byte for byte (TestAccumulatorMatchesFrozenKernel,
+// FuzzIncrementalCounters) and is not to be optimised.
+type refAccum struct {
+	cfg AccumConfig
+
+	trains SpikeTrains         // event id -> sorted outlier ticks
+	counts map[uint64]int32    // ordered pair -> co-occurrence count (upper bound past the budget)
+	dirty  map[uint64]struct{} // pairs whose count changed since the last drain
+	events map[int]*EventStat
+
+	ring []accSpike // spikes within MaxLag of the newest tick
+	head int
+
+	lastTick int
+	ticks    int
+	mass     int64
+	exact    bool
+
+	// Block-bucket state, live once the mass budget is blown: per-event
+	// spike counts of the previous closed block and the still-open one,
+	// over blocks of width MaxLag+1 anchored at tick 0.
+	prevBlock, curBlock int
+	prev, cur           map[int]int32
+
+	lastTrim int
+}
+
+// newRefAccum returns an empty accumulator in the exact regime.
+func newRefAccum(cfg AccumConfig) *refAccum {
+	if cfg.MaxLag < 0 {
+		cfg.MaxLag = 0
+	}
+	if cfg.MinCount < 1 {
+		cfg.MinCount = 1
+	}
+	if cfg.Budget <= 0 {
+		cfg.Budget = exactSweepBudget
+	}
+	return &refAccum{
+		cfg:    cfg,
+		trains: make(SpikeTrains),
+		counts: make(map[uint64]int32),
+		dirty:  make(map[uint64]struct{}),
+		events: make(map[int]*EventStat),
+		exact:  true,
+	}
+}
+
+func refPairKey(a, b int) uint64 { return uint64(uint32(a))<<32 | uint64(uint32(b)) }
+
+// bump adds n co-occurrences to the ordered pair (a, b), clamped at the
+// cap, and marks the pair dirty.
+func (ac *refAccum) bump(a, b int, n int32) {
+	k := refPairKey(a, b)
+	v := ac.counts[k]
+	if v >= counterCap {
+		return
+	}
+	if v > counterCap-n {
+		v = counterCap
+	} else {
+		v += n
+	}
+	ac.counts[k] = v
+	ac.dirty[k] = struct{}{}
+}
+
+// stat returns the event's stat record, creating it on first sight.
+func (ac *refAccum) stat(id int) *EventStat {
+	es := ac.events[id]
+	if es == nil {
+		es = &EventStat{LastTick: -1}
+		ac.events[id] = es
+	}
+	return es
+}
+
+// NoteSeverity records the severity of one record of the event (as an
+// int; callers pass their severity enum's value). The per-event maximum
+// feeds the refresh path's predictive-chain elimination.
+func (ac *refAccum) NoteSeverity(id, sev int) {
+	if es := ac.stat(id); sev > es.MaxSeverity {
+		es.MaxSeverity = sev
+	}
+}
+
+// ObserveTick folds one closed sampling tick into the statistics: counts
+// is the tick's per-event record counts (rate statistics), outliers the
+// tick's outlier event ids in ascending order (the pipeline's sorted hit
+// set). Ticks must arrive in strictly increasing order; a stale tick is
+// ignored.
+func (ac *refAccum) ObserveTick(tick int, counts map[int]int, outliers []int) {
+	if ac.ticks > 0 && tick <= ac.lastTick {
+		return
+	}
+	ac.ticks++
+	ac.lastTick = tick
+	for id, n := range counts {
+		es := ac.stat(id)
+		es.Count += n
+		es.LastTick = tick
+	}
+	if len(outliers) > 0 {
+		// Drop ring entries that fell out of the co-occurrence window.
+		for ac.head < len(ac.ring) && tick-ac.ring[ac.head].T > ac.cfg.MaxLag {
+			ac.head++
+		}
+		if ac.head > 64 && ac.head*2 > len(ac.ring) {
+			n := copy(ac.ring, ac.ring[ac.head:])
+			ac.ring = ac.ring[:n]
+			ac.head = 0
+		}
+	}
+	for _, e := range outliers {
+		tr := ac.trains[e]
+		if len(tr) > 0 && tr[len(tr)-1] >= tick {
+			continue // duplicate within the tick's hit set
+		}
+		ac.trains[e] = append(tr, tick)
+		ac.stat(e).Spikes++
+		if ac.exact {
+			ac.exactAdd(tick, e)
+		} else {
+			ac.bucketAdd(tick, e)
+		}
+	}
+	ac.maybeTrim()
+}
+
+// exactAdd pairs one new spike against every live ring entry, mirroring
+// exactSweep over the merged timeline: ring entries precede the spike in
+// (tick, event) order, same-event pairs are skipped, and a simultaneous
+// pair also counts in the reverse order (the kernel's delay-0 bin sees
+// it from both sides).
+func (ac *refAccum) exactAdd(tick, e int) {
+	for i := ac.head; i < len(ac.ring); i++ {
+		r := ac.ring[i]
+		if r.E == e {
+			continue
+		}
+		ac.bump(r.E, e, 1)
+		if r.T == tick {
+			ac.bump(e, r.E, 1)
+		}
+	}
+	ac.mass += int64(len(ac.ring) - ac.head)
+	ac.ring = append(ac.ring, accSpike{T: tick, E: e})
+	if ac.mass > int64(ac.cfg.Budget) {
+		ac.switchToBuckets()
+	}
+}
+
+// switchToBuckets degrades to the block-bucket upper bound: the live
+// ring spikes (at most two blocks wide, since the ring spans MaxLag)
+// seed the block counts. Pairs among them were already counted exactly,
+// so the seeded products double-count those — the bound only ever moves
+// up, which is the direction conservative pruning needs.
+func (ac *refAccum) switchToBuckets() {
+	ac.exact = false
+	g := ac.cfg.MaxLag + 1
+	ac.prev, ac.cur = make(map[int]int32), make(map[int]int32)
+	ac.prevBlock, ac.curBlock = -1, ac.lastTick/g
+	for _, r := range ac.ring[ac.head:] {
+		if b := r.T / g; b == ac.curBlock {
+			ac.cur[r.E]++
+		} else {
+			ac.prevBlock = b
+			ac.prev[r.E]++
+		}
+	}
+	ac.ring, ac.head = nil, 0
+}
+
+// bucketAdd folds a spike into the open block, flushing closed blocks'
+// pair products on block advance.
+func (ac *refAccum) bucketAdd(tick, e int) {
+	if b := tick / (ac.cfg.MaxLag + 1); b != ac.curBlock {
+		ac.flushBlock()
+		if b != ac.curBlock+1 {
+			// A gap: the closed block has no adjacent successor, so its
+			// cross products are zero and prev is irrelevant.
+			ac.prev = make(map[int]int32)
+			ac.prevBlock = -1
+		}
+		ac.curBlock = b
+	}
+	ac.cur[e]++
+}
+
+// flushBlock adds the closing block's within-block products and the
+// previous block's cross products, exactly as blockSweep does for block
+// b: cur x cur plus prev x cur when the blocks are adjacent. prev then
+// becomes the closed block.
+func (ac *refAccum) flushBlock() {
+	for a, na := range ac.cur {
+		for b, nb := range ac.cur {
+			if a != b {
+				ac.bump(a, b, na*nb)
+			}
+		}
+	}
+	if ac.prevBlock >= 0 && ac.curBlock == ac.prevBlock+1 {
+		for a, na := range ac.prev {
+			for b, nb := range ac.cur {
+				if a != b {
+					ac.bump(a, b, na*nb)
+				}
+			}
+		}
+	}
+	ac.prev, ac.cur = ac.cur, ac.prev
+	ac.prevBlock = ac.curBlock
+	for k := range ac.cur {
+		delete(ac.cur, k)
+	}
+}
+
+// flushPending materialises the still-open block's products so emission
+// sees them. The block stays open and keeps its counts, so a later final
+// flush re-adds these products — an over-count, tolerated because bucket
+// mode is an upper bound by construction.
+func (ac *refAccum) flushPending() {
+	if ac.exact || len(ac.cur) == 0 {
+		return
+	}
+	for a, na := range ac.cur {
+		for b, nb := range ac.cur {
+			if a != b {
+				ac.bump(a, b, na*nb)
+			}
+		}
+	}
+	if ac.prevBlock >= 0 && ac.curBlock == ac.prevBlock+1 {
+		for a, na := range ac.prev {
+			for b, nb := range ac.cur {
+				if a != b {
+					ac.bump(a, b, na*nb)
+				}
+			}
+		}
+	}
+}
+
+// maybeTrim drops spikes older than the horizon cap, amortised to one
+// pass per quarter-cap of tick progress. Counters are lifetime totals
+// and stay untouched.
+func (ac *refAccum) maybeTrim() {
+	hc := ac.cfg.HorizonCap
+	if hc <= 0 || ac.lastTick-ac.lastTrim < hc/4+1 {
+		return
+	}
+	ac.lastTrim = ac.lastTick
+	cut := ac.lastTick - hc
+	for id, tr := range ac.trains {
+		i := sort.SearchInts(tr, cut+1)
+		if i == 0 {
+			continue
+		}
+		if i == len(tr) {
+			delete(ac.trains, id)
+			continue
+		}
+		ac.trains[id] = append(tr[:0], tr[i:]...)
+	}
+}
+
+// Candidates returns every pair at or above MinCount, sorted by (A, B).
+// In bucket mode the still-open block's products are flushed first
+// (conservatively) so fresh co-occurrences are never invisible.
+func (ac *refAccum) Candidates() []PairCand {
+	ac.flushPending()
+	return ac.emit(func(k uint64) bool { return true })
+}
+
+// DrainDirty returns the candidates whose count changed since the last
+// drain, sorted by (A, B), and clears the dirty set. Pairs still below
+// MinCount are dropped from the drain but re-dirty on their next
+// increment, so crossing the threshold always re-surfaces them. This is
+// the delta a refresh needs to re-score.
+func (ac *refAccum) DrainDirty() []PairCand {
+	ac.flushPending()
+	out := ac.emit(func(k uint64) bool { _, d := ac.dirty[k]; return d })
+	ac.dirty = make(map[uint64]struct{})
+	return out
+}
+
+// emit collects eligible pairs >= MinCount in deterministic (A, B) order.
+func (ac *refAccum) emit(eligible func(uint64) bool) []PairCand {
+	need := int32(ac.cfg.MinCount)
+	out := make([]PairCand, 0, len(ac.dirty))
+	for k, v := range ac.counts {
+		if v >= need && eligible(k) {
+			out = append(out, PairCand{A: int(k >> 32), B: int(uint32(k)), Count: int(v)})
+		}
+	}
+	sort.Slice(out, func(i, j int) bool {
+		if out[i].A != out[j].A {
+			return out[i].A < out[j].A
+		}
+		return out[i].B < out[j].B
+	})
+	return out
+}
+
+// State snapshots the accumulator. The snapshot is a deep copy with the
+// dirty set sorted, so identical accumulator states serialise to
+// identical bytes.
+func (ac *refAccum) State() *AccumState {
+	st := &AccumState{
+		MaxLag:    ac.cfg.MaxLag,
+		Exact:     ac.exact,
+		Mass:      ac.mass,
+		LastTick:  ac.lastTick,
+		TickSeen:  ac.ticks,
+		PrevBlock: ac.prevBlock,
+		CurBlock:  ac.curBlock,
+	}
+	if len(ac.trains) > 0 {
+		st.Trains = make(map[int][]int, len(ac.trains))
+		for id, tr := range ac.trains {
+			st.Trains[id] = append([]int(nil), tr...)
+		}
+	}
+	if len(ac.counts) > 0 {
+		st.Counts = make(map[uint64]int32, len(ac.counts))
+		for k, v := range ac.counts {
+			st.Counts[k] = v
+		}
+	}
+	if len(ac.dirty) > 0 {
+		st.Dirty = make([]uint64, 0, len(ac.dirty))
+		for k := range ac.dirty {
+			st.Dirty = append(st.Dirty, k)
+		}
+		sort.Slice(st.Dirty, func(i, j int) bool { return st.Dirty[i] < st.Dirty[j] })
+	}
+	if len(ac.events) > 0 {
+		st.Events = make(map[int]EventStat, len(ac.events))
+		for id, es := range ac.events {
+			st.Events[id] = *es
+		}
+	}
+	if live := ac.ring[ac.head:]; len(live) > 0 {
+		st.Ring = append([]accSpike(nil), live...)
+	}
+	if len(ac.prev) > 0 {
+		st.Prev = copyBlock(ac.prev)
+	}
+	if len(ac.cur) > 0 {
+		st.Cur = copyBlock(ac.cur)
+	}
+	return st
+}
+
+// restoreRefAccum rebuilds an accumulator from a snapshot. The
+// configured window must match the snapshot's — counters accumulated
+// under a different MaxLag would silently mean something else.
+func restoreRefAccum(cfg AccumConfig, st *AccumState) (*refAccum, error) {
+	if st == nil {
+		return nil, fmt.Errorf("sig: nil accumulator state")
+	}
+	ac := newRefAccum(cfg)
+	if st.MaxLag != ac.cfg.MaxLag {
+		return nil, fmt.Errorf("sig: accumulator snapshot window MaxLag=%d, config wants %d",
+			st.MaxLag, ac.cfg.MaxLag)
+	}
+	ac.exact = st.Exact
+	ac.mass = st.Mass
+	ac.lastTick = st.LastTick
+	ac.ticks = st.TickSeen
+	ac.lastTrim = st.LastTick
+	for id, tr := range st.Trains {
+		if !sort.IntsAreSorted(tr) {
+			return nil, fmt.Errorf("sig: accumulator snapshot train %d not sorted", id)
+		}
+		ac.trains[id] = append([]int(nil), tr...)
+	}
+	for k, v := range st.Counts {
+		ac.counts[k] = v
+	}
+	for _, k := range st.Dirty {
+		ac.dirty[k] = struct{}{}
+	}
+	for id, es := range st.Events {
+		e := es
+		ac.events[id] = &e
+	}
+	ac.ring = append([]accSpike(nil), st.Ring...)
+	if !ac.exact {
+		ac.prevBlock, ac.curBlock = st.PrevBlock, st.CurBlock
+		ac.prev, ac.cur = copyBlock(st.Prev), copyBlock(st.Cur)
+		if ac.prev == nil {
+			ac.prev = make(map[int]int32)
+		}
+		if ac.cur == nil {
+			ac.cur = make(map[int]int32)
+		}
+	}
+	return ac, nil
 }

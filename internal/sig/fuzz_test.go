@@ -57,14 +57,6 @@ func refPairCounts(trains SpikeTrains, ids []int, maxLag int) map[[2]int32]int {
 	return ref
 }
 
-// counterGet reads one ordered pair's accumulated count.
-func counterGet(c *pairCounter, a, b int32) int {
-	if c.dense != nil {
-		return int(c.dense[a*c.e+b])
-	}
-	return int(c.m[uint64(uint32(a))<<32|uint64(uint32(b))])
-}
-
 // FuzzPrefilterPairs checks the prefilter's conservativeness invariants on
 // arbitrary spike layouts: the exact sweep's counts equal a brute-force
 // reference, the block sweep's counts upper-bound it, and prefilterPairs
@@ -97,10 +89,10 @@ func FuzzPrefilterPairs(f *testing.F) {
 				}
 				a, b := int32(ai), int32(bi)
 				want := ref[[2]int32{a, b}]
-				if got := counterGet(exact, a, b); got != want {
+				if got := int(exact.get(a, b)); got != want {
 					t.Fatalf("exactSweep(%d,%d) = %d, brute force = %d", ai, bi, got, want)
 				}
-				if got := counterGet(block, a, b); got < want {
+				if got := int(block.get(a, b)); got < want {
 					t.Fatalf("blockSweep(%d,%d) = %d undercounts brute force %d", ai, bi, got, want)
 				}
 			}

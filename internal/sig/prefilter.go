@@ -1,6 +1,10 @@
 package sig
 
-import "sort"
+import (
+	"math/bits"
+	"slices"
+	"sort"
+)
 
 // PairStats reports how much of the ordered pair space AllPairs actually
 // had to score. Candidates is the blind E*(E-1) enumeration the naive path
@@ -33,77 +37,162 @@ type spike struct {
 // regime.
 var exactSweepBudget = 1 << 22
 
-// denseCounterMax is the largest event count for which pair counts live in
-// a flat E*E array (E=2048 -> 16 MiB of int32) instead of a hash map.
+// denseCounterMax bounds the side of the flat pair table: ids below it
+// index an id x id []int32 directly (2048 -> 16 MiB at most), a pair with
+// any id outside [0, denseCounterMax) lives in a hash map. An event
+// universe that keeps growing therefore cannot make the counter quadratic.
 const denseCounterMax = 2048
 
-// pairCounter accumulates per-ordered-pair co-occurrence counts, dense
-// when the event universe is small enough, hashed otherwise.
+// counterCap is the saturation ceiling, far above any usable MinCount. A
+// count is clamped — min(cap, total) — so its final value never depends on
+// the order the increments arrived in.
+const counterCap = 1 << 30
+
+func pairKey(a, b int32) uint64 { return uint64(uint32(a))<<32 | uint64(uint32(b)) }
+
+// pairCounter accumulates per-ordered-pair co-occurrence counts and which
+// of them changed since clearDirty: the one counter behind the batch sweeps
+// (sized up front) and the streaming Accumulator (grown by doubling as
+// event ids appear).
 type pairCounter struct {
+	//elsa:ephemeral derived from counts on restore: the flat table's side, ids in [0, e) index dense
 	e     int32
-	dense []int32
-	m     map[uint64]int32
+	dense []int32  // e*e counts, row a holding the pairs (a, *)
+	dbits []uint64 // one dirty bit per dense cell
+
+	m  map[uint64]int32    // pairs with an id outside [0, denseCounterMax)
+	dm map[uint64]struct{} // the dirty ones among them
 }
 
+// newPairCounter returns a counter whose flat table already covers ids
+// [0, e), up to the dense bound.
 func newPairCounter(e int) *pairCounter {
-	c := &pairCounter{e: int32(e)}
-	if e <= denseCounterMax {
-		c.dense = make([]int32, e*e)
-	} else {
-		c.m = make(map[uint64]int32)
-	}
+	c := &pairCounter{m: make(map[uint64]int32), dm: make(map[uint64]struct{})}
+	c.grow(int32(min(e, denseCounterMax)))
 	return c
 }
 
-// add accumulates n co-occurrences for the ordered pair (a, b), saturating
-// far above any usable MinCount instead of overflowing.
+// grow re-lays the flat table out with the given side.
+func (c *pairCounter) grow(side int32) {
+	old := *c
+	c.e = side
+	c.dense = make([]int32, int(side)*int(side))
+	c.dbits = make([]uint64, (len(c.dense)+63)/64)
+	for a := int32(0); a < old.e; a++ {
+		copy(c.dense[a*side:], old.dense[a*old.e:(a+1)*old.e])
+	}
+	old.eachDirtyCell(func(i int32) { c.mark(i/old.e, i%old.e) })
+}
+
+// add accumulates n co-occurrences (0 < n <= counterCap) for the ordered
+// pair (a, b), clamped at counterCap; a saturated pair no longer changes
+// and is not marked dirty. A pair the flat table does not cover yet
+// doubles it until it does, or goes to the hashed overflow.
 //
 //elsa:hotpath
 func (c *pairCounter) add(a, b, n int32) {
-	if c.dense != nil {
+	if uint32(a) < uint32(c.e) && uint32(b) < uint32(c.e) {
 		k := a*c.e + b
-		if v := c.dense[k]; v <= 1<<30 {
-			c.dense[k] = v + n
+		if v := c.dense[k]; v < counterCap {
+			c.dense[k] = v + min(n, counterCap-v)
+			c.dbits[k>>6] |= 1 << (k & 63)
 		}
 		return
 	}
-	k := uint64(uint32(a))<<32 | uint64(uint32(b))
-	if v := c.m[k]; v <= 1<<30 {
-		c.m[k] = v + n
+	if uint32(a) < denseCounterMax && uint32(b) < denseCounterMax {
+		side := max(c.e, 64)
+		for side <= max(a, b) {
+			side *= 2
+		}
+		c.grow(min(side, denseCounterMax))
+		c.add(a, b, n)
+	} else if k := pairKey(a, b); c.m[k] < counterCap {
+		c.m[k] += min(n, counterCap-c.m[k])
+		c.dm[k] = struct{}{}
 	}
 }
 
-// emit returns the ordered pairs whose accumulated count reaches need, in
-// (a, b) order for the dense counter.
-func (c *pairCounter) emit(need int32) [][2]int32 {
-	var cands [][2]int32
-	if c.dense != nil {
+// mark flags the pair dirty.
+func (c *pairCounter) mark(a, b int32) {
+	if uint32(a) < uint32(c.e) && uint32(b) < uint32(c.e) {
+		k := a*c.e + b
+		c.dbits[k>>6] |= 1 << (k & 63)
+	} else {
+		c.dm[pairKey(a, b)] = struct{}{}
+	}
+}
+
+// get reads one ordered pair's accumulated count.
+func (c *pairCounter) get(a, b int32) int32 {
+	if uint32(a) < uint32(c.e) && uint32(b) < uint32(c.e) {
+		return c.dense[a*c.e+b]
+	}
+	return c.m[pairKey(a, b)]
+}
+
+// eachDirtyCell calls fn with the flat index of every dirty dense cell,
+// ascending.
+func (c *pairCounter) eachDirtyCell(fn func(i int32)) {
+	for w, word := range c.dbits {
+		for ; word != 0; word &= word - 1 {
+			fn(int32(w*64 + bits.TrailingZeros64(word)))
+		}
+	}
+}
+
+// each calls fn with the key and count of every counted pair — only the
+// dirty ones when dirty is set — in (a, b) order: the flat table is
+// scanned in place, and the (normally empty) overflow is sorted and merged
+// in, so no caller sorts.
+func (c *pairCounter) each(dirty bool, fn func(k uint64, v int32)) {
+	var over []uint64
+	if dirty {
+		for k := range c.dm {
+			over = append(over, k)
+		}
+	} else {
+		for k := range c.m {
+			over = append(over, k)
+		}
+	}
+	slices.Sort(over)
+	visit := func(k uint64, v int32) {
+		for ; len(over) > 0 && over[0] < k; over = over[1:] {
+			fn(over[0], c.m[over[0]])
+		}
+		fn(k, v)
+	}
+	if dirty {
+		c.eachDirtyCell(func(i int32) { visit(pairKey(i/c.e, i%c.e), c.dense[i]) })
+	} else {
 		for a := int32(0); a < c.e; a++ {
-			row := c.dense[a*c.e : (a+1)*c.e]
-			for b, v := range row {
-				if v >= need {
-					cands = append(cands, [2]int32{a, int32(b)})
+			for b, v := range c.dense[a*c.e : (a+1)*c.e] {
+				if v != 0 {
+					visit(pairKey(a, int32(b)), v)
 				}
 			}
 		}
-		return cands
 	}
-	cands = make([][2]int32, 0, len(c.m))
-	for k, v := range c.m {
+	for _, k := range over {
+		fn(k, c.m[k])
+	}
+}
+
+// clearDirty forgets which pairs changed.
+func (c *pairCounter) clearDirty() {
+	clear(c.dbits)
+	clear(c.dm)
+}
+
+// emit returns the ordered pairs whose accumulated count reaches need, in
+// (a, b) order, so the kernel's work queue (and any pruning trace an
+// operator compares across runs) is the same on every run.
+func (c *pairCounter) emit(need int32) [][2]int32 {
+	var cands [][2]int32
+	c.each(false, func(k uint64, v int32) {
 		if v >= need {
 			cands = append(cands, [2]int32{int32(k >> 32), int32(uint32(k))})
 		}
-	}
-	// The dense counter emits in (a, b) order for free; the hashed
-	// counter emits in map order, which would make the kernel's work
-	// queue (and any pruning trace an operator compares across runs)
-	// differ per run. Sort so both paths hand the scorer the same
-	// deterministic candidate sequence.
-	sort.Slice(cands, func(i, j int) bool {
-		if cands[i][0] != cands[j][0] {
-			return cands[i][0] < cands[j][0]
-		}
-		return cands[i][1] < cands[j][1]
 	})
 	return cands
 }

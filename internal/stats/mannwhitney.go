@@ -65,6 +65,30 @@ func MannWhitney(xs, ys []float64) MannWhitneyResult {
 			r1 += ranks[i]
 		}
 	}
+	return fromRanks(n1, n2, r1, tieTerm)
+}
+
+// MannWhitneyIndicators is MannWhitney for two samples of 0/1 indicators,
+// given by their sizes and how many of each are 1. Two tie groups are all
+// such data has, so the ranks follow from the four counts: nothing is
+// built or sorted, and the result equals MannWhitney on the expanded
+// vectors bit for bit (every rank sum is a multiple of 1/2, hence exact).
+// It is what the miner's significance test runs per candidate.
+func MannWhitneyIndicators(n1, ones1, n2, ones2 int) MannWhitneyResult {
+	if n1 == 0 || n2 == 0 {
+		return MannWhitneyResult{P: 1}
+	}
+	zeros, n := (n1-ones1)+(n2-ones2), n1+n2
+	tz, to := float64(zeros), float64(n-zeros)
+	tieTerm := (tz*tz*tz - tz) + (to*to*to - to)
+	// Mid-ranks: the zeros hold ranks 1..zeros, the ones zeros+1..n.
+	r1 := float64(n1-ones1)*(float64(zeros+1)/2) + float64(ones1)*(float64(zeros+n+1)/2)
+	return fromRanks(n1, n2, r1, tieTerm)
+}
+
+// fromRanks finishes the test from the first sample's rank sum and the
+// tie-correction term.
+func fromRanks(n1, n2 int, r1, tieTerm float64) MannWhitneyResult {
 	fn1, fn2 := float64(n1), float64(n2)
 	u1 := r1 - fn1*(fn1+1)/2
 

@@ -1,6 +1,7 @@
 package stats
 
 import (
+	"math"
 	"math/rand"
 	"testing"
 )
@@ -197,5 +198,44 @@ func TestMannWhitneyPower(t *testing.T) {
 	}
 	if rate := float64(rejected) / float64(trials); rate < 0.95 {
 		t.Errorf("power = %v, want > 0.95", rate)
+	}
+}
+
+// The indicator form must be the general test on 0/1 data, to the bit:
+// every size from empty through the exact small-sample limit and the
+// miner's probe counts, every split of ones, shuffled input order.
+func TestMannWhitneyIndicatorsMatchesGeneral(t *testing.T) {
+	rng := rand.New(rand.NewSource(7))
+	expand := func(n, ones int) []float64 {
+		xs := make([]float64, n)
+		for i := 0; i < ones; i++ {
+			xs[i] = 1
+		}
+		rng.Shuffle(n, func(i, j int) { xs[i], xs[j] = xs[j], xs[i] })
+		return xs
+	}
+	sizes := []int{0, 1, 2, 3, 9, 10, 11, 40, 173, 400, 2161}
+	for _, n1 := range sizes {
+		for _, n2 := range sizes {
+			for trial := 0; trial < 6; trial++ {
+				ones1, ones2 := 0, 0
+				switch trial {
+				case 0: // all zeros
+				case 1:
+					ones1, ones2 = n1, n2
+				case 2:
+					ones1 = n1
+				default:
+					ones1, ones2 = rng.Intn(n1+1), rng.Intn(n2+1)
+				}
+				want := MannWhitney(expand(n1, ones1), expand(n2, ones2))
+				got := MannWhitneyIndicators(n1, ones1, n2, ones2)
+				if math.Float64bits(got.U) != math.Float64bits(want.U) ||
+					math.Float64bits(got.Z) != math.Float64bits(want.Z) ||
+					math.Float64bits(got.P) != math.Float64bits(want.P) || got.Exact != want.Exact {
+					t.Fatalf("n1=%d ones1=%d n2=%d ones2=%d: indicators %+v, general %+v", n1, ones1, n2, ones2, got, want)
+				}
+			}
+		}
 	}
 }
