@@ -107,9 +107,10 @@ type Backend interface {
 	Close() error
 }
 
-// Source adapts a Backend to the logs.RecordSource view Pipeline.Run and
-// batch Predict consume. The context bounds every Next: when it fires,
-// the source ends with the context error in Err.
+// Source adapts a Backend to the logs.RecordSource view a batch replay
+// (Model.PredictSource, Pipeline.Run) pulls from. The context bounds
+// every Next: when it fires, the source ends with the context error in
+// Err.
 type Source struct {
 	ctx context.Context
 	b   Backend

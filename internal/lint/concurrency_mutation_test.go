@@ -79,8 +79,9 @@ func (s *Supervisor) mutReverse() {
 	}
 }
 
-// pipelineShapedTmpl mirrors pipeline.Run's stage layout: buffered
-// stage channels, each closed by the annotated goroutine that owns it.
+// pipelineShapedTmpl is a two-stage channel fan-in — the ownership shape
+// of pipeline.Run's chunk channel, once over: buffered stage channels,
+// each closed by the annotated goroutine that owns it.
 const pipelineShapedTmpl = `package pipeline
 
 import "sync"

@@ -2,6 +2,7 @@ package pipeline
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"testing"
 
@@ -62,6 +63,18 @@ func TestSessionAccumulatorTapIsPassive(t *testing.T) {
 	}
 	if logs.Severity(worst) < logs.Error {
 		t.Fatalf("worst recorded severity = %v, want >= Error", logs.Severity(worst))
+	}
+
+	// A replay is the same session bounded to the window: its tap must
+	// leave the accumulator in the very state the fed session did.
+	replayed := New(predict.NewEngine(model, profiles, predict.DefaultConfig()), nil, cfg)
+	if _, err := replayed.Run(context.Background(), logs.NewSliceSource(test), cut, end); err != nil {
+		t.Fatalf("Run: %v", err)
+	}
+	fed, _ := json.Marshal(ac.State())
+	run, _ := json.Marshal(replayed.Accumulator().State())
+	if !bytes.Equal(run, fed) {
+		t.Fatal("replayed accumulator state differs from the fed session's")
 	}
 }
 

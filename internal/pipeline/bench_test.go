@@ -55,9 +55,10 @@ func syntheticStream(start time.Time, rate int, dur time.Duration, events int) [
 	return out
 }
 
-// BenchmarkPipelineThroughput measures sustained records/sec through the
-// full async stage graph at the paper's average and burst message rates,
-// with allocation counts — the baseline later perf PRs diff against.
+// BenchmarkPipelineThroughput measures sustained records/sec through a
+// batch replay (Run: a bounded Session, template assignment one chunk
+// ahead) at the paper's average and burst message rates, with allocation
+// counts — the baseline later perf PRs diff against.
 func BenchmarkPipelineThroughput(b *testing.B) {
 	benchSetup(b)
 	for _, bc := range []struct {

@@ -196,7 +196,7 @@ func fingerprint(rec *logs.Record) uint64 {
 
 // ingest classifies one record at the source stage: quarantine
 // malformed input, suppress exact duplicates, admit the rest. It must be
-// called from a single goroutine per driver (the source stage or Feed).
+// called from a single goroutine (Feed, or the replay's template goroutine).
 func (p *Pipeline) ingest(rec *logs.Record) (admitted bool) {
 	c := &p.counters[stageSource]
 	if reason := quarantineReason(rec); reason != "" {

@@ -1,6 +1,7 @@
 package pipeline
 
 import (
+	"context"
 	"fmt"
 	"strings"
 	"testing"
@@ -171,6 +172,50 @@ func TestSessionShedsUnderOverloadAndRecovers(t *testing.T) {
 	}
 	if res.Stats.DegradedTicks == 0 {
 		t.Error("DegradedTicks = 0, want > 0")
+	}
+}
+
+// TestRunShedsUnderOverload replays the same burst tick: a replay sheds
+// like the live session and flags what it emits meanwhile, but — unlike
+// Feed — it has stamped a record by the time it decides to shed it.
+func TestRunShedsUnderOverload(t *testing.T) {
+	node := topology.MustParse("R00-M0-N0-C:J02-U01")
+	cfg := DefaultConfig()
+	cfg.MaxBuffered = 8
+
+	recs := []logs.Record{{Time: t0.Add(5 * time.Second), EventID: 1, Location: node}}
+	for i := 0; i < 9; i++ {
+		recs = append(recs, logs.Record{
+			Time: t0.Add(6 * time.Second), EventID: 3, Location: node,
+			Message: fmt.Sprintf("flood %d", i),
+		})
+	}
+	recs = append(recs, logs.Record{Time: t0.Add(65 * time.Second), EventID: 2, Location: node})
+
+	res, err := New(predict.NewEngine(pairModel(), nil, predict.DefaultConfig()), nil, cfg).
+		Run(context.Background(), logs.NewSliceSource(recs), t0, t0.Add(200*time.Second))
+	if err != nil {
+		t.Fatalf("Run: %v", err)
+	}
+	if res.Stats.ShedRecords != 3 {
+		t.Errorf("ShedRecords = %d, want 3", res.Stats.ShedRecords)
+	}
+	if len(res.Predictions) != 1 {
+		t.Fatalf("predictions = %d, want 1", len(res.Predictions))
+	}
+	if !res.Predictions[0].Degraded {
+		t.Error("prediction fired while shedding is not flagged Degraded")
+	}
+	if !res.Stats.Degraded || res.Stats.DegradedTicks == 0 {
+		t.Errorf("Degraded = %v, DegradedTicks = %d for a replay that shed load", res.Stats.Degraded, res.Stats.DegradedTicks)
+	}
+	st := res.Stats.Stages
+	if st[stageTemplate].Out != st[stageSource].Out || st[stageSource].Out != int64(len(recs)) {
+		t.Errorf("template out = %d, source out = %d, want both %d (stamp precedes shed in a replay)",
+			st[stageTemplate].Out, st[stageSource].Out, len(recs))
+	}
+	if got, want := st[stageSample].In, int64(len(recs)-3); got != want {
+		t.Errorf("sample in = %d, want %d", got, want)
 	}
 }
 

@@ -3,19 +3,17 @@
 //
 //	Source → TemplateAssign (helo) → Sample/Signal (sig) → OutlierFilter → ChainMatch → PredictionSink
 //
-// with context cancellation, bounded-channel backpressure and per-stage
-// counters (records in/out, drops, max queue depth, wall time). The hot
-// filtering stage shards its per-event-type signal state across workers.
+// with context cancellation and per-stage counters (records in/out,
+// drops, max queue depth, wall time). The hot filtering stage shards its
+// per-event-type signal state across workers.
 //
-// The graph has exactly one set of stage bodies and two drivers:
-//
-//   - Run pulls records from a logs.RecordSource and pushes them through
-//     goroutine-per-stage bounded channels — the batch path. Batch
-//     prediction is therefore a replay of the same stage graph the live
-//     monitor runs, not a separate code path.
-//   - Session executes the same stage bodies synchronously, one record
-//     per Feed call — the deployment shape of a monitor daemon tailing a
-//     live log.
+// The graph has one set of stage bodies and one driver, Session, which
+// executes them synchronously, one record per Feed call — the deployment
+// shape of a monitor daemon tailing a live log. Run, the batch path,
+// pulls a logs.RecordSource through a Session bounded to the run window
+// (with template assignment one chunk ahead on a goroutine of its own),
+// so batch prediction is a replay of what the live monitor runs, not a
+// separate code path.
 //
 // Tick mechanics (sampling, outlier observation, chain matching, the
 // analysis-time model) live in internal/predict as exported stage steps;
@@ -66,14 +64,9 @@ func StampEventID(rec *logs.Record, org TemplateLearner) {
 	}
 }
 
-// Config tunes the pipeline drivers. The engine-level parameters (step,
+// Config tunes the pipeline driver. The engine-level parameters (step,
 // tolerance, analysis-cost model) stay in predict.Config.
 type Config struct {
-	// Buffer is the capacity of each inter-stage channel in the async
-	// driver; it bounds how far any stage can run ahead (backpressure).
-	// <= 0 selects DefaultBuffer.
-	Buffer int
-
 	// Workers caps the filter stage's fan-out across detector shards.
 	// <= 0 selects runtime.NumCPU(). The effective width also never
 	// exceeds one worker per minShardSize detectors, so all but very wide
@@ -88,11 +81,11 @@ type Config struct {
 	GraceTicks int
 
 	// OnPrediction, when set, is invoked from the sink stage for every
-	// prediction as soon as its tick closes (both drivers).
+	// prediction as soon as its tick closes (live and replay).
 	OnPrediction func(predict.Prediction)
 
 	// Supervise wraps the template, filter and match stage bodies in
-	// panic barriers with restart budgets and circuit breakers
+	// panic barriers with failure budgets and circuit breakers
 	// (internal/resilience). A stage whose breaker trips runs in bypass
 	// mode — records flow through unstamped, ticks produce no hits, or
 	// matching is skipped — instead of killing the monitor, and the
@@ -119,18 +112,13 @@ type Config struct {
 	// DefaultMaxBuffered.
 	MaxBuffered int
 
-	// Accumulate, when set, arms an incremental statistics accumulator
-	// on the synchronous Session driver: every closed tick's outlier hit
-	// set and per-event counts are folded into it, so Model.Refresh can
-	// rebuild chains from live counters without replaying the horizon.
-	// Its MaxLag/MinCount must match the model's cross-correlation
-	// configuration. The async Run driver ignores it (batch replay
-	// retrains offline).
+	// Accumulate, when set, arms an incremental statistics accumulator:
+	// every closed tick's outlier hit set and per-event counts are folded
+	// into it, so Model.Refresh can rebuild chains from live counters
+	// without replaying the horizon. Its MaxLag/MinCount must match the
+	// model's cross-correlation configuration.
 	Accumulate *sig.AccumConfig
 }
-
-// DefaultBuffer is the default inter-stage channel capacity.
-const DefaultBuffer = 256
 
 // DefaultGraceTicks is the default out-of-order tolerance: one sampling
 // tick, per the monitor's documented ingest contract.
@@ -146,7 +134,6 @@ const minShardSize = 512
 // DefaultConfig returns the standard driver configuration.
 func DefaultConfig() Config {
 	return Config{
-		Buffer:      DefaultBuffer,
 		Workers:     runtime.NumCPU(),
 		GraceTicks:  DefaultGraceTicks,
 		Supervise:   true,
@@ -174,9 +161,9 @@ type Pipeline struct {
 
 	counters [numStages]stageCounter
 
-	// accum collects incremental training statistics from the Session
-	// driver's closed ticks; nil when Config.Accumulate is unset. Its
-	// state rides SessionState.Accum.
+	// accum collects incremental training statistics from closed ticks;
+	// nil when Config.Accumulate is unset. Its state rides
+	// SessionState.Accum.
 	accum *sig.Accumulator
 	//elsa:ephemeral per-tick outlier id scratch for the accumulator tap
 	accEvents []int
@@ -193,9 +180,6 @@ type Pipeline struct {
 // New builds a pipeline over an engine. org may be nil when every record
 // arrives pre-stamped with an event id.
 func New(eng *predict.Engine, org TemplateLearner, cfg Config) *Pipeline {
-	if cfg.Buffer <= 0 {
-		cfg.Buffer = DefaultBuffer
-	}
 	if cfg.Workers <= 0 {
 		cfg.Workers = runtime.NumCPU()
 	}
@@ -286,7 +270,9 @@ func (p *Pipeline) fillStats(st *predict.Stats) {
 }
 
 // stageCounter tracks one stage's throughput; all fields are atomics so
-// the async driver's goroutines and Stats snapshots never race.
+// the replay's template goroutine, the session and Stats snapshots never
+// race. maxQueue is kept by the sample stage alone: the most records the
+// open ticks held at once.
 type stageCounter struct {
 	in, out, dropped atomic.Int64
 	maxQueue         atomic.Int64
@@ -334,7 +320,7 @@ func (p *Pipeline) stamp(rec *logs.Record) {
 }
 
 // stampSafe is the supervised template stage: a panicking organizer
-// counts against the stage's restart budget instead of killing the
+// counts against the stage's failure budget instead of killing the
 // driver, and once the breaker trips records flow through unstamped
 // (EventID -1, which tick aggregation ignores) until the cooldown
 // probe succeeds.

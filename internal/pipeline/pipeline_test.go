@@ -127,28 +127,6 @@ func TestRunStageCounters(t *testing.T) {
 	}
 }
 
-func TestRunBackpressureTinyBuffers(t *testing.T) {
-	model, profiles, test, cut, end := trained(t, 501)
-
-	ref := predict.NewEngine(model, profiles, predict.DefaultConfig()).Run(test, cut, end)
-
-	cfg := DefaultConfig()
-	cfg.Buffer = 1 // every edge becomes a rendezvous-ish queue
-	p := New(predict.NewEngine(model, profiles, predict.DefaultConfig()), nil, cfg)
-	got, err := p.Run(context.Background(), logs.NewSliceSource(test), cut, end)
-	if err != nil {
-		t.Fatalf("Run: %v", err)
-	}
-	samePredictions(t, got.Predictions, ref.Predictions, "buffered-1", "engine")
-	// The observed queue depth can never exceed the bound (capacity plus
-	// the item being handed over).
-	for _, sg := range got.Stats.Stages {
-		if sg.MaxQueue > cfg.Buffer+1 {
-			t.Errorf("stage %s max queue %d exceeds bound %d", sg.Name, sg.MaxQueue, cfg.Buffer+1)
-		}
-	}
-}
-
 // endlessSource yields synthetic stamped records forever; it never
 // exhausts, so only cancellation can end a Run over it.
 type endlessSource struct {
@@ -256,6 +234,10 @@ func TestRunDropsRecordsOutsideWindow(t *testing.T) {
 	}
 	if sample.Dropped != 2 {
 		t.Errorf("sample dropped = %d, want 2", sample.Dropped)
+	}
+	// Out-of-window records are drops, not stragglers.
+	if got.Stats.LateRecords != 0 {
+		t.Errorf("LateRecords = %d, want 0", got.Stats.LateRecords)
 	}
 }
 

@@ -2,302 +2,106 @@ package pipeline
 
 import (
 	"context"
-	"errors"
 	"sync"
 	"time"
 
 	"github.com/elsa-hpc/elsa/internal/logs"
 	"github.com/elsa-hpc/elsa/internal/predict"
-	"github.com/elsa-hpc/elsa/internal/resilience"
 )
 
-// filteredTick carries a closed tick plus its outlier hits from the
-// filter stage to the match/sink stage.
-type filteredTick struct {
-	batch tickBatch
-	hits  []predict.Hit
-}
+// replayChunk is how many admitted, stamped records the replay's template
+// goroutine hands the session at a time.
+const replayChunk = 512
 
-// Run drives the full stage graph over a record source covering
-// [start, end): one goroutine per stage, bounded channels between them,
-// cancellation via ctx. It blocks until the source is exhausted and all
+// Run replays a record source covering [start, end) through a Session
+// bounded to that window. It blocks until the source is exhausted and all
 // ticks in the window are processed (trailing empty ticks included, so a
 // replay is tick-for-tick identical to the live monitor), the context is
 // cancelled, or the source fails.
 //
-// With Config.Supervise set, the template, filter and match stage loops
-// run under a resilience.Supervisor: a stage-body panic restarts the
-// loop after a jittered exponential backoff, and a stage that exhausts
-// its failure budget degrades to a bypass loop (records flow unstamped,
-// ticks yield no hits, or matching is skipped) with half-open probes —
-// the run keeps going instead of crashing. Channel closes stay outside
-// the supervised loops so a restart can never double-close an edge.
+// Everything from tick close to sink is the session's, supervision guards
+// included. A replay adds one overlap: source → ingest → template
+// assignment runs one chunk ahead of the session on its own goroutine,
+// because template assignment is the heavy per-record stage and a replay,
+// unlike a live feed, always has the next records at hand. A replayed
+// record is therefore stamped before the shedding decision (Feed sheds
+// first).
 //
-// The returned result is complete on nil error and partial otherwise;
-// its Stats.Stages carry the per-stage counters either way. All stage
-// goroutines are joined before Run returns — cancellation never leaks.
+// The returned result is complete on nil error and partial otherwise: a
+// cancelled replay stops between records, so every tick either ran the
+// whole filter → match → sink path or contributed nothing. Stats.Stages
+// carry the per-stage counters either way, and the template goroutine is
+// joined before Run returns — cancellation never leaks.
 func (p *Pipeline) Run(ctx context.Context, src logs.RecordSource, start, end time.Time) (*predict.Result, error) {
-	res := p.eng.NewResult()
-	step := p.eng.Step()
-	nTicks := 0
-	if end.After(start) {
-		nTicks = int(end.Sub(start) / step)
-	}
+	s := p.newSession(start, max(0, int(end.Sub(start)/p.eng.Step())))
 
-	ctx, cancel := context.WithCancel(ctx)
-	defer cancel()
-
-	recCh := make(chan logs.Record, p.cfg.Buffer)     // source → template
-	stampedCh := make(chan logs.Record, p.cfg.Buffer) // template → sample
-	tickCh := make(chan tickBatch, p.cfg.Buffer)      // sample → filter
-	hitCh := make(chan filteredTick, p.cfg.Buffer)    // filter → match/sink
-
+	// Unbuffered, so two chunk buffers suffice: a send completes only once
+	// the session has finished the previous chunk and come back for this
+	// one, which frees the previous chunk's buffer for refilling.
+	chunks := make(chan []logs.Record)
 	var wg sync.WaitGroup
-
-	// Source: pull records, divert malformed and duplicate ones, feed
-	// the graph.
 	wg.Add(1)
-	//elsa:chanowner recCh
+	//elsa:chanowner chunks
 	go func() {
 		defer wg.Done()
-		defer close(recCh)
-		c := &p.counters[stageSource]
-		for {
-			rec, ok := src.Next()
-			if !ok {
-				return
-			}
-			c.in.Add(1)
-			if !p.ingest(&rec) {
-				continue
-			}
+		defer close(chunks)
+		bufs := [2][]logs.Record{make([]logs.Record, 0, replayChunk), make([]logs.Record, 0, replayChunk)}
+		for i := 0; ctx.Err() == nil; i++ {
+			chunk := p.fillChunk(src, bufs[i%2])
 			select {
-			case recCh <- rec:
-				c.out.Add(1)
+			case chunks <- chunk:
 			case <-ctx.Done():
 				return
+			}
+			if len(chunk) < replayChunk {
+				return // source exhausted or failed
 			}
 		}
 	}()
 
-	// TemplateAssign: stamp event ids via the organizer.
-	wg.Add(1)
-	//elsa:chanowner stampedCh
-	go func() {
-		defer wg.Done()
-		defer close(stampedCh)
-		c := &p.counters[stageTemplate]
-		forward := func(rec logs.Record) bool {
-			select {
-			case stampedCh <- rec:
-				return true
-			case <-ctx.Done():
-				return false
+	for open := true; open && ctx.Err() == nil; {
+		var chunk []logs.Record
+		select {
+		case chunk, open = <-chunks:
+		case <-ctx.Done():
+		}
+		for _, rec := range chunk {
+			if p.shouldShed(s.smp.buffered) {
+				s.shed(rec.Time)
+			} else {
+				s.sample(rec)
 			}
 		}
-		loop := func() error {
-			for {
-				select {
-				case rec, ok := <-recCh:
-					if !ok {
-						return nil
-					}
-					c.observeQueue(len(recCh) + 1)
-					p.stamp(&rec)
-					if !forward(rec) {
-						return nil
-					}
-				case <-ctx.Done():
-					return nil
-				}
-			}
-		}
-		sup := p.sups[stageTemplate]
-		if sup == nil {
-			loop()
-			return
-		}
-		if err := sup.Run(ctx, loop); !errors.Is(err, resilience.ErrTripped) {
-			return
-		}
-		// Degraded: keep records flowing through the per-record guard,
-		// which bypasses (unstamped pass-through) while the breaker is
-		// open and probes the organizer again after the cooldown.
-		for {
-			select {
-			case rec, ok := <-recCh:
-				if !ok {
-					return
-				}
-				c.observeQueue(len(recCh) + 1)
-				p.stampSafe(&rec)
-				if !forward(rec) {
-					return
-				}
-			case <-ctx.Done():
-				return
-			}
-		}
-	}()
-
-	// Sample: fold records into ticks, closing them in order; shed new
-	// records while the open ticks hold more than Config.MaxBuffered.
-	smp := newSampler(start, step, p.cfg.GraceTicks, nTicks)
-	wg.Add(1)
-	//elsa:chanowner tickCh
-	go func() {
-		defer wg.Done()
-		defer close(tickCh)
-		c := &p.counters[stageSample]
-		send := func(batches []tickBatch) bool {
-			for _, b := range batches {
-				select {
-				case tickCh <- b:
-					c.out.Add(1)
-				case <-ctx.Done():
-					return false
-				}
-			}
-			return true
-		}
-		for {
-			select {
-			case rec, ok := <-stampedCh:
-				if !ok {
-					// Input done: seal the remaining window.
-					if send(smp.flush()) {
-						c.dropped.Store(smp.late + smp.outside)
-					}
-					return
-				}
-				c.observeQueue(len(stampedCh) + 1)
-				if p.shouldShed(smp.buffered) {
-					c.shed.Add(1)
-					if !send(smp.bump(rec.Time)) {
-						return
-					}
-					continue
-				}
-				c.in.Add(1)
-				batches, accepted := smp.add(rec)
-				if !accepted {
-					c.dropped.Store(smp.late + smp.outside)
-				}
-				if !send(batches) {
-					return
-				}
-			case <-ctx.Done():
-				return
-			}
-		}
-	}()
-
-	// OutlierFilter: sharded signal filtering per tick.
-	wg.Add(1)
-	//elsa:chanowner hitCh
-	go func() {
-		defer wg.Done()
-		defer close(hitCh)
-		fc := &p.counters[stageFilter]
-		forward := func(b tickBatch, hits []predict.Hit) bool {
-			select {
-			case hitCh <- filteredTick{batch: b, hits: hits}:
-				return true
-			case <-ctx.Done():
-				return false
-			}
-		}
-		loop := func() error {
-			for {
-				select {
-				case b, ok := <-tickCh:
-					if !ok {
-						return nil
-					}
-					fc.observeQueue(len(tickCh) + 1)
-					if !forward(b, p.detect(b.sample, b.start)) {
-						return nil
-					}
-				case <-ctx.Done():
-					return nil
-				}
-			}
-		}
-		sup := p.sups[stageFilter]
-		if sup == nil {
-			loop()
-			return
-		}
-		if err := sup.Run(ctx, loop); !errors.Is(err, resilience.ErrTripped) {
-			return
-		}
-		// Degraded: ticks still flow so matching and expiry keep pace,
-		// but yield no hits while the breaker is open.
-		for {
-			select {
-			case b, ok := <-tickCh:
-				if !ok {
-					return
-				}
-				fc.observeQueue(len(tickCh) + 1)
-				if !forward(b, p.detectSafe(b.sample, b.start)) {
-					return
-				}
-			case <-ctx.Done():
-				return
-			}
-		}
-	}()
-
-	// ChainMatch + PredictionSink: strictly ordered, accumulates res.
-	wg.Add(1)
-	go func() {
-		defer wg.Done()
-		c := &p.counters[stageMatch]
-		loop := func() error {
-			for {
-				select {
-				case ft, ok := <-hitCh:
-					if !ok {
-						return nil
-					}
-					c.observeQueue(len(hitCh) + 1)
-					p.match(ft.batch, ft.hits, res)
-				case <-ctx.Done():
-					return nil
-				}
-			}
-		}
-		sup := p.sups[stageMatch]
-		if sup == nil {
-			loop()
-			return
-		}
-		if err := sup.Run(ctx, loop); !errors.Is(err, resilience.ErrTripped) {
-			return
-		}
-		for {
-			select {
-			case ft, ok := <-hitCh:
-				if !ok {
-					return
-				}
-				c.observeQueue(len(hitCh) + 1)
-				p.matchSafe(ft.batch, ft.hits, res)
-			case <-ctx.Done():
-				return
-			}
-		}
-	}()
-
+	}
 	wg.Wait()
-	res.Stats.LateRecords += int(smp.late)
-	p.fillStats(&res.Stats)
-	if err := ctx.Err(); err != nil {
-		return res, err
+
+	err := ctx.Err()
+	if err == nil {
+		s.Close() // seals the remaining window
+		err = src.Err()
 	}
-	if err := src.Err(); err != nil {
-		return res, err
+	res := s.Result()
+	res.Stats.LateRecords = int(s.smp.late) // stragglers only: out-of-window records are the sample stage's drops
+	return res, err
+}
+
+// fillChunk pulls records from src through ingest and template assignment
+// into chunk (reusing its storage) until it holds replayChunk of them; a
+// shorter chunk means the source is exhausted or has failed.
+func (p *Pipeline) fillChunk(src logs.RecordSource, chunk []logs.Record) []logs.Record {
+	c := &p.counters[stageSource]
+	chunk = chunk[:0]
+	for len(chunk) < replayChunk {
+		rec, ok := src.Next()
+		if !ok {
+			break
+		}
+		c.in.Add(1)
+		if p.ingest(&rec) {
+			c.out.Add(1)
+			p.stampSafe(&rec)
+			chunk = append(chunk, rec)
+		}
 	}
-	return res, nil
+	return chunk
 }

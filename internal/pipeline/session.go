@@ -13,10 +13,10 @@ import (
 // sentinel so the hot path pays no allocation to report it.
 var ErrClosed = errors.New("pipeline: session is closed")
 
-// Session is the incremental driver of the stage graph: the same stage
-// bodies Run executes across goroutines, executed synchronously one
-// record per Feed call. It is the deployment shape of a monitor daemon
-// tailing a live log, and the backing of the public Monitor API.
+// Session is the driver of the stage graph: the stage bodies executed
+// synchronously, one record per Feed call. It is the deployment shape of
+// a monitor daemon tailing a live log, the backing of the public Monitor
+// API, and — bounded to a run window — what Run replays a batch through.
 //
 // Ingest contract: records should arrive roughly in time order. A record
 // up to Config.GraceTicks sampling ticks older than the newest record
@@ -38,10 +38,14 @@ type Session struct {
 
 // NewSession arms the pipeline for incremental feeding, with tick 0
 // starting at start.
-func (p *Pipeline) NewSession(start time.Time) *Session {
+func (p *Pipeline) NewSession(start time.Time) *Session { return p.newSession(start, -1) }
+
+// newSession bounds the session to nTicks ticks from start (Run's replay
+// window); nTicks < 0 leaves it unbounded.
+func (p *Pipeline) newSession(start time.Time, nTicks int) *Session {
 	return &Session{
 		p:   p,
-		smp: newSampler(start, p.eng.Step(), p.cfg.GraceTicks, -1),
+		smp: newSampler(start, p.eng.Step(), p.cfg.GraceTicks, nTicks),
 		res: p.eng.NewResult(),
 	}
 }
@@ -62,17 +66,27 @@ func (s *Session) Feed(rec logs.Record) ([]predict.Prediction, error) {
 		return nil, nil
 	}
 	src.out.Add(1)
-	c := &s.p.counters[stageSample]
 	if s.p.shouldShed(s.smp.buffered) {
-		// Overload: drop the record before template work, but let its
-		// timestamp drive tick progress so the buffer drains.
-		c.shed.Add(1)
-		return s.runBatches(s.smp.bump(rec.Time)), nil
+		return s.shed(rec.Time), nil // before template work
 	}
 	s.p.stampSafe(&rec)
+	return s.sample(rec), nil
+}
+
+// shed drops a record under overload, but lets its timestamp drive tick
+// progress so the buffer drains.
+func (s *Session) shed(ts time.Time) []predict.Prediction {
+	s.p.counters[stageSample].shed.Add(1)
+	return s.runBatches(s.smp.bump(ts))
+}
+
+// sample folds one admitted, stamped record into its tick and runs the
+// ticks its arrival closed.
+func (s *Session) sample(rec logs.Record) []predict.Prediction {
 	if s.p.accum != nil && rec.EventID >= 0 {
 		s.p.accum.NoteSeverity(rec.EventID, int(rec.Severity))
 	}
+	c := &s.p.counters[stageSample]
 	c.in.Add(1)
 	batches, accepted := s.smp.add(rec)
 	if !accepted {
@@ -80,7 +94,7 @@ func (s *Session) Feed(rec logs.Record) ([]predict.Prediction, error) {
 		s.res.Stats.LateRecords++
 	}
 	c.observeQueue(s.smp.buffered)
-	return s.runBatches(batches), nil
+	return s.runBatches(batches)
 }
 
 // AdvanceTo closes every tick that ends at or before now, returning the

@@ -130,9 +130,9 @@ type Stats struct {
 }
 
 // StageStats is one pipeline stage's counter snapshot: records (or tick
-// batches) in and out, drops, the deepest queue observed on the stage's
-// input edge, wall time spent inside the stage body, plus the stage's
-// hardening counters and supervision health.
+// batches) in and out, drops, the most records the open ticks held at once
+// (MaxQueue, sample stage only), wall time spent inside the stage body,
+// plus the stage's hardening counters and supervision health.
 type StageStats struct {
 	Name     string
 	In       int64
