@@ -1,8 +1,6 @@
 package bench
 
 import (
-	"bytes"
-	"encoding/json"
 	"testing"
 	"time"
 
@@ -22,51 +20,5 @@ func TestScaledBGLEventTypes(t *testing.T) {
 	}
 	if len(ids) < 150 || len(ids) > 260 {
 		t.Fatalf("scaled profile yields %d event types, want ~200", len(ids))
-	}
-}
-
-// TestRunSmokes runs the whole suite on a tiny log and checks the report
-// is coherent and serialisable.
-func TestRunSmokes(t *testing.T) {
-	if testing.Short() {
-		t.Skip("benchmark suite run")
-	}
-	rep, err := Run(Options{EventTypes: 60, Duration: 2 * time.Hour})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if rep.Records == 0 || rep.EventTypes == 0 {
-		t.Fatalf("empty report: %+v", rep)
-	}
-	if rep.Pairs.Scored > rep.Pairs.Candidates {
-		t.Fatalf("incoherent pair stats: %+v", rep.Pairs)
-	}
-	names := map[string]bool{}
-	for _, m := range rep.Benchmarks {
-		names[m.Name] = true
-		if m.NsPerOp <= 0 {
-			t.Errorf("%s: ns/op = %v", m.Name, m.NsPerOp)
-		}
-	}
-	for _, want := range []string{"seed/all_pairs", "seed/all_pairs_reference",
-		"mine/hybrid", "train/hybrid", "train/signal", "train/datamining", "pipeline/predict",
-		"refresh/incremental", "kernel/fft-vs-sliding"} {
-		if !names[want] {
-			t.Errorf("missing benchmark %q", want)
-		}
-	}
-	var buf bytes.Buffer
-	if err := rep.WriteJSON(&buf); err != nil {
-		t.Fatal(err)
-	}
-	var back Report
-	if err := json.Unmarshal(buf.Bytes(), &back); err != nil {
-		t.Fatalf("report does not round-trip: %v", err)
-	}
-	if back.Profile != rep.Profile || len(back.Benchmarks) != len(rep.Benchmarks) {
-		t.Errorf("round-trip mismatch")
-	}
-	if rep.Summary() == "" {
-		t.Error("empty summary")
 	}
 }

@@ -1,6 +1,6 @@
-// Package fft implements the radix-2 fast Fourier transform and the
-// spectral utilities (periodogram, autocorrelation) that the signal module
-// uses to recognise periodic event types.
+// Package fft implements the radix-2 fast Fourier transform and, on top of
+// it, the autocorrelation the signal module uses to recognise periodic
+// event types.
 package fft
 
 import (
@@ -125,68 +125,6 @@ func Inverse(x []complex128) error {
 		x[i] = cmplx.Conj(x[i]) * inv
 	}
 	return nil
-}
-
-// Periodogram returns the power spectrum |X_k|^2 / n of the real series xs
-// for k in [0, n/2], zero-padding xs to the next power of two. The DC bin
-// is computed after removing the mean so that a constant offset does not
-// mask genuine periodicity.
-func Periodogram(xs []float64) []float64 {
-	if len(xs) == 0 {
-		return nil
-	}
-	m := 0.0
-	for _, v := range xs {
-		m += v
-	}
-	m /= float64(len(xs))
-	buf := PackReal(nil, xs, 0)
-	n := len(buf)
-	for i := range xs {
-		buf[i] -= complex(m, 0)
-	}
-	MustTransform(buf)
-	out := make([]float64, n/2+1)
-	for k := range out {
-		re, im := real(buf[k]), imag(buf[k])
-		out[k] = (re*re + im*im) / float64(n)
-	}
-	return out
-}
-
-// PeakFrequency returns the index and power of the largest non-DC bin in a
-// periodogram, or (-1, 0) when the spectrum has fewer than two bins.
-func PeakFrequency(spec []float64) (bin int, power float64) {
-	bin = -1
-	for k := 1; k < len(spec); k++ {
-		if spec[k] > power {
-			bin, power = k, spec[k]
-		}
-	}
-	return bin, power
-}
-
-// SpectralFlatness returns the ratio of geometric to arithmetic mean of the
-// non-DC spectrum: near 1 for white noise, near 0 for a pure tone. Signal
-// classification uses it to separate periodic from noise signals.
-func SpectralFlatness(spec []float64) float64 {
-	if len(spec) < 2 {
-		return 1
-	}
-	const eps = 1e-12
-	logSum, sum := 0.0, 0.0
-	n := 0
-	for _, p := range spec[1:] {
-		logSum += math.Log(p + eps)
-		sum += p + eps
-		n++
-	}
-	geo := math.Exp(logSum / float64(n))
-	arith := sum / float64(n)
-	if arith == 0 {
-		return 1
-	}
-	return geo / arith
 }
 
 // Autocorrelation returns the biased autocorrelation of xs (mean-removed,

@@ -186,49 +186,6 @@ func TestParseval(t *testing.T) {
 	}
 }
 
-func TestPeriodogramDetectsTone(t *testing.T) {
-	n := 512
-	xs := make([]float64, n)
-	// Period 16 samples -> bin n/16 = 32 in a length-512 spectrum.
-	for i := range xs {
-		xs[i] = 10 + 5*math.Sin(2*math.Pi*float64(i)/16)
-	}
-	spec := Periodogram(xs)
-	bin, power := PeakFrequency(spec)
-	if bin != 32 {
-		t.Errorf("peak bin = %d, want 32", bin)
-	}
-	if power <= 0 {
-		t.Error("peak power should be positive")
-	}
-	if sf := SpectralFlatness(spec); sf > 0.1 {
-		t.Errorf("tone spectral flatness = %v, want near 0", sf)
-	}
-}
-
-func TestPeriodogramNoiseIsFlat(t *testing.T) {
-	rng := rand.New(rand.NewSource(23))
-	xs := make([]float64, 1024)
-	for i := range xs {
-		xs[i] = rng.NormFloat64()
-	}
-	if sf := SpectralFlatness(Periodogram(xs)); sf < 0.4 {
-		t.Errorf("white noise spectral flatness = %v, want near 1", sf)
-	}
-}
-
-func TestPeriodogramEdgeCases(t *testing.T) {
-	if Periodogram(nil) != nil {
-		t.Error("empty periodogram should be nil")
-	}
-	if bin, _ := PeakFrequency([]float64{1}); bin != -1 {
-		t.Error("single-bin spectrum has no non-DC peak")
-	}
-	if sf := SpectralFlatness([]float64{1}); sf != 1 {
-		t.Errorf("degenerate flatness = %v, want 1", sf)
-	}
-}
-
 func TestAutocorrelationPeriodic(t *testing.T) {
 	n := 600
 	xs := make([]float64, n)

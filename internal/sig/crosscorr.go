@@ -38,11 +38,6 @@ type CrossCorrConfig struct {
 	// symmetric co-occurrence, which is exactly why it misses
 	// rare-precursor correlations the signal view keeps.
 	SymmetricOnly bool
-	// Kernel forces a histogram kernel. The default, KernelAuto, picks
-	// between the sliding-window, bit-packed and FFT kernels per pair via
-	// a deterministic work estimate; the explicit values exist for the
-	// equivalence tests and the crossover benchmarks.
-	Kernel KernelKind
 }
 
 // DefaultCrossCorrConfig returns the settings used in the experiments: the
@@ -116,6 +111,12 @@ func AllPairs(trains SpikeTrains, cfg CrossCorrConfig) []PairCorrelation {
 // AllPairsStats is AllPairs plus a report of how much of the pair space
 // the prefilter pruned versus scored.
 func AllPairsStats(trains SpikeTrains, cfg CrossCorrConfig) ([]PairCorrelation, PairStats) {
+	return allPairsStats(trains, cfg, kernelAuto)
+}
+
+// allPairsStats is AllPairsStats with every worker's histogram kernel
+// forced unless force is kernelAuto; only the in-package tests force one.
+func allPairsStats(trains SpikeTrains, cfg CrossCorrConfig, force kernelKind) ([]PairCorrelation, PairStats) {
 	ids := make([]int, 0, len(trains))
 	for id := range trains {
 		ids = append(ids, id)
@@ -148,7 +149,7 @@ func AllPairsStats(trains SpikeTrains, cfg CrossCorrConfig) ([]PairCorrelation, 
 			local := make([]PairCorrelation, 0, 64)
 			for j := range jobs {
 				a, b := ids[j[0]], ids[j[1]]
-				delay, count, score, ok := scratch.CrossCorrelate(trains[a], trains[b], cfg)
+				delay, count, score, ok := scratch.crossCorrelate(trains[a], trains[b], cfg, force)
 				if !ok {
 					continue
 				}

@@ -68,6 +68,14 @@ func TestCrossCorrelateEmpty(t *testing.T) {
 	if _, _, _, ok := CrossCorrelate([]int{1}, nil, cfg); ok {
 		t.Error("empty train should not correlate")
 	}
+	// b entirely outside [a[0], a[last]+MaxLag]: the clipped window is
+	// empty and the histogram stays zero.
+	a := []int{1000, 1010, 1020}
+	for _, b := range [][]int{{1, 2, 3, 999}, {1020 + cfg.MaxLag + 1, 5000}} {
+		if _, _, _, ok := CrossCorrelate(a, b, cfg); ok {
+			t.Errorf("b=%v never follows a within MaxLag, yet correlates", b)
+		}
+	}
 }
 
 func TestCrossCorrelateMinCount(t *testing.T) {

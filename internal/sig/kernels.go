@@ -1,65 +1,39 @@
 package sig
 
-import (
-	"math/bits"
+import "math/bits"
 
-	"github.com/elsa-hpc/elsa/internal/fft"
-)
-
-// KernelKind selects how the cross-correlation histogram is built. The
-// three kernels are bit-identical on duplicate-free sorted trains (the
-// SpikeTrains contract); they differ only in cost shape, so KernelAuto
-// picks by a deterministic estimate of each kernel's work.
-type KernelKind int
+// kernelKind names a way of building the cross-correlation histogram.
+// The two kernels are bit-identical on duplicate-free sorted trains (the
+// SpikeTrains contract); they differ only in cost shape, so the
+// dispatcher picks per pair by a deterministic estimate of each kernel's
+// work. kernelAuto is that dispatch and the only value non-test code
+// passes; the in-package equivalence tests force the other two.
+type kernelKind int
 
 const (
-	// KernelAuto dispatches on the density heuristic (the default).
-	KernelAuto KernelKind = iota
-	// KernelSliding is the two-pointer sliding-window sweep: O(mass)
+	kernelAuto kernelKind = iota
+	// kernelSliding is the two-pointer sliding-window sweep: O(mass)
 	// increments, ideal for the sparse outlier-filtered trains.
-	KernelSliding
-	// KernelBitpack packs both trains into bitsets over their shared span
+	kernelSliding
+	// kernelBitpack packs both trains into bitsets over their shared span
 	// and counts each lag with word-parallel AND+popcount: 64 positions
 	// per operation, O((MaxLag+1)·span/64) regardless of density.
-	KernelBitpack
-	// KernelFFT computes the whole histogram as one circular correlation
-	// over internal/fft in O(n log n) for n = NextPow2(span): the winner
-	// when both trains are dense and the lag window is wide.
-	KernelFFT
+	kernelBitpack
 )
-
-func (k KernelKind) String() string {
-	switch k {
-	case KernelSliding:
-		return "sliding"
-	case KernelBitpack:
-		return "bitpack"
-	case KernelFFT:
-		return "fft"
-	}
-	return "auto"
-}
 
 // Deterministic per-unit work weights for the dispatch estimate,
 // calibrated with BenchmarkKernels so each cost approximates nanoseconds:
 // one sliding-sweep histogram increment ~1 ns, one bit-packed
-// AND+popcount word-op ~2 ns, one complex element per butterfly level
-// ~7 ns (the constant folds in all three transforms).
+// AND+popcount word-op ~2 ns.
 const (
 	slidingUnitCost = 1
 	bitpackUnitCost = 2
-	fftUnitCost     = 7
-	// maxFFTSpan bounds the padded transform size (and therefore the
-	// scratch memory) the FFT path may request; wider spans mean the
-	// trains are sparse over a long horizon, exactly where the sliding
-	// sweep wins anyway.
-	maxFFTSpan = 1 << 22
 )
 
 // chooseKernel estimates each kernel's work for the pair (a, b) and
-// returns the cheapest. bn is the count of b spikes inside the relevant
+// returns the cheaper. bn is the count of b spikes inside the relevant
 // window [a[0], a[len-1]+maxLag], span that window's width.
-func chooseKernel(an, bn, span, maxLag int) KernelKind {
+func chooseKernel(an, bn, span, maxLag int) kernelKind {
 	// Expected co-occurrence mass under a uniform spread of b's spikes:
 	// each a spike sees bn*(maxLag+1)/span of them.
 	massEst := an * (bn*(maxLag+1)/span + 1)
@@ -68,19 +42,10 @@ func chooseKernel(an, bn, span, maxLag int) KernelKind {
 	words := span>>6 + 1
 	bitCost := bitpackUnitCost * (maxLag + 1) * words
 
-	best := KernelSliding
-	bestCost := slidingCost
-	if bitCost < bestCost {
-		best, bestCost = KernelBitpack, bitCost
+	if bitCost < slidingCost {
+		return kernelBitpack
 	}
-	if span <= maxFFTSpan {
-		n := fft.NextPow2(span)
-		fftCost := fftUnitCost * n * bits.Len(uint(n))
-		if fftCost < bestCost {
-			best = KernelFFT
-		}
-	}
-	return best
+	return kernelSliding
 }
 
 // clipLo returns b without the prefix of spikes before base; they sit
@@ -109,9 +74,9 @@ func clipHi(b []int, top int) []int {
 }
 
 // strictlyIncreasing reports whether xs is duplicate-free sorted — the
-// SpikeTrains contract. The bit-packed and FFT kernels collapse duplicate
-// spikes where the sliding sweep counts them, so off-contract input is
-// routed to the sliding sweep instead of silently diverging.
+// SpikeTrains contract. The bit-packed kernel collapses duplicate spikes
+// where the sliding sweep counts them, so off-contract input is routed to
+// the sliding sweep instead of silently diverging.
 //
 //elsa:hotpath
 func strictlyIncreasing(xs []int) bool {
@@ -124,39 +89,30 @@ func strictlyIncreasing(xs []int) bool {
 }
 
 // buildHist fills hist[d] with the number of (t_a, t_b) spike pairs at
-// delay d = t_b - t_a for d in [0, maxLag], dispatching between the three
+// delay d = t_b - t_a for d in [0, maxLag], dispatching between the two
 // kernels, and records the choice in s.lastKernel. hist arrives zeroed.
 //
 //elsa:hotpath
-func (s *Scratch) buildHist(a, b []int, maxLag int, force KernelKind, hist []int) {
+func (s *Scratch) buildHist(a, b []int, maxLag int, force kernelKind, hist []int) {
 	base := a[0]
 	top := a[len(a)-1] + maxLag
 	bw := clipHi(clipLo(b, base), top)
-	s.lastKernel = KernelSliding
+	s.lastKernel = kernelSliding
 	if len(bw) == 0 {
-		s.slidingHist(a, b, maxLag, hist)
 		return
 	}
 	span := top - base + 1
 
 	kind := force
-	if kind == KernelAuto {
+	if kind == kernelAuto {
 		kind = chooseKernel(len(a), len(bw), span, maxLag)
 	}
-	if kind != KernelSliding && (span > maxFFTSpan && kind == KernelFFT ||
-		!strictlyIncreasing(a) || !strictlyIncreasing(bw)) {
-		kind = KernelSliding
-	}
-	switch kind {
-	case KernelBitpack:
-		s.lastKernel = KernelBitpack
+	if kind == kernelBitpack && strictlyIncreasing(a) && strictlyIncreasing(bw) {
+		s.lastKernel = kernelBitpack
 		s.bitpackHist(a, bw, base, span, maxLag, hist)
-	case KernelFFT:
-		s.lastKernel = KernelFFT
-		s.fftHist(a, bw, base, span, maxLag, hist)
-	default:
-		s.slidingHist(a, b, maxLag, hist)
+		return
 	}
+	s.slidingHist(a, bw, maxLag, hist)
 }
 
 // slidingHist is the original two-pointer sweep. Both trains are sorted,
@@ -209,35 +165,5 @@ func (s *Scratch) bitpackHist(a, bw []int, base, span, maxLag int, hist []int) {
 			c += bits.OnesCount64(m)
 		}
 		hist[d] = c
-	}
-}
-
-// fftHist computes the whole histogram as one correlation
-// IFFT(conj(FFT(A))·FFT(B)): with both indicator series embedded in a
-// power-of-two buffer of length >= span, the circular product has no
-// wraparound inside [0, maxLag] because top already extends a's support
-// by maxLag. The counts are integers recovered exactly by rounding: 0/1
-// inputs keep the accumulated float error orders of magnitude below 0.5
-// at every span the dispatcher admits.
-//
-//elsa:hotpath
-func (s *Scratch) fftHist(a, bw []int, base, span, maxLag int, hist []int) {
-	fa, fb := s.growFFT(span)
-	for _, t := range a {
-		fa[t-base] = 1
-	}
-	for _, t := range bw {
-		fb[t-base] = 1
-	}
-	fft.MustTransform(fa)
-	fft.MustTransform(fb)
-	for i := range fa {
-		re, im := real(fa[i]), imag(fa[i])
-		// conj(fa) * fb, written out to stay in-place.
-		fa[i] = complex(re, -im) * fb[i]
-	}
-	fft.MustInverse(fa)
-	for d := 0; d <= maxLag; d++ {
-		hist[d] = int(real(fa[d]) + 0.5)
 	}
 }

@@ -6,13 +6,23 @@ import (
 	"testing"
 )
 
+func (k kernelKind) String() string {
+	switch k {
+	case kernelSliding:
+		return "sliding"
+	case kernelBitpack:
+		return "bitpack"
+	}
+	return "auto"
+}
+
 // TestKernelsMatchReference is the extended randomized property test of
-// the tentpole: each forced kernel (sliding, bit-packed, FFT) must return
+// the kernels: each forced kernel (sliding, bit-packed) must return
 // bit-identical results to the frozen pre-change reference across all
 // train density regimes. The per-kernel use counters prove the forced
 // paths actually ran rather than falling back.
 func TestKernelsMatchReference(t *testing.T) {
-	for _, kind := range []KernelKind{KernelSliding, KernelBitpack, KernelFFT} {
+	for _, kind := range []kernelKind{kernelSliding, kernelBitpack} {
 		t.Run(kind.String(), func(t *testing.T) {
 			used := 0
 			var scratch Scratch
@@ -20,7 +30,6 @@ func TestKernelsMatchReference(t *testing.T) {
 			for trial := 0; trial < 300; trial++ {
 				trains := randomTrains(rng, trainDensity(trial%3))
 				cfg := DefaultCrossCorrConfig()
-				cfg.Kernel = kind
 				if trial%2 == 0 {
 					cfg.MaxLag = 1 + rng.Intn(400)
 				}
@@ -37,13 +46,13 @@ func TestKernelsMatchReference(t *testing.T) {
 						break
 					}
 				}
-				d1, c1, s1, ok1 := scratch.CrossCorrelate(a, b, cfg)
+				d1, c1, s1, ok1 := scratch.crossCorrelate(a, b, cfg, kind)
 				d2, c2, s2, ok2 := referenceCrossCorrelate(a, b, cfg)
 				if d1 != d2 || c1 != c2 || s1 != s2 || ok1 != ok2 {
 					t.Fatalf("trial %d: %s kernel diverged: (%d,%d,%v,%v) vs (%d,%d,%v,%v)",
 						trial, kind, d1, c1, s1, ok1, d2, c2, s2, ok2)
 				}
-				if scratch.LastKernel() == kind {
+				if scratch.lastKernel == kind {
 					used++
 				}
 			}
@@ -57,23 +66,19 @@ func TestKernelsMatchReference(t *testing.T) {
 // TestAllPairsForcedKernelsMatchReference re-runs the end-to-end AllPairs
 // equivalence with each kernel forced through the whole worker pool.
 func TestAllPairsForcedKernelsMatchReference(t *testing.T) {
-	for _, kind := range []KernelKind{KernelBitpack, KernelFFT} {
-		t.Run(kind.String(), func(t *testing.T) {
-			rng := rand.New(rand.NewSource(5000 + int64(kind)))
-			for trial := 0; trial < 10; trial++ {
-				trains := randomTrains(rng, trainDensity(trial%3))
-				cfg := DefaultCrossCorrConfig()
-				cfg.Kernel = kind
-				got := AllPairs(trains, cfg)
-				refCfg := cfg
-				refCfg.Kernel = KernelAuto // the frozen reference predates the field and ignores it
-				want := referenceAllPairs(trains, refCfg)
-				if !reflect.DeepEqual(got, want) {
-					t.Fatalf("%s trial %d: forced kernel diverged\n got=%v\nwant=%v", kind, trial, got, want)
-				}
+	const kind = kernelBitpack
+	t.Run(kind.String(), func(t *testing.T) {
+		rng := rand.New(rand.NewSource(5000 + int64(kind)))
+		for trial := 0; trial < 10; trial++ {
+			trains := randomTrains(rng, trainDensity(trial%3))
+			cfg := DefaultCrossCorrConfig()
+			got, _ := allPairsStats(trains, cfg, kind)
+			want := referenceAllPairs(trains, cfg)
+			if !reflect.DeepEqual(got, want) {
+				t.Fatalf("%s trial %d: forced kernel diverged\n got=%v\nwant=%v", kind, trial, got, want)
 			}
-		})
-	}
+		}
+	})
 }
 
 // TestKernelDuplicateFallback pins the off-contract guard: trains with
@@ -83,46 +88,42 @@ func TestAllPairsForcedKernelsMatchReference(t *testing.T) {
 func TestKernelDuplicateFallback(t *testing.T) {
 	a := []int{10, 10, 40, 90}
 	b := []int{12, 12, 44, 44, 95}
-	for _, kind := range []KernelKind{KernelBitpack, KernelFFT} {
-		cfg := DefaultCrossCorrConfig()
-		cfg.MaxLag = 20
-		cfg.MinCount = 1
-		cfg.MinScore = 0.01
-		cfg.Kernel = kind
-		var scratch Scratch
-		d1, c1, s1, ok1 := scratch.CrossCorrelate(a, b, cfg)
-		if scratch.LastKernel() != KernelSliding {
-			t.Fatalf("forced %s on duplicate trains ran %s, want sliding fallback", kind, scratch.LastKernel())
-		}
-		d2, c2, s2, ok2 := referenceCrossCorrelate(a, b, cfg)
-		if d1 != d2 || c1 != c2 || s1 != s2 || ok1 != ok2 {
-			t.Fatalf("%s fallback diverged: (%d,%d,%v,%v) vs (%d,%d,%v,%v)", kind, d1, c1, s1, ok1, d2, c2, s2, ok2)
-		}
+	const kind = kernelBitpack
+	cfg := DefaultCrossCorrConfig()
+	cfg.MaxLag = 20
+	cfg.MinCount = 1
+	cfg.MinScore = 0.01
+	var scratch Scratch
+	d1, c1, s1, ok1 := scratch.crossCorrelate(a, b, cfg, kind)
+	if scratch.lastKernel != kernelSliding {
+		t.Fatalf("forced %s on duplicate trains ran %s, want sliding fallback", kind, scratch.lastKernel)
+	}
+	d2, c2, s2, ok2 := referenceCrossCorrelate(a, b, cfg)
+	if d1 != d2 || c1 != c2 || s1 != s2 || ok1 != ok2 {
+		t.Fatalf("%s fallback diverged: (%d,%d,%v,%v) vs (%d,%d,%v,%v)", kind, d1, c1, s1, ok1, d2, c2, s2, ok2)
 	}
 }
 
 // TestKernelsZeroAlloc extends the warm-scratch zero-allocation proof to
-// the bit-packed and FFT kernels.
+// the bit-packed kernel.
 func TestKernelsZeroAlloc(t *testing.T) {
 	var a, b []int
 	for i := 0; i < 400; i++ {
 		a = append(a, i*3)
 		b = append(b, i*3+7)
 	}
-	for _, kind := range []KernelKind{KernelBitpack, KernelFFT} {
-		cfg := DefaultCrossCorrConfig()
-		cfg.Kernel = kind
-		var scratch Scratch
-		scratch.CrossCorrelate(a, b, cfg) // warm the buffers
-		if scratch.LastKernel() != kind {
-			t.Fatalf("forced %s ran %s", kind, scratch.LastKernel())
-		}
-		allocs := testing.AllocsPerRun(100, func() {
-			scratch.CrossCorrelate(a, b, cfg)
-		})
-		if allocs != 0 {
-			t.Errorf("warm %s kernel allocates %.1f objects per run, want 0", kind, allocs)
-		}
+	const kind = kernelBitpack
+	cfg := DefaultCrossCorrConfig()
+	var scratch Scratch
+	scratch.crossCorrelate(a, b, cfg, kind) // warm the buffers
+	if scratch.lastKernel != kind {
+		t.Fatalf("forced %s ran %s", kind, scratch.lastKernel)
+	}
+	allocs := testing.AllocsPerRun(100, func() {
+		scratch.crossCorrelate(a, b, cfg, kind)
+	})
+	if allocs != 0 {
+		t.Errorf("warm %s kernel allocates %.1f objects per run, want 0", kind, allocs)
 	}
 }
 
@@ -130,21 +131,16 @@ func TestKernelsZeroAlloc(t *testing.T) {
 // boundaries: sparse long-horizon pairs stay on the sliding sweep, dense
 // short-span pairs leave it.
 func TestChooseKernelShape(t *testing.T) {
-	if k := chooseKernel(8, 8, 1<<20, 360); k != KernelSliding {
+	if k := chooseKernel(8, 8, 1<<20, 360); k != kernelSliding {
 		t.Errorf("sparse wide pair chose %s, want sliding", k)
 	}
-	if k := chooseKernel(2000, 2000, 8000, 360); k == KernelSliding {
+	if k := chooseKernel(2000, 2000, 8000, 360); k == kernelSliding {
 		t.Error("dense short-span pair stayed on the sliding sweep")
-	}
-	// The FFT span cap must hold regardless of the estimate.
-	if k := chooseKernel(1<<20, 1<<20, maxFFTSpan+1, 1<<18); k == KernelFFT {
-		t.Error("FFT chosen past its span cap")
 	}
 }
 
-// BenchmarkKernels measures the three kernels on a dense pair, the regime
-// where the dispatch decision matters; the committed crossover extras in
-// BENCH_train.json come from internal/bench's sweep over densities.
+// BenchmarkKernels measures the two kernels on a dense pair, the regime
+// where the dispatch decision matters.
 func BenchmarkKernels(b *testing.B) {
 	rng := rand.New(rand.NewSource(9))
 	horizon := 8640
@@ -157,14 +153,13 @@ func BenchmarkKernels(b *testing.B) {
 			bb = append(bb, t)
 		}
 	}
-	for _, kind := range []KernelKind{KernelSliding, KernelBitpack, KernelFFT} {
+	for _, kind := range []kernelKind{kernelSliding, kernelBitpack} {
 		b.Run(kind.String(), func(b *testing.B) {
 			cfg := DefaultCrossCorrConfig()
-			cfg.Kernel = kind
 			var scratch Scratch
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				scratch.CrossCorrelate(a, bb, cfg)
+				scratch.crossCorrelate(a, bb, cfg, kind)
 			}
 		})
 	}

@@ -1,32 +1,24 @@
 package sig
 
-import (
-	"math"
-
-	"github.com/elsa-hpc/elsa/internal/fft"
-)
+import "math"
 
 // Scratch holds the reusable buffers one cross-correlation worker needs.
 // The kernel's histogram and prefix-sum arrays are sized by MaxLag, not by
 // the trains, so a worker that scores thousands of pairs can recycle the
-// same two allocations for all of them; the bit-packed and FFT kernels
-// add span-sized word and complex buffers, grown once and recycled the
-// same way. A Scratch is not safe for concurrent use; give each goroutine
-// its own. The zero value is ready to use.
+// same two allocations for all of them; the bit-packed kernel adds
+// span-sized word buffers, grown once and recycled the same way. A Scratch
+// is not safe for concurrent use; give each goroutine its own. The zero
+// value is ready to use.
 type Scratch struct {
 	hist   []int
 	prefix []int
 
 	bitsA, bitsB []uint64
-	fa, fb       []complex128
 
-	lastKernel KernelKind
+	// lastKernel is the kernel that built the most recent histogram; the
+	// in-package tests read it to prove a forced kernel actually ran.
+	lastKernel kernelKind
 }
-
-// LastKernel reports which kernel built the histogram of the most recent
-// CrossCorrelate call — telemetry for the dispatch heuristic and the
-// crossover benchmarks.
-func (s *Scratch) LastKernel() KernelKind { return s.lastKernel }
 
 // growBits resizes the zeroed bitset buffers for the bit-packed kernel.
 //
@@ -49,17 +41,6 @@ func (s *Scratch) growBits(na, nb int) (wa, wb []uint64) {
 		s.bitsB[i] = 0
 	}
 	return s.bitsA, s.bitsB
-}
-
-// growFFT resizes the zeroed complex buffers for the FFT kernel. The
-// returned buffers are power-of-two sized by construction, so the
-// transforms have no error path.
-//
-//elsa:hotpath
-func (s *Scratch) growFFT(span int) (fa, fb []complex128) {
-	s.fa = fft.GrowPow2(s.fa, span) //nolint:elsahotpath // amortized: fft.GrowPow2 reuses capacity after the first growth to the largest span
-	s.fb = fft.GrowPow2(s.fb, span) //nolint:elsahotpath // amortized: fft.GrowPow2 reuses capacity after the first growth to the largest span
-	return s.fa, s.fb
 }
 
 // grow resizes the scratch buffers for a MaxLag+1-bin histogram. hist is
@@ -91,11 +72,19 @@ func (s *Scratch) grow(n int) (hist, prefix []int) {
 //
 //elsa:hotpath
 func (s *Scratch) CrossCorrelate(a, b []int, cfg CrossCorrConfig) (delay, count int, score float64, ok bool) {
+	return s.crossCorrelate(a, b, cfg, kernelAuto)
+}
+
+// crossCorrelate is CrossCorrelate with the histogram kernel forced
+// unless force is kernelAuto; only the in-package tests force one.
+//
+//elsa:hotpath
+func (s *Scratch) crossCorrelate(a, b []int, cfg CrossCorrConfig, force kernelKind) (delay, count int, score float64, ok bool) {
 	if len(a) == 0 || len(b) == 0 || cfg.MaxLag < 0 {
 		return 0, 0, 0, false
 	}
 	hist, prefix := s.grow(cfg.MaxLag + 1)
-	s.buildHist(a, b, cfg.MaxLag, cfg.Kernel, hist)
+	s.buildHist(a, b, cfg.MaxLag, force, hist)
 	// Prefix sums let each candidate lag be scored over its own
 	// delay-proportional window (DelayTolerance), so long cascades with
 	// multiplicative jitter still accumulate their co-occurrence mass.

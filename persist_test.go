@@ -1,6 +1,7 @@
 package elsa
 
 import (
+	"bytes"
 	"errors"
 	"strings"
 	"testing"
@@ -123,4 +124,52 @@ func TestSavedModelIsStableJSON(t *testing.T) {
 	if !strings.Contains(a.String(), `"version"`) {
 		t.Error("envelope missing version field")
 	}
+}
+
+// smallModelJSON is a hand-sized accepted model — two templates, one
+// chain, one location profile — for FuzzLoadModel's corpus: Go's input
+// minimisation re-runs the target per removed byte, so a trained model's
+// 10+ KB blob spends most of a short fuzz run there.
+const smallModelJSON = `{"version":1,
+"helo":{"threshold":0.6,"templates":[
+ {"ID":0,"Tokens":["link","error","on","port","d+"],"Support":9,"MaxSeverity":4},
+ {"ID":1,"Tokens":["node","card","failed","*"],"Support":4,"MaxSeverity":5}]},
+"model":{"Mode":0,"Step":10000000000,"TrainStart":"2006-07-01T00:00:00Z","TrainEnd":"2006-07-01T06:00:00Z",
+ "Chains":[{"Items":[{"Event":0,"Delay":0},{"Event":1,"Delay":7}],"Support":3,"Confidence":0.75,"PValue":0.001,"Predictive":true,"MaxSeverity":5}],
+ "Profiles":{"0":{"Event":0,"Class":1,"Period":3,"Level":0,"Spread":0,"Baseline":[0,1,0]},"1":{"Event":1,"Class":0,"Period":0,"Level":0,"Spread":0.5,"Baseline":null}},
+ "Thresholds":{"0":0.5,"1":2.25},"Severity":{"0":4,"1":5}},
+"locations":{"0@0|1@7":{"ChainKey":"0@0|1@7","Occurrences":3,"ScopeCounts":{"4":3},"MeanAffected":2,"TriggerIncluded":3}}}`
+
+// FuzzLoadModel: a model file is bytes this process did not necessarily
+// write. Arbitrary input must come back as an error, never a panic, and
+// whatever LoadModel accepts must be a fixed point of Save → LoadModel →
+// Save, so a monitor restarted from its own saved model loads the same
+// model.
+func FuzzLoadModel(f *testing.F) {
+	if _, err := LoadModel(strings.NewReader(smallModelJSON)); err != nil {
+		f.Fatalf("the seed model no longer loads: %v", err)
+	}
+	f.Add([]byte(smallModelJSON))
+	f.Add([]byte(`{"version":1,"model":{}}`))
+	f.Add([]byte(`{"version":1,"helo":{"templates":[null]},"model":{"Profiles":{},"Thresholds":{},"Severity":{}}}`))
+	f.Fuzz(func(t *testing.T, data []byte) {
+		m, err := LoadModel(bytes.NewReader(data))
+		if err != nil {
+			return
+		}
+		var first, second bytes.Buffer
+		if err := m.Save(&first); err != nil {
+			t.Fatalf("accepted model does not save: %v", err)
+		}
+		back, err := LoadModel(bytes.NewReader(first.Bytes()))
+		if err != nil {
+			t.Fatalf("saved model does not load: %v\n%s", err, first.Bytes())
+		}
+		if err := back.Save(&second); err != nil {
+			t.Fatalf("reloaded model does not save: %v", err)
+		}
+		if !bytes.Equal(first.Bytes(), second.Bytes()) {
+			t.Fatalf("Save → LoadModel → Save is not a fixed point:\n%s\nvs\n%s", first.Bytes(), second.Bytes())
+		}
+	})
 }
