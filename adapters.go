@@ -34,3 +34,10 @@ func ReadLogFormat(r io.Reader, format LogFormat, year int) (records []Record, d
 	records, err = ar.ReadAll()
 	return records, ar.Dropped, err
 }
+
+// LineDecoder returns the decoder of one line of the format — what a
+// daemon reading its own stdin hands the ingest line backend. year
+// completes syslog timestamps, as for ReadLogFormat.
+func LineDecoder(format LogFormat, year int) (func(line string) (Record, error), error) {
+	return adapters.LineParser(format, adapters.SyslogConfig{Year: year, Location: time.UTC})
+}

@@ -41,7 +41,6 @@ import (
 	"fmt"
 	"io"
 	"os"
-	"strings"
 	"time"
 
 	elsa "github.com/elsa-hpc/elsa"
@@ -110,42 +109,22 @@ func run(args []string, stdin io.Reader, stdout, stderr io.Writer) error {
 		model.EventCount(), len(model.PredictiveChains()), *shards, scope, feed)
 
 	cfg := fleet.Config{Shards: *shards, Scope: scope, SnapshotEvery: *snapEvery}
-	var next func(ctx context.Context) (elsa.Record, error)
-	var cleanup func()
-	if *ingestS != "" {
-		if *formatS != "canonical" {
-			return fmt.Errorf("-ingest backends carry canonical records; -format must stay canonical")
-		}
-		b, err := openBackend(*ingestS, *inPath, *listenS, *follow)
+	var b ingest.Backend
+	if *ingestS == "" {
+		decode, err := elsa.LineDecoder(format, *year)
 		if err != nil {
 			return err
 		}
-		cleanup = func() { b.Close() }
-		next = b.Next
+		b = ingest.NewLines(stdin, decode)
 	} else {
-		sc := bufio.NewScanner(stdin)
-		sc.Buffer(make([]byte, 64*1024), 1<<20)
-		next = func(ctx context.Context) (elsa.Record, error) {
-			for sc.Scan() {
-				line := sc.Text()
-				if line == "" || line[0] == '#' {
-					continue
-				}
-				rec, err := decode(line, format, *year)
-				if err != nil {
-					continue // undecodable line: skip, like elsamon
-				}
-				return rec, nil
-			}
-			if err := sc.Err(); err != nil {
-				return elsa.Record{}, err
-			}
-			return elsa.Record{}, io.EOF
+		if *formatS != "canonical" {
+			return fmt.Errorf("-ingest backends carry canonical records; -format must stay canonical")
+		}
+		if b, err = ingest.Open(*ingestS, *inPath, *listenS, *follow); err != nil {
+			return err
 		}
 	}
-	if cleanup != nil {
-		defer cleanup()
-	}
+	defer b.Close()
 
 	ctx := context.Background()
 	out := bufio.NewWriter(stdout)
@@ -153,7 +132,7 @@ func run(args []string, stdin io.Reader, stdout, stderr io.Writer) error {
 	var coord *fleet.Coordinator
 	fed := 0
 	for {
-		rec, err := next(ctx)
+		rec, err := b.Next(ctx)
 		if err == io.EOF {
 			break
 		}
@@ -191,31 +170,6 @@ func run(args []string, stdin io.Reader, stdout, stderr io.Writer) error {
 	return nil
 }
 
-// openBackend builds the ingest.Backend the -ingest flag selected
-// (mirrors elsamon).
-func openBackend(kind, in, listen string, follow bool) (ingest.Backend, error) {
-	switch kind {
-	case "file":
-		if in == "" {
-			return nil, fmt.Errorf("-ingest file requires -in <logfile>")
-		}
-		return ingest.OpenFile(in)
-	case "segdir":
-		if in == "" {
-			return nil, fmt.Errorf("-ingest segdir requires -in <segment-dir>")
-		}
-		return ingest.OpenSegDir(in, ingest.SegDirOptions{Follow: follow})
-	case "socket":
-		network, addr, ok := strings.Cut(listen, ":")
-		if !ok || network == "" || addr == "" {
-			return nil, fmt.Errorf("-ingest socket requires -listen net:addr (e.g. unix:/tmp/elsa.sock)")
-		}
-		return ingest.ListenSocket(network, addr, 1024)
-	default:
-		return nil, fmt.Errorf("unknown -ingest backend %q (want file, socket or segdir)", kind)
-	}
-}
-
 // printStatus renders one per-shard health table: routing and journal
 // volume, merged predictions, failure accounting, and the supervisor's
 // breaker state with trip and half-open probe counts.
@@ -226,20 +180,9 @@ func printStatus(stderr io.Writer, st fleet.Stats) {
 		fmt.Fprintf(stderr, " gaps=%d/%d misrouted=%d snapshots=%d handoffs=%d failovers=%d lost=%d",
 			sh.Gaps, sh.GapEntries, sh.Misrouted, sh.Snapshots, sh.Handoffs, sh.Failovers, sh.LostEntries)
 		sup := sh.Supervisor
-		fmt.Fprintf(stderr, " panics=%d restarts=%d trips=%d probes=%d denied=%d health=%s\n",
-			sup.Panics, sup.Restarts, sup.Trips, sup.Probes, sh.RecoveryDenied, sup.Health)
+		fmt.Fprintf(stderr, " panics=%d trips=%d probes=%d denied=%d health=%s\n",
+			sup.Panics, sup.Trips, sup.Probes, sh.RecoveryDenied, sup.Health)
 	}
-}
-
-func decode(line string, format elsa.LogFormat, year int) (elsa.Record, error) {
-	recs, dropped, err := elsa.ReadLogFormat(strings.NewReader(line), format, year)
-	if err != nil {
-		return elsa.Record{}, err
-	}
-	if dropped > 0 || len(recs) != 1 {
-		return elsa.Record{}, fmt.Errorf("undecodable line")
-	}
-	return recs[0], nil
 }
 
 // emit prints one merged prediction in the elsamon line format plus the

@@ -30,7 +30,10 @@
 // With -refresh-every, the monitor periodically retrains its correlation
 // chains from statistics accumulated on the live stream itself — no
 // replay, no restart; refreshed chains are live for the next tick and
-// ride in snapshots:
+// ride in snapshots. A refresh scores a sliding window as long as the
+// model's training span, so chains follow the machine as it changes; a
+// new chain appears at the latest 16 rounds after its events first
+// correlate, so the cadence times 16 is the admission delay to budget:
 //
 //	elsamon -model model.json -refresh-every 50000 < stream
 package main
@@ -44,7 +47,6 @@ import (
 	"io"
 	"os"
 	"path/filepath"
-	"strings"
 	"time"
 
 	elsa "github.com/elsa-hpc/elsa"
@@ -75,7 +77,7 @@ func run(args []string, stdin io.Reader, stdout, stderr io.Writer) error {
 		inPath    = fs.String("in", "", "input path: log file (-ingest file) or segment directory (-ingest segdir)")
 		listenS   = fs.String("listen", "", "listen address as net:addr, e.g. unix:/tmp/elsa.sock or tcp:127.0.0.1:7700 (-ingest socket)")
 		follow    = fs.Bool("follow", false, "with -ingest segdir: tail the directory for new records instead of stopping at the end")
-		refEvery  = fs.Int("refresh-every", 0, "records between incremental retraining rounds from the live stream (0 = never)")
+		refEvery  = fs.Int("refresh-every", 0, "records between incremental retraining rounds over a sliding window of the live stream, as long as the training span; a new chain appears within 16 rounds (0 = never)")
 	)
 	if err := fs.Parse(args); err != nil {
 		return err
@@ -123,127 +125,50 @@ func run(args []string, stdin io.Reader, stdout, stderr io.Writer) error {
 		fmt.Fprintf(stderr, "elsamon: resumed from %s\n", *resumeP)
 	}
 
-	if *ingestS != "" {
-		if *formatS != "canonical" {
-			return fmt.Errorf("-ingest backends carry canonical records; -format must stay canonical")
-		}
-		b, err := openBackend(*ingestS, *inPath, *listenS, *follow)
+	var b ingest.Backend
+	if *ingestS == "" {
+		decode, err := elsa.LineDecoder(format, *year)
 		if err != nil {
 			return err
 		}
-		defer b.Close()
-		if monitor != nil {
-			if off, ok := monitor.IngestOffset(); ok {
-				switch err := b.Seek(off); {
-				case err == nil:
-					fmt.Fprintf(stderr, "elsamon: ingest resumed at record %d\n", off.Records)
-				case errors.Is(err, ingest.ErrNotSeekable):
-					// A push backend cannot replay; the producer decides
-					// where the resumed stream starts.
-					fmt.Fprintf(stderr, "elsamon: ingest: %v; continuing from the live position\n", err)
-				default:
-					return fmt.Errorf("seek to snapshot offset %d: %w", off.Records, err)
-				}
+		b = ingest.NewLines(stdin, decode)
+	} else {
+		if *formatS != "canonical" {
+			return fmt.Errorf("-ingest backends carry canonical records; -format must stay canonical")
+		}
+		if b, err = ingest.Open(*ingestS, *inPath, *listenS, *follow); err != nil {
+			return err
+		}
+	}
+	defer b.Close()
+	if monitor != nil {
+		if off, ok := monitor.IngestOffset(); ok {
+			switch err := b.Seek(off); {
+			case err == nil:
+				fmt.Fprintf(stderr, "elsamon: ingest resumed at record %d\n", off.Records)
+			case errors.Is(err, ingest.ErrNotSeekable):
+				// A pipe or a push backend cannot replay; the producer
+				// decides where the resumed stream starts.
+				fmt.Fprintf(stderr, "elsamon: %v; continuing from the live position\n", err)
+			default:
+				return fmt.Errorf("seek to snapshot offset %d: %w", off.Records, err)
 			}
 		}
-		return runBackend(b, model, monitor, stdout, stderr, *showLate, *snapPath, *snapEvery, *refEvery)
 	}
 
-	sc := bufio.NewScanner(stdin)
-	sc.Buffer(make([]byte, 64*1024), 1<<20)
+	// The one feed loop: whatever the backend, every snapshot carries its
+	// resume offset so -resume can Seek back to it.
+	ctx := context.Background()
 	out := bufio.NewWriter(stdout)
 	defer out.Flush()
-	dropped, fed := 0, 0
-	for sc.Scan() {
-		line := sc.Text()
-		if line == "" || line[0] == '#' {
-			continue
-		}
-		rec, err := decode(line, format, *year)
-		if err != nil {
-			dropped++
-			continue
-		}
-		if monitor == nil {
-			// Anchor tick 0 at the first record's time.
-			monitor = model.NewMonitor(rec.Time.Truncate(10 * time.Second))
-		}
-		preds, err := monitor.Feed(rec)
-		if err != nil {
-			return fmt.Errorf("elsamon: feed: %w", err)
-		}
-		for _, p := range preds {
-			emit(out, model, p, *showLate)
-		}
-		out.Flush()
-		fed++
-		if *refEvery > 0 && fed%*refEvery == 0 {
-			refresh(monitor, stderr)
-		}
-		if *snapPath != "" && fed%*snapEvery == 0 {
-			// A failed snapshot degrades resumability, not monitoring:
-			// warn and keep serving predictions.
-			if err := writeSnapshot(monitor, *snapPath); err != nil {
-				fmt.Fprintln(stderr, "elsamon: snapshot:", err)
-			}
-		}
-	}
-	if err := sc.Err(); err != nil {
-		return err
-	}
-	if monitor == nil {
-		return fmt.Errorf("no records received")
-	}
-	if *snapPath != "" {
-		// Final snapshot before Close flushes the open ticks, so a later
-		// -resume continues exactly where this stream ended.
+	snapshot := func() {
+		// A failed snapshot degrades resumability, not monitoring: warn
+		// and keep serving predictions.
+		monitor.SetIngestOffset(b.Offset())
 		if err := writeSnapshot(monitor, *snapPath); err != nil {
 			fmt.Fprintln(stderr, "elsamon: snapshot:", err)
 		}
 	}
-	res := monitor.Close()
-	st := res.Stats
-	fmt.Fprintf(stderr, "elsamon: %d records over %d ticks, %d predictions (%d late), %d undecodable lines, %d stragglers dropped\n",
-		st.Messages, st.Ticks, len(res.Predictions), st.LatePreds, dropped, st.LateRecords)
-	if st.QuarantinedRecords > 0 || st.DedupedRecords > 0 || st.ShedRecords > 0 || st.Degraded {
-		fmt.Fprintf(stderr, "elsamon: hardening: %d quarantined, %d deduplicated, %d shed, %d degraded ticks\n",
-			st.QuarantinedRecords, st.DedupedRecords, st.ShedRecords, st.DegradedTicks)
-	}
-	printStages(stderr, st.Stages)
-	return nil
-}
-
-// openBackend builds the ingest.Backend the -ingest flag selected.
-func openBackend(kind, in, listen string, follow bool) (ingest.Backend, error) {
-	switch kind {
-	case "file":
-		if in == "" {
-			return nil, fmt.Errorf("-ingest file requires -in <logfile>")
-		}
-		return ingest.OpenFile(in)
-	case "segdir":
-		if in == "" {
-			return nil, fmt.Errorf("-ingest segdir requires -in <segment-dir>")
-		}
-		return ingest.OpenSegDir(in, ingest.SegDirOptions{Follow: follow})
-	case "socket":
-		network, addr, ok := strings.Cut(listen, ":")
-		if !ok || network == "" || addr == "" {
-			return nil, fmt.Errorf("-ingest socket requires -listen net:addr (e.g. unix:/tmp/elsa.sock)")
-		}
-		return ingest.ListenSocket(network, addr, 1024)
-	default:
-		return nil, fmt.Errorf("unknown -ingest backend %q (want file, socket or segdir)", kind)
-	}
-}
-
-// runBackend drives the monitor from an ingest backend: the same feed
-// loop and snapshot cadence as the stdin path, with the backend's resume
-// offset riding in every snapshot so -resume can Seek back to it.
-func runBackend(b ingest.Backend, model *elsa.Model, monitor *elsa.Monitor, stdout, stderr io.Writer, showLate bool, snapPath string, snapEvery, refEvery int) error {
-	ctx := context.Background()
-	out := bufio.NewWriter(stdout)
-	defer out.Flush()
 	fed := 0
 	for {
 		rec, err := b.Next(ctx)
@@ -262,30 +187,24 @@ func runBackend(b ingest.Backend, model *elsa.Model, monitor *elsa.Monitor, stdo
 			return fmt.Errorf("elsamon: feed: %w", err)
 		}
 		for _, p := range preds {
-			emit(out, model, p, showLate)
+			emit(out, model, p, *showLate)
 		}
 		out.Flush()
 		fed++
-		if refEvery > 0 && fed%refEvery == 0 {
+		if *refEvery > 0 && fed%*refEvery == 0 {
 			refresh(monitor, stderr)
 		}
-		if snapPath != "" && fed%snapEvery == 0 {
-			monitor.SetIngestOffset(b.Offset())
-			if err := writeSnapshot(monitor, snapPath); err != nil {
-				fmt.Fprintln(stderr, "elsamon: snapshot:", err)
-			}
+		if *snapPath != "" && fed%*snapEvery == 0 {
+			snapshot()
 		}
 	}
 	if monitor == nil {
 		return fmt.Errorf("no records received")
 	}
-	if snapPath != "" {
+	if *snapPath != "" {
 		// Final snapshot before Close flushes the open ticks, carrying the
 		// end-of-stream offset so a later -resume continues exactly here.
-		monitor.SetIngestOffset(b.Offset())
-		if err := writeSnapshot(monitor, snapPath); err != nil {
-			fmt.Fprintln(stderr, "elsamon: snapshot:", err)
-		}
+		snapshot()
 	}
 	res := monitor.Close()
 	st := res.Stats
@@ -362,22 +281,11 @@ func printStages(stderr io.Writer, stages []elsa.StageStats) {
 			fmt.Fprintf(stderr, " quarantined=%d deduped=%d shed=%d", sg.Quarantined, sg.Deduped, sg.Shed)
 		}
 		if sg.Health != "" {
-			fmt.Fprintf(stderr, " panics=%d restarts=%d bypassed=%d trips=%d probes=%d health=%s",
-				sg.Panics, sg.Restarts, sg.Bypassed, sg.Trips, sg.Probes, sg.Health)
+			fmt.Fprintf(stderr, " panics=%d bypassed=%d trips=%d probes=%d health=%s",
+				sg.Panics, sg.Bypassed, sg.Trips, sg.Probes, sg.Health)
 		}
 		fmt.Fprintln(stderr)
 	}
-}
-
-func decode(line string, format elsa.LogFormat, year int) (elsa.Record, error) {
-	recs, dropped, err := elsa.ReadLogFormat(strings.NewReader(line), format, year)
-	if err != nil {
-		return elsa.Record{}, err
-	}
-	if dropped > 0 || len(recs) != 1 {
-		return elsa.Record{}, fmt.Errorf("undecodable line")
-	}
-	return recs[0], nil
 }
 
 func emit(out *bufio.Writer, model *elsa.Model, p elsa.Prediction, showLate bool) {

@@ -118,6 +118,19 @@ type Model struct {
 	// with; incremental refresh re-derives chains under the same
 	// parameters. Loaded models fall back to the defaults.
 	trainCfg TrainConfig
+	// window is the training span in sampling ticks, read when the model
+	// is trained or loaded (Refresh moves the inner TrainEnd): the length
+	// of the live window a monitor's Refresh scores, see pipelineConfig.
+	window int
+}
+
+// trainingSpan is the model's training window in sampling ticks; 0 when
+// a hand-edited model file leaves it undefined.
+func trainingSpan(m *correlate.Model) int {
+	if m.Step <= 0 {
+		return 0
+	}
+	return int(m.TrainEnd.Sub(m.TrainStart) / m.Step)
 }
 
 // Train builds a model from training records covering [start, end).
@@ -130,7 +143,7 @@ func Train(records []Record, start, end time.Time, cfg TrainConfig) *Model {
 	org.Assign(recs)
 	m := correlate.Train(recs, start, end, cfg.Mode, cfg.Correlation)
 	profiles := location.Extract(recs, m.Chains, start, m.Step, 1)
-	return &Model{inner: m, profiles: profiles, organizer: org, trainCfg: cfg}
+	return &Model{inner: m, profiles: profiles, organizer: org, trainCfg: cfg, window: trainingSpan(m)}
 }
 
 // Mode returns the correlation method the model was trained with.

@@ -192,12 +192,28 @@ func inferSeverity(msg string) logs.Severity {
 	}
 }
 
+// LineParser returns the decoder of one line of the format, for callers
+// that frame the lines themselves (Reader here, the ingest line backend
+// behind the daemons' stdin).
+func LineParser(format Format, syslogCfg SyslogConfig) (func(line string) (logs.Record, error), error) {
+	switch format {
+	case Canonical:
+		return logs.ParseRecord, nil
+	case BGL:
+		return ParseBGL, nil
+	case Syslog:
+		return func(line string) (logs.Record, error) { return ParseSyslog(line, syslogCfg) }, nil
+	default:
+		return nil, fmt.Errorf("adapters: unsupported format %v", format)
+	}
+}
+
 // Reader streams records from any supported format.
 type Reader struct {
-	sc     *bufio.Scanner
-	format Format
-	syslog SyslogConfig
-	line   int
+	sc       *bufio.Scanner
+	parse    func(line string) (logs.Record, error)
+	parseErr error // the format has no parser: every Next fails with it
+	line     int
 	// SkipMalformed drops undecodable lines instead of failing; Dropped
 	// counts them. Real archived logs always contain stray lines.
 	SkipMalformed bool
@@ -208,29 +224,22 @@ type Reader struct {
 func NewReader(r io.Reader, format Format, syslogCfg SyslogConfig) *Reader {
 	sc := bufio.NewScanner(r)
 	sc.Buffer(make([]byte, 64*1024), 1<<20)
-	return &Reader{sc: sc, format: format, syslog: syslogCfg}
+	parse, err := LineParser(format, syslogCfg)
+	return &Reader{sc: sc, parse: parse, parseErr: err}
 }
 
 // Next returns the next record or io.EOF.
 func (r *Reader) Next() (logs.Record, error) {
+	if r.parseErr != nil {
+		return logs.Record{}, r.parseErr
+	}
 	for r.sc.Scan() {
 		r.line++
 		line := strings.TrimRight(r.sc.Text(), "\r\n")
 		if line == "" || line[0] == '#' {
 			continue
 		}
-		var rec logs.Record
-		var err error
-		switch r.format {
-		case Canonical:
-			rec, err = logs.ParseRecord(line)
-		case BGL:
-			rec, err = ParseBGL(line)
-		case Syslog:
-			rec, err = ParseSyslog(line, r.syslog)
-		default:
-			return logs.Record{}, fmt.Errorf("adapters: unsupported format %v", r.format)
-		}
+		rec, err := r.parse(line)
 		if err != nil {
 			if r.SkipMalformed {
 				r.Dropped++

@@ -97,7 +97,10 @@ func AccumConfigFor(mode Mode, cfg Config) sig.AccumConfig {
 }
 
 // Refresh rebuilds the model's chains from the accumulator's live
-// counters without replaying the horizon. Only pairs whose co-occurrence
+// counters without replaying the horizon. When the accumulator's horizon
+// is capped (the monitor caps it at the training span) the trains scored
+// here are a sliding window of the stream, which is what lets a chain
+// whose events stopped co-occurring fall out. Only pairs whose co-occurrence
 // counters moved since the last refresh are re-scored by the kernel;
 // when the surviving seed set is unchanged the existing chains are
 // merely re-scored against the fresh trains (the fast path), otherwise

@@ -58,11 +58,9 @@ func New(model *elsa.Model, start time.Time, cfg Config) (*Coordinator, error) {
 	}
 	for i := 0; i < cfg.Shards; i++ {
 		name := fmt.Sprintf("shard%d", i)
-		pol := cfg.Supervision
-		pol.Seed += int64(i) // decorrelated but reproducible per-shard jitter
 		sl := &slot{
 			name: name,
-			sup:  resilience.New("fleet/"+name, pol),
+			sup:  resilience.New("fleet/"+name, cfg.Supervision),
 			bo: resilience.NewBackoff(cfg.Handoff.Base, cfg.Handoff.Max,
 				cfg.Handoff.Jitter, cfg.Handoff.Seed+int64(i)),
 		}

@@ -73,7 +73,7 @@ func testConfig(shards int) Config {
 		SnapshotEvery: 500,
 		FeedTimeout:   2 * time.Second,
 		Handoff:       HandoffPolicy{Seed: 7, Sleep: func(time.Duration) {}},
-		Supervision:   resilience.Policy{MaxFailures: 1000, Seed: 7},
+		Supervision:   resilience.Policy{MaxFailures: 1000},
 	}
 }
 
@@ -394,7 +394,6 @@ func TestBreakerHoldsShardDownAndAccountsLoss(t *testing.T) {
 	cfg.Supervision = resilience.Policy{
 		MaxFailures: 3,
 		Cooldown:    time.Hour, // never half-opens within the test
-		Seed:        7,
 	}
 	kill := len(test) / 2
 	merged, stats := runFleet(t, cfg, test, end, func(i int, c *Coordinator) {

@@ -6,8 +6,9 @@
 // a stable resume offset, and quarantine-compatible error accounting.
 // Three implementations ship with the package:
 //
-//   - File: the flat-file reader the batch tools always used, adapted to
-//     track byte offsets so a monitor can resume mid-file;
+//   - Lines: text records one per line from any reader (a daemon's
+//     stdin) or, seekable, from the flat log file the batch tools always
+//     read, tracking byte offsets so a monitor can resume mid-file;
 //   - Socket: a unix/TCP listener speaking CRC-framed, length-prefixed
 //     records, for collectors that push;
 //   - SegDir: a Kafka-style segmented append-only log directory —
@@ -28,6 +29,7 @@ import (
 	"fmt"
 	"io"
 	"os"
+	"strings"
 
 	"github.com/elsa-hpc/elsa/internal/logs"
 )
@@ -105,6 +107,33 @@ type Backend interface {
 	//
 	//elsa:transition open->closed closed->closed
 	Close() error
+}
+
+// Open builds the backend a daemon's -ingest flag names: "file" and
+// "segdir" read the path in (follow tails a segment directory for new
+// records instead of stopping at its end), "socket" listens on listen,
+// given as net:addr.
+func Open(kind, in, listen string, follow bool) (Backend, error) {
+	switch kind {
+	case "file":
+		if in == "" {
+			return nil, fmt.Errorf("-ingest file requires -in <logfile>")
+		}
+		return OpenFile(in)
+	case "segdir":
+		if in == "" {
+			return nil, fmt.Errorf("-ingest segdir requires -in <segment-dir>")
+		}
+		return OpenSegDir(in, SegDirOptions{Follow: follow})
+	case "socket":
+		network, addr, ok := strings.Cut(listen, ":")
+		if !ok || network == "" || addr == "" {
+			return nil, fmt.Errorf("-ingest socket requires -listen net:addr (e.g. unix:/tmp/elsa.sock)")
+		}
+		return ListenSocket(network, addr, 1024)
+	default:
+		return nil, fmt.Errorf("unknown -ingest backend %q (want file, socket or segdir)", kind)
+	}
 }
 
 // Source adapts a Backend to the logs.RecordSource view a batch replay

@@ -9,6 +9,7 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
+	"strings"
 	"testing"
 	"time"
 
@@ -174,6 +175,65 @@ func TestFileBackendQuarantinesBadLines(t *testing.T) {
 	}
 	if st := fb.Stats(); st.Quarantined != 1 {
 		t.Errorf("quarantined = %d, want 1", st.Quarantined)
+	}
+}
+
+// TestLinesBackendOverPlainReader is the daemons' stdin feed: the
+// injected decoder sees each line with its EOL stripped, lines it rejects
+// are quarantined, the last line needs no newline, and a reader cannot
+// seek anywhere but where it already is.
+func TestLinesBackendOverPlainReader(t *testing.T) {
+	recs := testRecords(t, 1)[:3]
+	decode := func(line string) (logs.Record, error) {
+		rest, ok := strings.CutPrefix(line, "rec ")
+		if !ok {
+			return logs.Record{}, fmt.Errorf("no prefix in %q", line)
+		}
+		return logs.ParseRecord(rest)
+	}
+	text := "# header\n\nrec " + recs[0].String() + "\r\n" + recs[1].String() + "\nrec garbage\nrec " + recs[2].String()
+	lb := ingest.NewLines(strings.NewReader(text), decode)
+	if got := drainBackend(t, lb); !reflect.DeepEqual(got, []logs.Record{recs[0], recs[2]}) {
+		t.Fatalf("delivered %v", got)
+	}
+	if st := lb.Stats(); st.Delivered != 2 || st.Quarantined != 2 {
+		t.Errorf("stats = %+v, want 2 delivered, 2 quarantined", st)
+	}
+	if off := lb.Offset(); off.Records != 2 || off.Bytes != int64(len(text)) {
+		t.Errorf("offset = %+v, want 2 records, %d bytes", off, len(text))
+	}
+	if err := lb.Seek(lb.Offset()); err != nil {
+		t.Errorf("seek to the current position: %v", err)
+	}
+	if err := lb.Seek(ingest.Offset{}); !errors.Is(err, ingest.ErrNotSeekable) {
+		t.Errorf("rewind of a plain reader = %v, want ErrNotSeekable", err)
+	}
+	if err := lb.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := lb.Next(context.Background()); !errors.Is(err, ingest.ErrClosed) {
+		t.Errorf("Next after Close = %v, want ErrClosed", err)
+	}
+
+	long := ingest.NewLines(strings.NewReader(strings.Repeat("x", 2<<20)+"\n"), decode)
+	if _, err := long.Next(context.Background()); err == nil || err == io.EOF {
+		t.Errorf("a 2 MiB line read as %v, want an error", err)
+	}
+}
+
+// TestOpenSelectsBackend: the selector both daemons share refuses a
+// backend whose address is missing, and names the ones it knows.
+func TestOpenSelectsBackend(t *testing.T) {
+	path := writeLogFile(t, testRecords(t, 1))
+	b, err := ingest.Open("file", path, "", false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	b.Close()
+	for _, bad := range [][3]string{{"file", "", ""}, {"segdir", "", ""}, {"socket", "", "nocolon"}, {"kafka", path, ""}} {
+		if _, err := ingest.Open(bad[0], bad[1], bad[2], false); err == nil {
+			t.Errorf("Open(%q, %q, %q) succeeded", bad[0], bad[1], bad[2])
+		}
 	}
 }
 

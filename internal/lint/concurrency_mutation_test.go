@@ -25,18 +25,9 @@ func TestLockOrderMutationGuard(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// resilience.go references the Backoff helper; its file rides along
-	// unmutated so the single-package fixture typechecks.
-	aux, err := os.ReadFile(filepath.Join("..", "resilience", "backoff.go"))
-	if err != nil {
-		t.Fatal(err)
-	}
 	load := func(main string) *fixture {
 		dir := t.TempDir()
 		if err := os.WriteFile(filepath.Join(dir, "sess.go"), []byte(main), 0o644); err != nil {
-			t.Fatal(err)
-		}
-		if err := os.WriteFile(filepath.Join(dir, "backoff.go"), aux, 0o644); err != nil {
 			t.Fatal(err)
 		}
 		return loadFixture(t, dir)

@@ -125,10 +125,30 @@ func TestSessionAccumulatorDedupInvariant(t *testing.T) {
 // a fresh pipeline, finish the stream — the final accumulator must be
 // byte-identical to the uninterrupted run's, and the predictions too.
 func TestResumedAccumulatorMatchesUninterrupted(t *testing.T) {
+	checkResumedAccumulator(t, 0)
+}
+
+// TestResumedAccumulatorAfterTrimMatchesUninterrupted is the same kill
+// with the spike trains sliding over an 8 000-tick window: the kill, at
+// tick 12 966 of the three-day stream, falls between the trims at 12 006
+// and 14 007, and the trim cursor in the session snapshot is what keeps
+// the resumed accumulator trimming on the uninterrupted one's ticks.
+func TestResumedAccumulatorAfterTrimMatchesUninterrupted(t *testing.T) {
+	const window = 8000
+	if cursor := checkResumedAccumulator(t, window); cursor <= window {
+		t.Fatalf("snapshot trim cursor = %d: the window had not slid yet", cursor)
+	}
+}
+
+// checkResumedAccumulator runs the kill/resume comparison with the
+// accumulator's horizon capped at horizonCap ticks (0: unbounded) and
+// returns the trim cursor the snapshot carried.
+func checkResumedAccumulator(t *testing.T, horizonCap int) (trimCursor int) {
 	model, profiles, test, cut, end := trained(t, 513)
 
 	cfg := DefaultConfig()
 	cfg.Accumulate = accumConfigFor()
+	cfg.Accumulate.HorizonCap = horizonCap
 
 	ref := New(predict.NewEngine(model, profiles, predict.DefaultConfig()), nil, cfg)
 	rs := ref.NewSession(cut)
@@ -183,6 +203,7 @@ func TestResumedAccumulatorMatchesUninterrupted(t *testing.T) {
 	if !bytes.Equal(gotAcc, wantAcc) {
 		t.Fatal("resumed accumulator state diverges from uninterrupted run")
 	}
+	return loaded.Accum.LastTrim
 }
 
 // TestSessionSyncChainsAfterRefresh: a mid-session Model.Refresh from

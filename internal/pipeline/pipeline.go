@@ -196,9 +196,7 @@ func New(eng *predict.Engine, org TemplateLearner, cfg Config) *Pipeline {
 	}
 	if cfg.Supervise {
 		for _, st := range []int{stageTemplate, stageFilter, stageMatch} {
-			pol := cfg.Supervision
-			pol.Seed += int64(st) // decorrelate backoff jitter across stages
-			p.sups[st] = resilience.New(stageNames[st], pol)
+			p.sups[st] = resilience.New(stageNames[st], cfg.Supervision)
 		}
 	}
 	return p
@@ -245,7 +243,6 @@ func (p *Pipeline) Stats() []predict.StageStats {
 		if sup := p.sups[i]; sup != nil {
 			ss := sup.Stats()
 			out[i].Panics = ss.Panics
-			out[i].Restarts = ss.Restarts
 			out[i].Bypassed = ss.Bypassed
 			out[i].Trips = ss.Trips
 			out[i].Probes = ss.Probes

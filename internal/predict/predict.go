@@ -147,12 +147,11 @@ type StageStats struct {
 	Deduped     int64
 	Shed        int64
 
-	// Supervision health: recovered stage-body panics, supervised loop
-	// restarts, invocations bypassed with the breaker open, breaker trip
-	// and half-open probe counts, and the breaker state ("" when the
-	// stage runs unsupervised).
+	// Supervision health: recovered stage-body panics, invocations
+	// bypassed with the breaker open, breaker trip and half-open probe
+	// counts, and the breaker state ("" when the stage runs
+	// unsupervised).
 	Panics   int64
-	Restarts int64
 	Bypassed int64
 	Trips    int64
 	Probes   int64

@@ -1,25 +1,22 @@
 // Package resilience supervises the online pipeline's stage bodies so a
 // fault inside one stage degrades the monitor instead of killing it. It
-// provides the three classic supervision mechanisms, composed per stage:
+// composes two supervision mechanisms per stage:
 //
 //   - a panic barrier (Do / Recover) that converts a stage-body panic
 //     into an accounted failure while the stream keeps flowing;
-//   - a restart loop (Run) for goroutine-hosted stages, re-entering the
-//     stage loop after a jittered, capped exponential backoff that is
-//     context-aware (a cancelled run never sleeps out its backoff);
 //   - a circuit breaker that trips the stage into degraded/bypass mode
 //     after MaxFailures panics inside Window, half-opening again after
 //     Cooldown so a healed stage can close the breaker with one clean
 //     invocation.
 //
-// The supervisor is deliberately clock- and rand-injectable: chaos tests
-// drive it with a virtual clock and a fixed seed, so every breaker trip
-// and backoff schedule in the suite is reproducible.
+// The supervisor is deliberately clock-injectable: chaos tests drive it
+// with a virtual clock, so every breaker trip in the suite is
+// reproducible. Backoff is the capped jittered-exponential retry
+// schedule the retry loops elsewhere (ingest redial, fleet handoff)
+// share.
 package resilience
 
 import (
-	"context"
-	"errors"
 	"fmt"
 	"sync"
 	"sync/atomic"
@@ -32,8 +29,6 @@ type Health int32
 const (
 	// Healthy: the breaker is closed and the stage body runs normally.
 	Healthy Health = iota
-	// Restarting: the stage loop panicked and is sleeping out a backoff.
-	Restarting
 	// Degraded: the breaker is open; stage bodies are bypassed until a
 	// half-open probe succeeds.
 	Degraded
@@ -44,18 +39,12 @@ func (h Health) String() string {
 	switch h {
 	case Healthy:
 		return "ok"
-	case Restarting:
-		return "restarting"
 	case Degraded:
 		return "degraded"
 	default:
 		return fmt.Sprintf("health(%d)", int32(h))
 	}
 }
-
-// ErrTripped is returned (wrapped) by Run when the circuit breaker opens:
-// the stage exhausted its failure budget and must not be restarted again.
-var ErrTripped = errors.New("circuit breaker tripped")
 
 // Policy tunes one stage's supervision.
 type Policy struct {
@@ -69,26 +58,13 @@ type Policy struct {
 	// probe the stage with one real invocation. <= 0 selects
 	// DefaultCooldown.
 	Cooldown time.Duration
-	// BaseBackoff/MaxBackoff bound the exponential restart backoff of
-	// Run: attempt n sleeps min(BaseBackoff<<n, MaxBackoff), jittered.
-	// <= 0 selects the defaults.
-	BaseBackoff time.Duration
-	MaxBackoff  time.Duration
-	// Jitter is the fraction of the backoff randomised away (0..1): the
-	// sleep is d * (1 - Jitter/2 + Jitter*u) for uniform u. Negative
-	// values select DefaultJitter; 0 keeps the default too (use a tiny
-	// positive value for truly jitterless backoff — lockstep restarts
-	// are almost never what a fleet wants).
-	Jitter float64
-	// Seed seeds the supervisor's private jitter source; the same seed
-	// reproduces the same backoff schedule.
-	Seed int64
 	// Clock injects the time source consulted by the failure window and
 	// cooldown logic. nil selects the wall clock.
 	Clock func() time.Time
 }
 
-// Supervision defaults.
+// Supervision defaults; the backoff ones are what NewBackoff falls back
+// to.
 const (
 	DefaultMaxFailures = 5
 	DefaultWindow      = time.Minute
@@ -104,9 +80,6 @@ func DefaultPolicy() Policy {
 		MaxFailures: DefaultMaxFailures,
 		Window:      DefaultWindow,
 		Cooldown:    DefaultCooldown,
-		BaseBackoff: DefaultBaseBackoff,
-		MaxBackoff:  DefaultMaxBackoff,
-		Jitter:      DefaultJitter,
 	}
 }
 
@@ -121,18 +94,6 @@ func (p Policy) normalised() Policy {
 	if p.Cooldown <= 0 {
 		p.Cooldown = DefaultCooldown
 	}
-	if p.BaseBackoff <= 0 {
-		p.BaseBackoff = DefaultBaseBackoff
-	}
-	if p.MaxBackoff <= 0 {
-		p.MaxBackoff = DefaultMaxBackoff
-	}
-	if p.Jitter <= 0 {
-		p.Jitter = DefaultJitter
-	}
-	if p.Jitter > 1 {
-		p.Jitter = 1
-	}
 	if p.Clock == nil {
 		p.Clock = time.Now
 	}
@@ -142,11 +103,10 @@ func (p Policy) normalised() Policy {
 // Stats is a point-in-time snapshot of a supervisor's health counters.
 type Stats struct {
 	Panics    int64  // stage-body panics recovered (incl. Fail calls)
-	Restarts  int64  // stage-loop restarts performed by Run
 	Bypassed  int64  // invocations skipped while the breaker was open
 	Trips     int64  // times the breaker opened (incl. failed probes)
 	Probes    int64  // half-open probe invocations admitted
-	Health    Health // current breaker/loop state
+	Health    Health // current breaker state
 	LastPanic string // rendered value of the most recent panic ("" if none)
 }
 
@@ -168,11 +128,8 @@ type Supervisor struct {
 	trippedAt time.Time
 	probing   bool // a half-open probe invocation is in flight
 
-	bo *Backoff
-
 	health    atomic.Int32
 	panics    atomic.Int64
-	restarts  atomic.Int64
 	bypassed  atomic.Int64
 	trips     atomic.Int64
 	probes    atomic.Int64
@@ -181,12 +138,7 @@ type Supervisor struct {
 
 // New returns a supervisor for the named stage.
 func New(name string, pol Policy) *Supervisor {
-	pol = pol.normalised()
-	return &Supervisor{
-		name: name,
-		pol:  pol,
-		bo:   NewBackoff(pol.BaseBackoff, pol.MaxBackoff, pol.Jitter, pol.Seed),
-	}
+	return &Supervisor{name: name, pol: pol.normalised()}
 }
 
 // Name returns the supervised stage's name.
@@ -202,7 +154,6 @@ func (s *Supervisor) Degraded() bool { return s.Health() == Degraded }
 func (s *Supervisor) Stats() Stats {
 	st := Stats{
 		Panics:   s.panics.Load(),
-		Restarts: s.restarts.Load(),
 		Bypassed: s.bypassed.Load(),
 		Trips:    s.trips.Load(),
 		Probes:   s.probes.Load(),
@@ -320,61 +271,5 @@ func (s *Supervisor) recordPanic(r interface{}) {
 		s.failures = s.failures[:0]
 		s.trips.Add(1)
 		s.health.Store(int32(Degraded))
-	}
-}
-
-// Run executes loop under full supervision: a panic inside loop restarts
-// it after a jittered exponential backoff, successive panics widen the
-// backoff, and exhausting the failure budget trips the breaker and ends
-// the loop with an error wrapping ErrTripped. Run returns loop's own
-// return value when it completes without panicking, and ctx.Err() when
-// the context ends first (including during a backoff sleep).
-func (s *Supervisor) Run(ctx context.Context, loop func() error) error {
-	for attempt := 0; ; attempt++ {
-		err, panicked := s.guard(loop)
-		if !panicked {
-			return err
-		}
-		if s.Degraded() {
-			return fmt.Errorf("resilience: stage %s: %w", s.name, ErrTripped)
-		}
-		s.restarts.Add(1)
-		if !s.sleep(ctx, s.backoff(attempt)) {
-			return ctx.Err()
-		}
-	}
-}
-
-// guard runs loop once behind the panic barrier.
-func (s *Supervisor) guard(loop func() error) (err error, panicked bool) {
-	defer func() {
-		if r := recover(); r != nil {
-			s.recordPanic(r)
-			panicked = true
-		}
-	}()
-	return loop(), false
-}
-
-// backoff computes the jittered, capped exponential delay for a restart
-// attempt.
-func (s *Supervisor) backoff(attempt int) time.Duration {
-	return s.bo.Delay(attempt)
-}
-
-// sleep waits d out under supervision state Restarting, returning false
-// when ctx ended first.
-func (s *Supervisor) sleep(ctx context.Context, d time.Duration) bool {
-	if Health(s.health.Load()) == Healthy {
-		s.health.Store(int32(Restarting))
-		defer s.health.CompareAndSwap(int32(Restarting), int32(Healthy))
-	}
-	t := time.NewTimer(d)
-	defer t.Stop()
-	select {
-	case <-t.C:
-		return true
-	case <-ctx.Done():
-		return false
 	}
 }

@@ -1,8 +1,6 @@
 package resilience
 
 import (
-	"context"
-	"errors"
 	"sync"
 	"testing"
 	"time"
@@ -32,9 +30,6 @@ func testPolicy(clk *virtualClock) Policy {
 		MaxFailures: 3,
 		Window:      time.Minute,
 		Cooldown:    30 * time.Second,
-		BaseBackoff: time.Microsecond,
-		MaxBackoff:  10 * time.Microsecond,
-		Seed:        1,
 		Clock:       clk.now,
 	}
 }
@@ -140,85 +135,23 @@ func TestHalfOpenProbeReopensOnFailure(t *testing.T) {
 	}
 }
 
-func TestRunRestartsWithBackoffThenTrips(t *testing.T) {
-	clk := &virtualClock{t: time.Unix(0, 0)}
-	s := New("stage", testPolicy(clk))
-	calls := 0
-	err := s.Run(context.Background(), func() error {
-		calls++
-		panic("loop bug")
-	})
-	if !errors.Is(err, ErrTripped) {
-		t.Fatalf("err = %v, want ErrTripped", err)
-	}
-	// MaxFailures=3: three invocations, breaker trips on the third.
-	if calls != 3 {
-		t.Errorf("loop ran %d times, want 3", calls)
-	}
-	st := s.Stats()
-	if st.Restarts != 2 {
-		t.Errorf("Restarts = %d, want 2", st.Restarts)
-	}
-	if st.Health != Degraded {
-		t.Errorf("Health = %v, want Degraded", st.Health)
-	}
-}
-
-func TestRunReturnsLoopResult(t *testing.T) {
-	clk := &virtualClock{t: time.Unix(0, 0)}
-	s := New("stage", testPolicy(clk))
-	want := errors.New("clean exit")
-	if err := s.Run(context.Background(), func() error { return want }); !errors.Is(err, want) {
-		t.Fatalf("err = %v, want %v", err, want)
-	}
-	if err := s.Run(context.Background(), func() error { return nil }); err != nil {
-		t.Fatalf("err = %v, want nil", err)
-	}
-}
-
-func TestRunHonoursContextDuringBackoff(t *testing.T) {
-	clk := &virtualClock{t: time.Unix(0, 0)}
-	pol := testPolicy(clk)
-	pol.BaseBackoff = time.Hour // only cancellation can end the sleep
-	pol.MaxBackoff = time.Hour
-	s := New("stage", pol)
-	ctx, cancel := context.WithCancel(context.Background())
-	done := make(chan error, 1)
-	go func() {
-		done <- s.Run(ctx, func() error { panic("always") })
-	}()
-	time.Sleep(10 * time.Millisecond) // let the first panic land in backoff
-	cancel()
-	select {
-	case err := <-done:
-		if !errors.Is(err, context.Canceled) {
-			t.Fatalf("err = %v, want context.Canceled", err)
-		}
-	case <-time.After(5 * time.Second):
-		t.Fatal("Run did not return after cancellation during backoff")
-	}
-}
-
+// TestBackoffIsJitteredCappedAndDeterministic: a schedule built from
+// non-positive parameters falls back to the package defaults, and the
+// defaults give the same seeded, capped, jittered delays every time.
 func TestBackoffIsJitteredCappedAndDeterministic(t *testing.T) {
-	clk := &virtualClock{t: time.Unix(0, 0)}
-	pol := testPolicy(clk)
-	pol.BaseBackoff = time.Millisecond
-	pol.MaxBackoff = 8 * time.Millisecond
-	pol.Seed = 42
-	a := New("a", pol)
-	b := New("b", pol)
-	for attempt := 0; attempt < 8; attempt++ {
-		da := a.backoff(attempt)
-		db := b.backoff(attempt)
+	a := NewBackoff(0, 0, 0, 42)
+	b := NewBackoff(-time.Second, 0, -1, 42)
+	for attempt := 0; attempt < 12; attempt++ {
+		da, db := a.Delay(attempt), b.Delay(attempt)
 		if da != db {
 			t.Fatalf("attempt %d: same seed produced %v vs %v", attempt, da, db)
 		}
 		// Jitter 0.5 bounds the sleep in [0.75, 1.25] * capped exponential.
-		if max := time.Duration(float64(pol.MaxBackoff) * 1.25); da > max {
+		if max := time.Duration(float64(DefaultMaxBackoff) * 1.25); da > max {
 			t.Fatalf("attempt %d: backoff %v exceeds jittered cap %v", attempt, da, max)
 		}
-		if da <= 0 {
-			t.Fatalf("attempt %d: non-positive backoff %v", attempt, da)
+		if min := time.Duration(float64(DefaultBaseBackoff) * 0.75); da < min {
+			t.Fatalf("attempt %d: backoff %v below the jittered base %v", attempt, da, min)
 		}
 	}
 }

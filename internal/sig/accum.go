@@ -57,7 +57,9 @@ type Accumulator struct {
 	prevBlock, curBlock int
 	prev, cur           map[int]int32
 
-	//elsa:ephemeral trim cursor; a resumed accumulator re-trims lazily
+	// lastTrim is the tick of the last horizon trim. It rides the
+	// snapshot: a resumed accumulator trims at the ticks the killed one
+	// would have, so the trains a Refresh scores are the same.
 	lastTrim int
 }
 
@@ -501,6 +503,9 @@ type AccumState struct {
 	CurBlock  int           `json:"cur_block,omitempty"`
 	Prev      map[int]int32 `json:"prev,omitempty"`
 	Cur       map[int]int32 `json:"cur,omitempty"`
+
+	// LastTrim is the horizon trim cursor: zero until the first trim.
+	LastTrim int `json:"last_trim,omitempty"`
 }
 
 // State snapshots the accumulator. The snapshot is a deep copy with the
@@ -517,6 +522,7 @@ func (ac *Accumulator) State() *AccumState {
 		TickSeen:  ac.ticks,
 		PrevBlock: ac.prevBlock,
 		CurBlock:  ac.curBlock,
+		LastTrim:  ac.lastTrim,
 	}
 	if len(ac.trains) > 0 {
 		st.Trains = make(map[int][]int, len(ac.trains))
@@ -569,11 +575,14 @@ func RestoreAccumulator(cfg AccumConfig, st *AccumState) (*Accumulator, error) {
 	if st.Mass < 0 || st.TickSeen < 0 {
 		return nil, fmt.Errorf("sig: accumulator snapshot mass %d, ticks %d: negative", st.Mass, st.TickSeen)
 	}
+	if st.LastTrim < 0 || st.LastTrim > st.LastTick {
+		return nil, fmt.Errorf("sig: accumulator snapshot trim cursor %d outside [0, last tick %d]", st.LastTrim, st.LastTick)
+	}
 	ac.exact = st.Exact
 	ac.mass = st.Mass
 	ac.lastTick = st.LastTick
 	ac.ticks = st.TickSeen
-	ac.lastTrim = st.LastTick
+	ac.lastTrim = st.LastTrim
 	for id, tr := range st.Trains {
 		if !sort.IntsAreSorted(tr) {
 			return nil, fmt.Errorf("sig: accumulator snapshot train %d not sorted", id)

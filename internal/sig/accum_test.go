@@ -213,6 +213,39 @@ func TestAccumulatorHorizonTrim(t *testing.T) {
 	}
 }
 
+// TestAccumulatorResumeAfterTrimMatchesUninterrupted: a snapshot taken
+// after the first horizon trim carries the trim cursor, so the restored
+// accumulator trims on the ticks the uninterrupted one does and their
+// snapshots stay byte-identical — between trims the trains still hold
+// spikes older than the cap, so a cursor restarted at the snapshot tick
+// would show in the very next State.
+func TestAccumulatorResumeAfterTrimMatchesUninterrupted(t *testing.T) {
+	cfg := AccumConfig{MaxLag: 3, MinCount: 1, HorizonCap: 40}
+	feed := func(ac *Accumulator, tick int) {
+		ac.ObserveTick(tick, map[int]int{1 + tick%3: 1}, []int{1 + tick%3})
+	}
+	whole := NewAccumulator(cfg)
+	for tick := 0; tick < 57; tick++ { // trims at 11, 22, ..., 55; killed between two
+		feed(whole, tick)
+	}
+	var st AccumState
+	if err := json.Unmarshal(stateJSON(t, whole), &st); err != nil {
+		t.Fatal(err)
+	}
+	if st.LastTrim != 55 {
+		t.Fatalf("snapshot trim cursor = %d, want 55", st.LastTrim)
+	}
+	resumed, err := RestoreAccumulator(cfg, &st)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for tick := 57; tick < 140; tick++ {
+		feed(whole, tick)
+		feed(resumed, tick)
+		sameState(t, resumed, whole, fmt.Sprintf("tick %d", tick))
+	}
+}
+
 // TestAccumulatorStateRoundTrip: State/Restore must reproduce the
 // accumulator exactly — continuing both from the same point yields
 // identical counters and identical snapshots — and the JSON encoding of
@@ -358,7 +391,6 @@ type accumStream struct {
 	gapEvery int     // > 0: every so many ticks, jump further than MaxLag
 	messy    bool    // shuffle each hit set and repeat ids inside it
 	lateIDs  []int   // join the universe a third of the way in (table growth under live dirty bits)
-	noResume bool    // the trim cursor restarts on restore, as it always has: trains then trim at other ticks
 }
 
 var accumStreams = []accumStream{
@@ -369,7 +401,7 @@ var accumStreams = []accumStream{
 	{name: "gaps", cfg: AccumConfig{MaxLag: 6, MinCount: 1}, ids: seq(0, 8), p: 0.3, gapEvery: 23},
 	{name: "budget", cfg: AccumConfig{MaxLag: 12, MinCount: 3, Budget: 700}, ids: seq(0, 10), p: 0.25},
 	{name: "budget-messy", cfg: AccumConfig{MaxLag: 5, MinCount: 1, Budget: 90}, ids: seq(0, 7), p: 0.4, messy: true, gapEvery: 31},
-	{name: "horizon", cfg: AccumConfig{MaxLag: 8, MinCount: 2, HorizonCap: 40}, ids: seq(0, 8), p: 0.2, noResume: true},
+	{name: "horizon", cfg: AccumConfig{MaxLag: 8, MinCount: 2, HorizonCap: 40}, ids: seq(0, 8), p: 0.2},
 	{name: "growth", cfg: AccumConfig{MaxLag: 11, MinCount: 1}, ids: seq(0, 5), p: 0.3,
 		lateIDs: []int{63, 64, 70, 130, 300, 1100}},
 	{name: "straddle", cfg: AccumConfig{MaxLag: 7, MinCount: 1}, p: 0.25,
@@ -441,9 +473,6 @@ func TestAccumulatorMatchesFrozenKernel(t *testing.T) {
 					}
 					sameState(t, live, frozen, at+" after candidates")
 				case 2:
-					if sc.noResume {
-						break
-					}
 					// Kill and resume the live side only, through the wire form.
 					var st AccumState
 					if err := json.Unmarshal(stateJSON(t, live), &st); err != nil {
@@ -563,6 +592,8 @@ func TestRestoreAccumulatorRejectsForgedState(t *testing.T) {
 		"dirty without count":  func(st *AccumState) { st.Dirty = append(st.Dirty, refPairKey(5, 6)) },
 		"block count":          func(st *AccumState) { st.Exact, st.Ring, st.Cur = false, nil, map[int]int32{1: -2} },
 		"block count too wide": func(st *AccumState) { st.Exact, st.Ring, st.Prev = false, nil, map[int]int32{1: 12} },
+		"negative trim cursor": func(st *AccumState) { st.LastTrim = -1 },
+		"trim cursor ahead":    func(st *AccumState) { st.LastTrim = 10 },
 	} {
 		st := base()
 		forge(st)
@@ -669,12 +700,20 @@ func FuzzRestoreAccumulator(f *testing.F) {
 	f.Add([]byte(`{"max_lag":4,"exact":true,"counts":{"9223372036854775808":1,"18446744073709551615":5},"dirty":[18446744073709551615]}`))
 	f.Add([]byte(`{"max_lag":4,"exact":true,"last_tick":3,"ring":[{"t":3,"e":-1},{"t":3,"e":2147483648}],"trains":{"-1":[3]}}`))
 	f.Add([]byte(`{"max_lag":4,"exact":true,"mass":-1}`))
+	trimmed := NewAccumulator(AccumConfig{MaxLag: 4, MinCount: 1, HorizonCap: 8})
+	for tick := 0; tick < 12; tick++ {
+		trimmed.ObserveTick(tick, nil, []int{1 + tick%2})
+	}
+	seed, _ = json.Marshal(trimmed.State()) // "last_trim":9
+	f.Add(seed)
+	f.Add([]byte(`{"max_lag":4,"exact":true,"last_tick":3,"last_trim":4}`))
+	f.Add([]byte(`{"max_lag":4,"exact":true,"last_tick":3,"last_trim":-2}`))
 	f.Fuzz(func(t *testing.T, data []byte) {
 		var st AccumState
 		if json.Unmarshal(data, &st) != nil {
 			return
 		}
-		cfg := AccumConfig{MaxLag: st.MaxLag, MinCount: 1, Budget: 1 << 20}
+		cfg := AccumConfig{MaxLag: st.MaxLag, MinCount: 1, Budget: 1 << 20, HorizonCap: 8}
 		ac, err := RestoreAccumulator(cfg, &st)
 		if err != nil {
 			return
@@ -1028,6 +1067,7 @@ func (ac *refAccum) State() *AccumState {
 		TickSeen:  ac.ticks,
 		PrevBlock: ac.prevBlock,
 		CurBlock:  ac.curBlock,
+		LastTrim:  ac.lastTrim,
 	}
 	if len(ac.trains) > 0 {
 		st.Trains = make(map[int][]int, len(ac.trains))
@@ -1082,7 +1122,7 @@ func restoreRefAccum(cfg AccumConfig, st *AccumState) (*refAccum, error) {
 	ac.mass = st.Mass
 	ac.lastTick = st.LastTick
 	ac.ticks = st.TickSeen
-	ac.lastTrim = st.LastTick
+	ac.lastTrim = st.LastTrim
 	for id, tr := range st.Trains {
 		if !sort.IntsAreSorted(tr) {
 			return nil, fmt.Errorf("sig: accumulator snapshot train %d not sorted", id)

@@ -62,10 +62,16 @@ func (m *Model) NewMonitorWith(start time.Time, cfg PredictConfig) *Monitor {
 
 // pipelineConfig is the monitor's driver configuration: the defaults
 // plus an incremental statistics accumulator armed under the model's
-// training parameters, so Refresh can retrain from live counters.
+// training parameters, so Refresh can retrain from live counters. The
+// accumulator's spike trains slide over a window as long as the span the
+// model was trained on: Refresh then scores the live system over the
+// amount of history training judged sufficient, so a chain whose
+// archetype vanished loses its support within one span instead of
+// keeping it forever, and a round's cost stops growing with uptime.
 func (m *Model) pipelineConfig() pipeline.Config {
 	cfg := pipeline.DefaultConfig()
 	ac := correlate.AccumConfigFor(m.inner.Mode, m.trainCfg.Correlation)
+	ac.HorizonCap = m.window
 	cfg.Accumulate = &ac
 	return cfg
 }
@@ -94,8 +100,11 @@ func (mo *Monitor) AdvanceTo(now time.Time) []Prediction {
 type RefreshStats = correlate.RefreshStats
 
 // Refresh retrains the model's correlation chains from the live
-// statistics the monitor has accumulated since it started (or since the
-// snapshot it resumed from) — without replaying the horizon. Only pairs
+// statistics the monitor has accumulated — without replaying the
+// horizon. It is the paper's correlation-updating module: the spike
+// trains it scores slide over the most recent training-span's worth of
+// stream, so chains of a fault archetype that disappeared are retired
+// and chains of a new one admitted as the machine changes. Only pairs
 // whose co-occurrence counters moved since the last Refresh are
 // re-scored; when the seed structure is unchanged the existing chains
 // are merely re-scored against the fresh spike trains, which keeps a
@@ -103,7 +112,10 @@ type RefreshStats = correlate.RefreshStats
 // running session keeps its stream state across the swap: partial chain
 // matches survive when their chain does, and the refreshed chain set is
 // live for the very next tick. Chains the refresh adds predict with
-// node scope until a location profile is trained for them offline.
+// node scope until a location profile is trained for them offline. The
+// full miner runs at most once in 16 rounds while the seed structure
+// keeps changing, so a new chain appears within 16 calls of its events
+// first correlating: the caller's cadence sets that delay.
 //
 // A refresh before any tick has closed is a no-op.
 func (mo *Monitor) Refresh() RefreshStats {

@@ -7,7 +7,7 @@ import (
 
 // feedOK feeds one record, failing the test on an unexpected error —
 // the streaming tests never feed a closed monitor.
-func feedOK(t *testing.T, mon *Monitor, r Record) []Prediction {
+func feedOK(t testing.TB, mon *Monitor, r Record) []Prediction {
 	t.Helper()
 	preds, err := mon.Feed(r)
 	if err != nil {

@@ -120,6 +120,7 @@ func LoadModel(r io.Reader) (*Model, error) {
 		profiles:  env.Locations,
 		organizer: org,
 		trainCfg:  cfg,
+		window:    trainingSpan(env.Model),
 	}, nil
 }
 

@@ -1,6 +1,8 @@
 package elsa
 
 import (
+	"bytes"
+	"encoding/json"
 	"reflect"
 	"strings"
 	"testing"
@@ -67,8 +69,42 @@ func TestMonitorRefreshRetrainsFromStream(t *testing.T) {
 // must emit the uninterrupted monitor's predictions exactly, and its
 // next Refresh must behave identically (fast path and all).
 func TestResumedMonitorRefreshMatchesUninterrupted(t *testing.T) {
-	log := GenerateBGL(91, apiStart, 4*24*time.Hour)
-	cut := apiStart.Add(2 * 24 * time.Hour)
+	checkResumedRefresh(t, 91, 2*day, 2*day)
+}
+
+// TestResumedMonitorRefreshAfterTrimMatchesUninterrupted kills the
+// monitor after its live window has started to slide: one day of
+// training arms an 8 640-tick window, the snapshot falls at tick ~10 770
+// of a 2.5-day stream, between the trims at 8 644 and 10 805. The trim
+// cursor must ride the snapshot — a resumed accumulator that restarted
+// it would next trim a quarter-window after the snapshot instead of some
+// thirty ticks after it, Refresh would score other trains, and the final
+// accumulator state would differ.
+func TestResumedMonitorRefreshAfterTrimMatchesUninterrupted(t *testing.T) {
+	if cursor := checkResumedRefresh(t, 91, day, 5*day/2); cursor <= 8640 {
+		t.Fatalf("snapshot trim cursor = %d: the window had not slid yet, the scenario proves nothing", cursor)
+	}
+}
+
+// accumBytes is the monitor's accumulator state as it would ride a
+// snapshot.
+func accumBytes(t *testing.T, mo *Monitor) []byte {
+	t.Helper()
+	b, err := json.Marshal(mo.pipe.Accumulator().State())
+	if err != nil {
+		t.Fatal(err)
+	}
+	return b
+}
+
+// checkResumedRefresh trains on the first trainSpan of a BG/L log, then
+// runs the rest twice — uninterrupted, and killed half way, right after
+// a Refresh, and resumed from a stale model file plus the snapshot — and
+// requires the same predictions, Refresh results, chains and accumulator
+// bytes from both. It returns the trim cursor the snapshot carried.
+func checkResumedRefresh(t *testing.T, seed int64, trainSpan, streamSpan time.Duration) (trimCursor int) {
+	log := GenerateBGL(seed, apiStart, trainSpan+streamSpan)
+	cut := apiStart.Add(trainSpan)
 	train, test, _ := log.Split(cut)
 	half := len(test) / 2
 
@@ -85,6 +121,7 @@ func TestResumedMonitorRefreshMatchesUninterrupted(t *testing.T) {
 	want = append(want, ref.AdvanceTo(log.End)...)
 	wantEnd := ref.Refresh()
 	wantChains := ref.model.Chains()
+	wantAccum := accumBytes(t, ref)
 	ref.Close()
 	if wantMid.Chains == 0 || len(want) == 0 {
 		t.Fatal("fixture too quiet: reference run refreshed or predicted nothing")
@@ -111,6 +148,7 @@ func TestResumedMonitorRefreshMatchesUninterrupted(t *testing.T) {
 	if err := mon.Snapshot(&snapBlob); err != nil {
 		t.Fatalf("Snapshot: %v", err)
 	}
+	trimCursor = mon.pipe.Accumulator().State().LastTrim
 
 	// Second incarnation: stale model file + post-refresh snapshot.
 	reloaded, err := LoadModel(strings.NewReader(modelBlob.String()))
@@ -129,6 +167,7 @@ func TestResumedMonitorRefreshMatchesUninterrupted(t *testing.T) {
 	}
 	got = append(got, resumed.AdvanceTo(log.End)...)
 	gotEnd := resumed.Refresh()
+	gotAccum := accumBytes(t, resumed)
 	resumed.Close()
 
 	if len(got) != len(want) {
@@ -146,4 +185,8 @@ func TestResumedMonitorRefreshMatchesUninterrupted(t *testing.T) {
 	if !reflect.DeepEqual(reloaded.Chains(), wantChains) {
 		t.Fatal("post-resume refresh produced different chains than the uninterrupted run")
 	}
+	if !bytes.Equal(gotAccum, wantAccum) {
+		t.Fatal("resumed accumulator state differs from the uninterrupted run's")
+	}
+	return trimCursor
 }

@@ -1,6 +1,7 @@
 package elsa
 
 import (
+	"bytes"
 	"errors"
 	"strings"
 	"testing"
@@ -104,10 +105,10 @@ func TestResumeMonitorRejectsBadSnapshots(t *testing.T) {
 		t.Errorf("ErrVersionMismatch = %+v, want Got 99 / Want %d / Kind %q", vErr, monitorFormatVersion, "monitor snapshot")
 	}
 
-	if _, err := model.ResumeMonitor(strings.NewReader(`{"version": 1}`)); err == nil {
+	if _, err := model.ResumeMonitor(strings.NewReader(`{"version": 2}`)); err == nil {
 		t.Error("snapshot without session state accepted")
 	}
-	if _, err := model.ResumeMonitor(strings.NewReader(`{"version": 1, "bogus": true}`)); err == nil {
+	if _, err := model.ResumeMonitor(strings.NewReader(`{"version": 2, "bogus": true}`)); err == nil {
 		t.Error("snapshot with unknown fields accepted")
 	}
 
@@ -153,4 +154,87 @@ func TestMonitorCloseIdempotent(t *testing.T) {
 	if preds := mon.AdvanceTo(log.End.Add(time.Hour)); preds != nil {
 		t.Error("closed monitor advanced")
 	}
+}
+
+// fuzzResumeModel loads the hand-sized model of FuzzLoadModel retrained,
+// so to speak, on ten minutes: a 60-tick live window puts the first
+// horizon trim 16 ticks into the stream, which keeps a snapshot taken
+// after it small enough to fuzz.
+func fuzzResumeModel(t testing.TB) *Model {
+	t.Helper()
+	blob := strings.Replace(smallModelJSON, `"TrainEnd":"2006-07-01T06:00:00Z"`, `"TrainEnd":"2006-07-01T00:10:00Z"`, 1)
+	m, err := LoadModel(strings.NewReader(blob))
+	if err != nil || blob == smallModelJSON {
+		t.Fatalf("the seed model no longer loads with a ten-minute span: %v", err)
+	}
+	return m
+}
+
+// resumeSeed is a snapshot of a monitor over fuzzResumeModel taken after
+// the live window's first trim: a non-zero trim cursor rides in it.
+func resumeSeed(t testing.TB) []byte {
+	t.Helper()
+	start := time.Date(2006, 7, 1, 0, 10, 0, 0, time.UTC)
+	mon := fuzzResumeModel(t).NewMonitor(start)
+	for i, msg := range []string{"link error on port 7", "node card failed hard", "link error on port 9"} {
+		feedOK(t, mon, Record{Time: start.Add(time.Duration(i) * 70 * time.Second), Severity: Severe, Message: msg, EventID: -1})
+	}
+	mon.AdvanceTo(start.Add(5 * time.Minute))
+	var seed bytes.Buffer
+	if err := mon.Snapshot(&seed); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Contains(seed.Bytes(), []byte(`"last_trim": 16`)) {
+		t.Fatalf("the seed snapshot carries no trim cursor:\n%s", seed.Bytes())
+	}
+	return seed.Bytes()
+}
+
+// asVersion1 relabels a snapshot as format version 1.
+func asVersion1(snap []byte) []byte {
+	return bytes.Replace(snap, []byte(`"version": 2`), []byte(`"version": 1`), 1)
+}
+
+// TestResumeMonitorRejectsVersion1: version 1 stage counters carried a
+// supervised-restart count the envelope no longer has. A version 1
+// snapshot must fail as what it is — another format version, the signal
+// to start a fresh monitor — whatever else it holds.
+func TestResumeMonitorRejectsVersion1(t *testing.T) {
+	_, err := fuzzResumeModel(t).ResumeMonitor(bytes.NewReader(asVersion1(resumeSeed(t))))
+	var vErr *ErrVersionMismatch
+	if !errors.As(err, &vErr) || vErr.Got != 1 || vErr.Want != 2 {
+		t.Fatalf("err = %v, want ErrVersionMismatch{Got: 1, Want: 2}", err)
+	}
+}
+
+// FuzzResumeMonitor: a monitor snapshot is bytes this process did not
+// necessarily write. Arbitrary input must come back as an error, never
+// a panic, and whatever ResumeMonitor accepts must be a fixed point of
+// resume → Snapshot → resume → Snapshot, so a daemon that is killed
+// again right after resuming loses nothing.
+func FuzzResumeMonitor(f *testing.F) {
+	seed := resumeSeed(f)
+	f.Add(seed)
+	f.Add(asVersion1(seed))
+	f.Add([]byte(`{"version":2,"session":{"accum":{"max_lag":360,"exact":true,"last_tick":3,"last_trim":9}}}`))
+	f.Fuzz(func(t *testing.T, data []byte) {
+		mon, err := fuzzResumeModel(t).ResumeMonitor(bytes.NewReader(data))
+		if err != nil {
+			return
+		}
+		var first, second bytes.Buffer
+		if err := mon.Snapshot(&first); err != nil {
+			t.Fatalf("resumed monitor does not snapshot: %v", err)
+		}
+		back, err := fuzzResumeModel(t).ResumeMonitor(bytes.NewReader(first.Bytes()))
+		if err != nil {
+			t.Fatalf("snapshot of a resumed monitor does not resume: %v\n%s", err, first.Bytes())
+		}
+		if err := back.Snapshot(&second); err != nil {
+			t.Fatalf("twice-resumed monitor does not snapshot: %v", err)
+		}
+		if !bytes.Equal(first.Bytes(), second.Bytes()) {
+			t.Fatalf("resume → Snapshot is not a fixed point:\n%s\nvs\n%s", first.Bytes(), second.Bytes())
+		}
+	})
 }
