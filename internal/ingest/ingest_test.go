@@ -284,9 +284,9 @@ func TestSegDirSeekEveryBucket(t *testing.T) {
 }
 
 func TestSegDirFollowsLiveWriter(t *testing.T) {
-	recs := testRecords(t, 1)
+	recs := testRecords(t, 8) // > 1+2+…+200 records
 	dir := filepath.Join(t.TempDir(), "segs")
-	w, err := ingest.CreateSegmentDir(dir, ingest.SegmentOptions{SegmentBytes: 8 << 10})
+	w, err := ingest.CreateSegmentDir(dir, ingest.SegmentOptions{SegmentBytes: 96 << 10})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -300,26 +300,43 @@ func TestSegDirFollowsLiveWriter(t *testing.T) {
 	}
 	defer r.Close()
 
+	// The writer appends in bursts of 1, 2, … 200 records and lets the
+	// reader catch up in between, so the tail the reader polls grows by
+	// every amount from one frame to a few windows' worth.
+	burstEnd := func(from, burst int) int { return min(from+burst, len(recs)) }
+	caughtUp := make(chan struct{})
 	done := make(chan error, 1)
 	go func() {
-		for _, rec := range recs[1:] {
-			if err := w.Append(rec); err != nil {
-				done <- err
-				return
+		for at, burst := 1, 1; at < len(recs); burst = burst%200 + 1 {
+			end := burstEnd(at, burst)
+			for _, rec := range recs[at:end] {
+				if err := w.Append(rec); err != nil {
+					done <- err
+					return
+				}
 			}
+			at = end
+			<-caughtUp
 		}
 		done <- w.Close()
 	}()
 
-	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
+	ctx, cancel := context.WithTimeout(context.Background(), 2*time.Minute)
 	defer cancel()
 	got := make([]logs.Record, 0, len(recs))
-	for len(got) < len(recs) {
+	for next, burst := 1, 0; len(got) < len(recs); {
 		rec, err := r.Next(ctx)
 		if err != nil {
 			t.Fatalf("tailing Next after %d records: %v", len(got), err)
 		}
 		got = append(got, rec)
+		if len(got) == next {
+			if burst > 0 {
+				caughtUp <- struct{}{}
+			}
+			burst = burst%200 + 1
+			next = burstEnd(next, burst)
+		}
 	}
 	if err := <-done; err != nil {
 		t.Fatalf("writer: %v", err)

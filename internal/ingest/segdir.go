@@ -43,7 +43,7 @@ type SegDir struct {
 	rel  int64 // records consumed in the active segment
 	pos  int64 // byte position in the active segment
 	size int64 // cached segment size, refreshed when a read hits it
-	buf  []byte
+	win  frameWindow
 
 	stats  Stats
 	closed bool
@@ -89,6 +89,7 @@ func (r *SegDir) openSegment(base int64) error {
 		r.f.Close()
 	}
 	r.f, r.base, r.rel, r.pos, r.size = f, base, 0, segHeaderLen, st.Size()
+	r.win.drop()
 	return nil
 }
 
@@ -130,8 +131,7 @@ func (r *SegDir) Next(ctx context.Context) (logs.Record, error) {
 		if err := ctx.Err(); err != nil {
 			return logs.Record{}, err
 		}
-		payload, nbuf, size, ferr := readFrameAt(r.f, r.size, r.pos, r.buf)
-		r.buf = nbuf
+		payload, size, ferr := r.win.frameAt(r.f, r.size, r.pos)
 		if ferr == io.EOF || ferr == errFrameTorn {
 			// The cached size may be stale while the writer appends.
 			grew, err := r.refreshSize()
@@ -169,10 +169,18 @@ func (r *SegDir) Next(ctx context.Context) (logs.Record, error) {
 				return logs.Record{}, err
 			}
 			if next >= 0 {
-				// Sealed segment. A clean end is the normal roll; bytes
-				// left over are a torn tail to abandon (resync) — the
-				// records they held are quarantined against the gap to
-				// the next base.
+				// Sealed segment — but the writer may have appended to it
+				// and rolled since the size check above. What a sealed
+				// segment holds is final, so look once more before
+				// leaving it.
+				if grew, err := r.refreshSize(); err != nil {
+					return logs.Record{}, err
+				} else if grew {
+					continue
+				}
+				// A clean end is the normal roll; bytes left over are a
+				// torn tail to abandon (resync) — the records they held
+				// are quarantined against the gap to the next base.
 				if ferr != io.EOF {
 					r.stats.Resyncs++
 					if lost := next - (r.base + r.rel); lost > 0 {
@@ -250,8 +258,7 @@ func (r *SegDir) Seek(off Offset) error {
 	startRel, startPos := indexFloor(idxPath(r.dir, r.base), rel)
 	r.rel, r.pos = startRel, startPos
 	for r.rel < rel {
-		_, nbuf, size, ferr := readFrameAt(r.f, r.size, r.pos, r.buf)
-		r.buf = nbuf
+		_, size, ferr := r.win.frameAt(r.f, r.size, r.pos)
 		switch ferr {
 		case nil, errFrameCRC:
 			r.pos += size

@@ -129,7 +129,7 @@ func (w *SegmentWriter) Append(rec logs.Record) error {
 			return err
 		}
 	}
-	w.buf = appendFrame(w.buf[:0], []byte(rec.String()))
+	w.buf = appendRecordFrame(w.buf[:0], rec)
 	if _, err := w.f.Write(w.buf); err != nil {
 		return err
 	}
@@ -247,10 +247,9 @@ func (w *SegmentWriter) reopenTail(base int64) error {
 	}
 	// Scan to the last frame boundary; anything after it is a torn tail.
 	pos, n := int64(segHeaderLen), int64(0)
-	var buf []byte
+	var win frameWindow
 	for {
-		_, nbuf, size, err := readFrameAt(f, st.Size(), pos, buf)
-		buf = nbuf
+		_, size, err := win.frameAt(f, st.Size(), pos)
 		if err != nil { //nolint:elsaerrflow // the error is the scan terminator; the torn tail it marks is truncated just below
 			break // io.EOF (clean), torn, invalid or CRC: stop appending here
 		}
@@ -286,8 +285,7 @@ func (w *SegmentWriter) reopenTail(base int64) error {
 				return err
 			}
 		}
-		_, nbuf, size, err := readFrameAt(f, pos, rescanPos, buf)
-		buf = nbuf
+		_, size, err := win.frameAt(f, pos, rescanPos)
 		if err != nil {
 			w.Close()
 			return fmt.Errorf("ingest: segment %s changed under rescan: %v", seg, err)

@@ -1,6 +1,7 @@
 package ingest
 
 import (
+	"bufio"
 	"context"
 	"io"
 	"net"
@@ -100,9 +101,11 @@ func (s *Socket) accept() {
 func (s *Socket) serve(conn net.Conn) {
 	defer s.wg.Done()
 	clean := false
+	// One read(2) per burst, not two per frame.
+	br := bufio.NewReaderSize(conn, 64<<10)
 	var buf []byte
 	for {
-		payload, nbuf, _, err := readFrame(conn, buf)
+		payload, nbuf, _, err := readFrame(br, buf)
 		buf = nbuf
 		if err != nil {
 			switch err {
@@ -261,7 +264,7 @@ func NewFrameConn(w io.Writer) *FrameConn { return &FrameConn{w: w} }
 
 // WriteRecord frames one record.
 func (fc *FrameConn) WriteRecord(rec logs.Record) error {
-	fc.buf = appendFrame(fc.buf[:0], []byte(rec.String()))
+	fc.buf = appendRecordFrame(fc.buf[:0], rec)
 	_, err := fc.w.Write(fc.buf)
 	return err
 }

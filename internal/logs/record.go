@@ -81,34 +81,54 @@ type Record struct {
 //
 //	RFC3339Nano SEVERITY LOCATION COMPONENT message...
 func (r Record) String() string {
-	loc := r.Location.String()
+	// 64 bytes hold the longest timestamp, severity and hierarchical code.
+	n := 64 + len(r.Location.Flat) + len(r.Component) + len(r.Message)
+	return string(r.AppendText(make([]byte, 0, n)))
+}
+
+// AppendText appends the canonical one-line text format to dst: what
+// String returns, rendered without fmt so a writer can frame a record
+// straight into its output buffer.
+func (r Record) AppendText(dst []byte) []byte {
+	dst = r.Time.UTC().AppendFormat(dst, time.RFC3339Nano)
+	dst = append(append(dst, ' '), r.Severity.String()...)
+	dst = r.Location.AppendText(append(dst, ' '))
 	comp := r.Component
 	if comp == "" {
 		comp = "-"
 	}
-	return fmt.Sprintf("%s %s %s %s %s",
-		r.Time.UTC().Format(time.RFC3339Nano), r.Severity, loc, comp, r.Message)
+	dst = append(append(dst, ' '), comp...)
+	return append(append(dst, ' '), r.Message...)
 }
 
 // ParseRecord decodes one canonical text line. EventID is set to -1.
 func ParseRecord(line string) (Record, error) {
-	parts := strings.SplitN(strings.TrimRight(line, "\r\n"), " ", 5)
-	if len(parts) < 5 {
-		return Record{}, fmt.Errorf("logs: short record %q", line)
+	rest := line
+	if n := len(rest); n > 0 && (rest[n-1] == '\n' || rest[n-1] == '\r') {
+		rest = strings.TrimRight(rest, "\r\n")
 	}
-	ts, err := time.Parse(time.RFC3339Nano, parts[0])
+	// Four cuts at the first space, message last: no slice of parts.
+	var head [4]string
+	for i := range head {
+		j := strings.IndexByte(rest, ' ')
+		if j < 0 {
+			return Record{}, fmt.Errorf("logs: short record %q", line)
+		}
+		head[i], rest = rest[:j], rest[j+1:]
+	}
+	ts, err := time.Parse(time.RFC3339Nano, head[0])
 	if err != nil {
 		return Record{}, fmt.Errorf("logs: bad timestamp in %q: %v", line, err)
 	}
-	sev, err := ParseSeverity(parts[1])
+	sev, err := ParseSeverity(head[1])
 	if err != nil {
 		return Record{}, fmt.Errorf("logs: %v in %q", err, line)
 	}
-	loc, err := topology.Parse(parts[2])
+	loc, err := topology.Parse(head[2])
 	if err != nil {
 		return Record{}, fmt.Errorf("logs: %v in %q", err, line)
 	}
-	comp := parts[3]
+	comp := head[3]
 	if comp == "-" {
 		comp = ""
 	}
@@ -117,7 +137,7 @@ func ParseRecord(line string) (Record, error) {
 		Severity:  sev,
 		Location:  loc,
 		Component: comp,
-		Message:   parts[4],
+		Message:   rest,
 		EventID:   -1,
 	}, nil
 }

@@ -20,6 +20,7 @@ import (
 	"fmt"
 	"strconv"
 	"strings"
+	"unicode/utf8"
 )
 
 // CardKind distinguishes the card type of a fully qualified Blue Gene-style
@@ -106,27 +107,49 @@ func (l Location) Level() Scope {
 
 // String renders the canonical location code.
 func (l Location) String() string {
-	if l.Flat != "" {
+	switch { // the two codes that are strings already cost nothing
+	case l.Flat != "":
 		return l.Flat
-	}
-	if l.Rack < 0 {
+	case l.Rack < 0:
 		return "SYSTEM"
 	}
-	var b strings.Builder
-	fmt.Fprintf(&b, "R%02d", l.Rack)
+	var buf [32]byte
+	return string(l.AppendText(buf[:0]))
+}
+
+// AppendText appends the canonical location code to dst: the rendering
+// String returns, without fmt or an intermediate string.
+func (l Location) AppendText(dst []byte) []byte {
+	if l.Flat != "" {
+		return append(dst, l.Flat...)
+	}
+	if l.Rack < 0 {
+		return append(dst, "SYSTEM"...)
+	}
+	dst = appendInt2(append(dst, 'R'), l.Rack)
 	if l.Midplane < 0 {
-		return b.String()
+		return dst
 	}
-	fmt.Fprintf(&b, "-M%d", l.Midplane)
+	dst = strconv.AppendInt(append(dst, "-M"...), int64(l.Midplane), 10)
 	if l.NodeCard < 0 {
-		return b.String()
+		return dst
 	}
-	fmt.Fprintf(&b, "-N%d", l.NodeCard)
+	dst = strconv.AppendInt(append(dst, "-N"...), int64(l.NodeCard), 10)
 	if l.Card == CardNone || l.Slot < 0 {
-		return b.String()
+		return dst
 	}
-	fmt.Fprintf(&b, "-%s:J%02d-U%02d", l.Card, l.Slot, l.Unit)
-	return b.String()
+	dst = utf8.AppendRune(append(dst, '-'), rune(l.Card))
+	dst = appendInt2(append(dst, ":J"...), l.Slot)
+	return appendInt2(append(dst, "-U"...), l.Unit)
+}
+
+// appendInt2 appends v the way fmt's %02d does: zero-padded to two
+// characters, wider values and negative ones as they are.
+func appendInt2(dst []byte, v int) []byte {
+	if 0 <= v && v < 10 {
+		dst = append(dst, '0')
+	}
+	return strconv.AppendInt(dst, int64(v), 10)
 }
 
 // Parse decodes a location code produced by String (or found in logs).

@@ -1,10 +1,60 @@
 package topology
 
 import (
+	"fmt"
 	"math/rand"
+	"strings"
 	"testing"
 	"testing/quick"
 )
+
+// refString is Location.String as it stood when it went through fmt: the
+// frozen reference AppendText is pinned to.
+func refString(l Location) string {
+	if l.Flat != "" {
+		return l.Flat
+	}
+	if l.Rack < 0 {
+		return "SYSTEM"
+	}
+	var b strings.Builder
+	fmt.Fprintf(&b, "R%02d", l.Rack)
+	if l.Midplane < 0 {
+		return b.String()
+	}
+	fmt.Fprintf(&b, "-M%d", l.Midplane)
+	if l.NodeCard < 0 {
+		return b.String()
+	}
+	fmt.Fprintf(&b, "-N%d", l.NodeCard)
+	if l.Card == CardNone || l.Slot < 0 {
+		return b.String()
+	}
+	fmt.Fprintf(&b, "-%s:J%02d-U%02d", l.Card, l.Slot, l.Unit)
+	return b.String()
+}
+
+// TestAppendTextMatchesFmtRendering walks every node, node card, midplane
+// and rack of the machine plus the field values no machine produces
+// (three-digit racks, a negative unit, a card byte outside ASCII).
+func TestAppendTextMatchesFmtRendering(t *testing.T) {
+	m := BlueGeneL()
+	locs := []Location{System, {}, FlatNode("tg-c042"), Node(100, 1, 15, 7, 11), Node(5, 0, 3, 9, -1),
+		Node(123456, 12, 345, 100, 100), {Rack: 9, Midplane: 0, NodeCard: 2, Card: CardKind(0xe9), Slot: 3, Unit: 4}}
+	for i := 0; i < m.NumNodes(); i++ {
+		n := m.NodeByIndex(i)
+		locs = append(locs, n, n.Truncate(ScopeNodeCard), n.Truncate(ScopeMidplane), n.Truncate(ScopeRack))
+	}
+	for _, l := range locs {
+		want := refString(l)
+		if got := l.String(); got != want {
+			t.Fatalf("%#v: String() = %q, fmt rendering %q", l, got, want)
+		}
+		if got := string(l.AppendText([]byte("x "))); got != "x "+want {
+			t.Fatalf("%#v: AppendText = %q, want x %q", l, got, want)
+		}
+	}
+}
 
 func TestParseRoundTrip(t *testing.T) {
 	cases := []string{
