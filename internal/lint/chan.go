@@ -30,6 +30,7 @@ import (
 	"go/ast"
 	"go/token"
 	"go/types"
+	"sort"
 	"strings"
 
 	"golang.org/x/tools/go/analysis"
@@ -43,8 +44,8 @@ const chanOwnerDirective = "//elsa:chanowner"
 
 // ChanAnalyzer enforces channel close discipline and flags
 // goroutine-leak shapes. elsalocksafe's syntactic "uncancellable
-// goroutine" check is its pre-pass (the way elsahotpath screens for
-// elsaalloc), so //nolint:elsalocksafe suppressions carry over.
+// goroutine" check is its pre-pass (the way elsadeterminism screens
+// for elsadetflow), so //nolint:elsalocksafe suppressions carry over.
 var ChanAnalyzer = &analysis.Analyzer{
 	Name: "elsachan",
 	Doc: "model channels as cells with send/recv/close edges and report double-close, " +
@@ -58,11 +59,9 @@ var ChanAnalyzer = &analysis.Analyzer{
 // make(chan) site, a channel-typed parameter, or a channel-valued
 // field path (s.done).
 type chanCell struct {
-	name    string       // diagnostic name: rooted path of the expression
-	obj     types.Object // non-nil for ident-bound cells (locals, params)
-	param   bool         // the cell entered through the parameter list
-	field   bool         // the cell is a selector path (struct field edge)
-	created bool         // a make(chan) was assigned to it in this function
+	name    string // diagnostic name: rooted path of the expression
+	param   bool   // the cell entered through the parameter list
+	created bool   // a make(chan) was assigned to it in this function
 	// createdGo is the goroutine scope (nil = the function's own body)
 	// that created the cell; closes in that scope are by the owner.
 	createdGo *ast.FuncLit
@@ -102,9 +101,8 @@ type chanOp struct {
 type chanScope struct {
 	pass     *analysis.Pass
 	fn       *ast.FuncDecl
-	ownerIdx map[string]map[int][]string // filename -> line -> annotated names
-	cells    map[types.Object]*chanCell
-	fields   map[string]*chanCell
+	ownerIdx *lineIndex[[]string] // names of each //elsa:chanowner comment
+	cells    cellTable[chanCell]
 	gos      []*chanGoroutine
 	fnOwned  []string // names from a function-level //elsa:chanowner
 }
@@ -115,7 +113,12 @@ func runChan(pass *analysis.Pass) (interface{}, error) {
 	// elsalocksafe's goroutine screen is the syntactic pre-pass of the
 	// leak analysis: one contract, two depths, one suppression.
 	rep.sup.aliases = []string{LockSafeAnalyzer.Name}
-	ownerIdx := chanOwnerIndex(pass)
+	// A `go` statement on line L+1 looks up the transfer annotation on
+	// line L.
+	ownerIdx := indexComments(pass.Fset, pass.Files, func(c *ast.Comment) ([]string, bool) {
+		arg, ok := directiveText(c.Text, chanOwnerDirective)
+		return splitNames(arg), ok
+	})
 	ins.Preorder([]ast.Node{(*ast.FuncDecl)(nil)}, func(n ast.Node) {
 		fn := n.(*ast.FuncDecl)
 		if fn.Body == nil {
@@ -125,8 +128,7 @@ func runChan(pass *analysis.Pass) (interface{}, error) {
 			pass:     pass,
 			fn:       fn,
 			ownerIdx: ownerIdx,
-			cells:    make(map[types.Object]*chanCell),
-			fields:   make(map[string]*chanCell),
+			cells:    newCellTable[chanCell](),
 		}
 		if arg, ok := directiveArg(fn.Doc, chanOwnerDirective); ok {
 			cs.fnOwned = splitNames(arg)
@@ -138,43 +140,6 @@ func runChan(pass *analysis.Pass) (interface{}, error) {
 		cs.checkLeaks(rep)
 	})
 	return nil, nil
-}
-
-// chanOwnerIndex collects every //elsa:chanowner comment of the pass by
-// file and line, so a `go` statement on line L+1 can look up the
-// transfer annotation on line L.
-func chanOwnerIndex(pass *analysis.Pass) map[string]map[int][]string {
-	idx := make(map[string]map[int][]string)
-	for _, f := range pass.Files {
-		for _, cg := range f.Comments {
-			for _, c := range cg.List {
-				arg, ok := directiveText(c.Text, chanOwnerDirective)
-				if !ok {
-					continue
-				}
-				p := pass.Fset.Position(c.Pos())
-				byLine := idx[p.Filename]
-				if byLine == nil {
-					byLine = make(map[int][]string)
-					idx[p.Filename] = byLine
-				}
-				byLine[p.Line] = append(byLine[p.Line], splitNames(arg)...)
-			}
-		}
-	}
-	return idx
-}
-
-// directiveText matches one comment's text against a directive,
-// returning the trailing argument.
-func directiveText(text, directive string) (string, bool) {
-	if text == directive {
-		return "", true
-	}
-	if strings.HasPrefix(text, directive+" ") {
-		return strings.TrimSpace(text[len(directive)+1:]), true
-	}
-	return "", false
 }
 
 func splitNames(arg string) []string {
@@ -213,7 +178,7 @@ func (cs *chanScope) declareParams() {
 			if _, ok := obj.Type().Underlying().(*types.Chan); !ok {
 				continue
 			}
-			cs.cells[obj] = &chanCell{name: name.Name, obj: obj, param: true, capConst: -1}
+			cs.cells.byObj[obj] = &chanCell{name: name.Name, param: true, capConst: -1}
 		}
 	}
 }
@@ -230,29 +195,11 @@ func (cs *chanScope) cellFor(e ast.Expr) *chanCell {
 	if _, ok := t.Underlying().(*types.Chan); !ok {
 		return nil
 	}
-	switch x := e.(type) {
-	case *ast.Ident:
-		obj := objOf(cs.pass.TypesInfo, x)
-		if obj == nil {
-			return nil
-		}
-		if c, ok := cs.cells[obj]; ok {
-			return c
-		}
-		c := &chanCell{name: x.Name, obj: obj, capConst: -1}
-		cs.cells[obj] = c
-		return c
-	case *ast.SelectorExpr:
-		root := rootString(x)
-		if root == "" {
-			return nil
-		}
-		if c, ok := cs.fields[root]; ok {
-			return c
-		}
-		c := &chanCell{name: root, field: true, capConst: -1}
-		cs.fields[root] = c
-		return c
+	switch e.(type) {
+	case *ast.Ident, *ast.SelectorExpr:
+		return cs.cells.lookup(cs.pass.TypesInfo, e, func(name string) *chanCell {
+			return &chanCell{name: name, capConst: -1}
+		})
 	}
 	return nil
 }
@@ -361,19 +308,7 @@ func (cs *chanScope) collect(n ast.Node, goLit *ast.FuncLit, inLoop bool) {
 		cs.collect(n.Body, goLit, inLoop)
 		return
 	}
-	// Generic recursion over children for everything else.
-	first := true
-	ast.Inspect(n, func(m ast.Node) bool {
-		if first {
-			first = false
-			return true
-		}
-		if m == nil {
-			return false
-		}
-		cs.collect(m, goLit, inLoop)
-		return false
-	})
+	forEachChild(n, func(m ast.Node) { cs.collect(m, goLit, inLoop) })
 }
 
 // collectComm records the channel op a select comm clause performs,
@@ -475,14 +410,10 @@ func (cs *chanScope) bindCreation(lhs, rhs ast.Expr, goLit *ast.FuncLit) {
 // statement (a directive on the statement's own line or the line
 // above).
 func (cs *chanScope) goAnnotations(g *ast.GoStmt) []string {
-	p := cs.pass.Fset.Position(g.Pos())
-	byLine := cs.ownerIdx[p.Filename]
-	if byLine == nil {
-		return nil
-	}
 	var out []string
-	out = append(out, byLine[p.Line]...)
-	out = append(out, byLine[p.Line-1]...)
+	for _, names := range cs.ownerIdx.near(g.Pos()) {
+		out = append(out, names...)
+	}
 	return out
 }
 
@@ -765,23 +696,17 @@ func (cs *chanScope) checkLeaks(rep *reporter) {
 	}
 }
 
-// allCellsSorted returns every tracked cell in stable (position-ish)
-// order: ident cells by object position, then field cells by name.
+// allCellsSorted returns every tracked cell in stable order — map
+// iteration is not — by name, then first close position.
 func (cs *chanScope) allCellsSorted() []*chanCell {
 	var out []*chanCell
-	for _, c := range cs.cells {
+	for _, c := range cs.cells.byObj {
 		out = append(out, c)
 	}
-	for _, c := range cs.fields {
+	for _, c := range cs.cells.byPath {
 		out = append(out, c)
 	}
-	// Insertion order of maps is nondeterministic; sort by name then
-	// first close position so diagnostics are stable.
-	for i := 1; i < len(out); i++ {
-		for j := i; j > 0 && chanCellLess(out[j], out[j-1]); j-- {
-			out[j], out[j-1] = out[j-1], out[j]
-		}
-	}
+	sort.Slice(out, func(i, j int) bool { return chanCellLess(out[i], out[j]) })
 	return out
 }
 

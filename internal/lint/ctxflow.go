@@ -161,14 +161,7 @@ func checkCtxBody(pass *analysis.Pass, rep *reporter, body *ast.BlockStmt) {
 				rep.reportf(n.Pos(), "ctxflow: range over channel blocks until close; drain with a select on ctx.Done()")
 			}
 		}
-		// Generic recursion over children.
-		ast.Inspect(n, func(m ast.Node) bool {
-			if m == n {
-				return true
-			}
-			walk(m)
-			return false
-		})
+		forEachChild(n, walk)
 	}
 	for _, s := range body.List {
 		walk(s)

@@ -35,14 +35,7 @@ func init() {
 }
 
 func runDeterminism(pass *analysis.Pass) (interface{}, error) {
-	scoped := false
-	for _, p := range strings.Split(determinismPackages, ",") {
-		if strings.TrimSpace(p) == pass.Pkg.Name() {
-			scoped = true
-			break
-		}
-	}
-	if !scoped {
+	if !inScope(determinismPackages, pass.Pkg) {
 		return nil, nil
 	}
 	ins := pass.ResultOf[inspect.Analyzer].(*inspector.Inspector)
@@ -100,8 +93,31 @@ func runDeterminism(pass *analysis.Pass) (interface{}, error) {
 // larger scale).
 func checkMapOrderEscapes(pass *analysis.Pass, rep *reporter, fn *ast.FuncDecl) {
 	info := pass.TypesInfo
+	sorted := sortedRoots(info, fn)
+	ast.Inspect(fn.Body, func(n ast.Node) bool {
+		rng, ok := n.(*ast.RangeStmt)
+		if !ok {
+			return true
+		}
+		if _, isMap := info.TypeOf(rng.X).Underlying().(*types.Map); !isMap {
+			return true
+		}
+		orderedAppends(info, rng.Body, func(asg *ast.AssignStmt, target string) {
+			if target == "" || sorted[target] {
+				return
+			}
+			rep.reportf(asg.Pos(),
+				"determinism: %s is built in map iteration order and never sorted in this function; sort it (or //nolint:elsadeterminism with the invariant that makes order irrelevant)",
+				target)
+		})
+		return true
+	})
+}
 
-	// Pass 1: every storage path handed to a sort function anywhere in fn.
+// sortedRoots is every storage path handed to a sort function anywhere
+// in fn: an explicit sort re-establishes order determinism, wherever
+// in the function it lives.
+func sortedRoots(info *types.Info, fn *ast.FuncDecl) map[string]bool {
 	sorted := map[string]bool{}
 	ast.Inspect(fn.Body, func(n ast.Node) bool {
 		call, ok := n.(*ast.CallExpr)
@@ -133,48 +149,37 @@ func checkMapOrderEscapes(pass *analysis.Pass, rep *reporter, fn *ast.FuncDecl) 
 		}
 		return true
 	})
+	return sorted
+}
 
-	// Pass 2: appends under a map range whose target is never sorted.
-	ast.Inspect(fn.Body, func(n ast.Node) bool {
-		rng, ok := n.(*ast.RangeStmt)
+// orderedAppends calls visit for every `x = append(...)` under body
+// with x's storage path: the slices whose element order is the order
+// body's statements happened to run in.
+func orderedAppends(info *types.Info, body ast.Node, visit func(asg *ast.AssignStmt, target string)) {
+	ast.Inspect(body, func(m ast.Node) bool {
+		asg, ok := m.(*ast.AssignStmt)
+		if !ok || len(asg.Rhs) != 1 {
+			return true
+		}
+		call, ok := asg.Rhs[0].(*ast.CallExpr)
 		if !ok {
 			return true
 		}
-		if _, isMap := info.TypeOf(rng.X).Underlying().(*types.Map); !isMap {
+		id, ok := call.Fun.(*ast.Ident)
+		if !ok || id.Name != "append" {
 			return true
 		}
-		ast.Inspect(rng.Body, func(m ast.Node) bool {
-			asg, ok := m.(*ast.AssignStmt)
-			if !ok || len(asg.Rhs) != 1 {
-				return true
-			}
-			call, ok := asg.Rhs[0].(*ast.CallExpr)
-			if !ok {
-				return true
-			}
-			id, ok := call.Fun.(*ast.Ident)
-			if !ok || id.Name != "append" {
-				return true
-			}
-			if b, ok := info.Uses[id].(*types.Builtin); !ok || b.Name() != "append" {
-				return true
-			}
-			target := rootString(asg.Lhs[0])
-			if target == "" || sorted[target] {
-				return true
-			}
-			// Appending to a map element keyed by the loop key is
-			// order-insensitive grouping, not ordered output.
-			if ix, ok := asg.Lhs[0].(*ast.IndexExpr); ok {
-				if _, isMap := info.TypeOf(ix.X).Underlying().(*types.Map); isMap {
-					return true
-				}
-			}
-			rep.reportf(asg.Pos(),
-				"determinism: %s is built in map iteration order and never sorted in this function; sort it (or //nolint:elsadeterminism with the invariant that makes order irrelevant)",
-				target)
+		if b, ok := info.Uses[id].(*types.Builtin); !ok || b.Name() != "append" {
 			return true
-		})
+		}
+		// Appending to a map element keyed by the loop key is
+		// order-insensitive grouping, not ordered output.
+		if ix, ok := asg.Lhs[0].(*ast.IndexExpr); ok {
+			if _, isMap := info.TypeOf(ix.X).Underlying().(*types.Map); isMap {
+				return true
+			}
+		}
+		visit(asg, rootString(asg.Lhs[0]))
 		return true
 	})
 }

@@ -1,7 +1,7 @@
 package lint
 
 // detflow.go is the taint layer of the determinism contract.
-// elsadeterminism is its syntactic pre-pass (the elsahotpath→elsaalloc
+// elsadeterminism is its syntactic pre-pass (the elsalocksafe→elsachan
 // pattern): inside the training packages it bans every wall-clock
 // read, global-rand call and unsorted map-order escape outright,
 // because the trained model must be bit-identical across runs.
@@ -73,14 +73,7 @@ type taintInfo struct {
 }
 
 func runDetFlow(pass *analysis.Pass) (interface{}, error) {
-	scoped := false
-	for _, p := range strings.Split(detFlowPackages, ",") {
-		if strings.TrimSpace(p) == pass.Pkg.Name() {
-			scoped = true
-			break
-		}
-	}
-	if !scoped {
+	if !inScope(detFlowPackages, pass.Pkg) {
 		return nil, nil
 	}
 	rep := newReporter(pass)
@@ -108,32 +101,14 @@ func runDetFlow(pass *analysis.Pass) (interface{}, error) {
 // nondetOkIndex collects every reasoned //elsa:nondet-ok by file line.
 // Reasonless directives are flagged and do not suppress — the escape
 // hatch must document why the nondeterminism is acceptable.
-func nondetOkIndex(pass *analysis.Pass, rep *reporter) map[string]map[int]bool {
-	idx := make(map[string]map[int]bool)
-	for _, f := range pass.Files {
-		for _, cg := range f.Comments {
-			for _, c := range cg.List {
-				arg, ok := directiveText(c.Text, nondetOkDirective)
-				if !ok {
-					continue
-				}
-				p := pass.Fset.Position(c.Pos())
-				if strings.TrimSpace(arg) == "" {
-					if !inTestFile(pass.Fset, c.Pos()) {
-						rep.reportf(c.Pos(), "detflow: //elsa:nondet-ok needs a reason; an undocumented escape hatch cannot be audited")
-					}
-					continue
-				}
-				byLine := idx[p.Filename]
-				if byLine == nil {
-					byLine = make(map[int]bool)
-					idx[p.Filename] = byLine
-				}
-				byLine[p.Line] = true
-			}
+func nondetOkIndex(pass *analysis.Pass, rep *reporter) *lineIndex[string] {
+	return indexComments(pass.Fset, pass.Files, func(c *ast.Comment) (string, bool) {
+		reason, ok := directiveText(c.Text, nondetOkDirective)
+		if ok && reason == "" && !inTestFile(pass.Fset, c.Pos()) {
+			rep.reportf(c.Pos(), "detflow: //elsa:nondet-ok needs a reason; an undocumented escape hatch cannot be audited")
 		}
-	}
-	return idx
+		return reason, reason != ""
+	})
 }
 
 // snapshotAnnotatedTypes collects the package's //elsa:snapshot struct
@@ -152,11 +127,7 @@ func snapshotAnnotatedTypes(pass *analysis.Pass) map[*types.TypeName]bool {
 				if !ok {
 					continue
 				}
-				doc := ts.Doc
-				if doc == nil && len(gd.Specs) == 1 {
-					doc = gd.Doc
-				}
-				if !hasDirective(doc, snapshotDirective) {
+				if !hasDirective(typeSpecDoc(gd, ts), snapshotDirective) {
 					continue
 				}
 				if obj, ok := pass.TypesInfo.Defs[ts.Name].(*types.TypeName); ok {
@@ -172,16 +143,14 @@ func snapshotAnnotatedTypes(pass *analysis.Pass) map[*types.TypeName]bool {
 type detFlow struct {
 	pass      *analysis.Pass
 	rep       *reporter
-	okLines   map[string]map[int]bool
+	okLines   *lineIndex[string]
 	snapTypes map[*types.TypeName]bool
 }
 
 // okAt reports whether a reasoned //elsa:nondet-ok covers pos (its
 // line or the line above, the nolint convention).
 func (df *detFlow) okAt(pos token.Pos) bool {
-	p := df.pass.Fset.Position(pos)
-	byLine := df.okLines[p.Filename]
-	return byLine != nil && (byLine[p.Line] || byLine[p.Line-1])
+	return len(df.okLines.near(pos)) > 0
 }
 
 // reportSink emits one finding unless the source or sink carries a
@@ -196,7 +165,7 @@ func (df *detFlow) reportSink(sinkPos token.Pos, t taintInfo, sink string) {
 
 // checkFunc runs the taint analysis over one function.
 func (df *detFlow) checkFunc(fn *ast.FuncDecl) {
-	sorted := df.sortedRoots(fn)
+	sorted := sortedRoots(df.pass.TypesInfo, fn)
 	taints := make(map[string]taintInfo)
 
 	df.seedOrderTaints(fn, taints, sorted)
@@ -210,52 +179,9 @@ func (df *detFlow) checkFunc(fn *ast.FuncDecl) {
 	df.checkSnapshotStores(fn, taints)
 }
 
-// sortedRoots is every storage path handed to a sort call anywhere in
-// the function (the determinism pre-pass convention: an explicit sort
-// re-establishes order determinism).
-func (df *detFlow) sortedRoots(fn *ast.FuncDecl) map[string]bool {
-	info := df.pass.TypesInfo
-	sorted := map[string]bool{}
-	ast.Inspect(fn.Body, func(n ast.Node) bool {
-		call, ok := n.(*ast.CallExpr)
-		if !ok {
-			return true
-		}
-		isSort := false
-		switch fun := call.Fun.(type) {
-		case *ast.SelectorExpr:
-			if obj, ok := info.Uses[fun.Sel].(*types.Func); ok && obj.Pkg() != nil {
-				switch obj.Pkg().Path() {
-				case "sort", "slices":
-					isSort = true
-				default:
-					isSort = strings.Contains(obj.Name(), "Sort")
-				}
-			}
-		case *ast.Ident:
-			isSort = strings.Contains(fun.Name, "Sort") || strings.Contains(fun.Name, "sort")
-		}
-		if isSort {
-			for _, arg := range call.Args {
-				if r := rootString(arg); r != "" {
-					sorted[r] = true
-				}
-			}
-		}
-		return true
-	})
-	return sorted
-}
-
 // sourceTaint classifies a call as a nondeterminism source.
 func (df *detFlow) sourceTaint(call *ast.CallExpr) (taintInfo, bool) {
-	var obj *types.Func
-	switch fun := ast.Unparen(call.Fun).(type) {
-	case *ast.SelectorExpr:
-		obj, _ = df.pass.TypesInfo.Uses[fun.Sel].(*types.Func)
-	case *ast.Ident:
-		obj, _ = df.pass.TypesInfo.Uses[fun].(*types.Func)
-	}
+	obj := calleeFunc(df.pass.TypesInfo, call)
 	if obj == nil || obj.Pkg() == nil || obj.Type().(*types.Signature).Recv() != nil {
 		return taintInfo{}, false
 	}
@@ -382,40 +308,11 @@ func (df *detFlow) seedOrderTaints(fn *ast.FuncDecl, taints map[string]taintInfo
 			taints[target] = taintInfo{kind: kind, pos: pos}
 		}
 	}
-	appendTargets := func(body ast.Node, visit func(asg *ast.AssignStmt, target string)) {
-		ast.Inspect(body, func(m ast.Node) bool {
-			asg, ok := m.(*ast.AssignStmt)
-			if !ok || len(asg.Rhs) != 1 {
-				return true
-			}
-			call, ok := asg.Rhs[0].(*ast.CallExpr)
-			if !ok {
-				return true
-			}
-			id, ok := call.Fun.(*ast.Ident)
-			if !ok || id.Name != "append" {
-				return true
-			}
-			if b, ok := info.Uses[id].(*types.Builtin); !ok || b.Name() != "append" {
-				return true
-			}
-			// Appending to a map element keyed by the loop key is
-			// order-insensitive grouping, not ordered output.
-			if ix, ok := asg.Lhs[0].(*ast.IndexExpr); ok {
-				if _, isMap := info.TypeOf(ix.X).Underlying().(*types.Map); isMap {
-					return true
-				}
-			}
-			visit(asg, rootString(asg.Lhs[0]))
-			return true
-		})
-	}
-
 	ast.Inspect(fn.Body, func(n ast.Node) bool {
 		switch n := n.(type) {
 		case *ast.RangeStmt:
 			if _, isMap := info.TypeOf(n.X).Underlying().(*types.Map); isMap {
-				appendTargets(n.Body, func(asg *ast.AssignStmt, target string) {
+				orderedAppends(info, n.Body, func(asg *ast.AssignStmt, target string) {
 					seed(target, "map-iteration-ordered elements", asg.Pos())
 				})
 			}
@@ -428,15 +325,17 @@ func (df *detFlow) seedOrderTaints(fn *ast.FuncDecl, taints map[string]taintInfo
 			}
 			if comms >= 2 {
 				for _, c := range n.Body.List {
-					appendTargets(c, func(asg *ast.AssignStmt, target string) {
+					orderedAppends(info, c, func(asg *ast.AssignStmt, target string) {
 						seed(target, "select-arrival-ordered elements", asg.Pos())
 					})
 				}
 			}
 		case *ast.GoStmt:
 			if lit, ok := n.Call.Fun.(*ast.FuncLit); ok {
-				appendTargets(lit.Body, func(asg *ast.AssignStmt, target string) {
-					if df.declaredOutside(asg.Lhs[0], lit) {
+				orderedAppends(info, lit.Body, func(asg *ast.AssignStmt, target string) {
+					// A shared slice appended to from a goroutine: its final
+					// order is a scheduling artifact.
+					if id := baseIdent(asg.Lhs[0]); id != nil && declaredOutside(info, id, lit) {
 						seed(target, "goroutine-completion-ordered elements", asg.Pos())
 					}
 				})
@@ -446,10 +345,9 @@ func (df *detFlow) seedOrderTaints(fn *ast.FuncDecl, taints map[string]taintInfo
 	})
 }
 
-// declaredOutside reports whether the base identifier of an lvalue is
-// declared outside the closure — the shared-slice append whose final
-// order is a scheduling artifact.
-func (df *detFlow) declaredOutside(e ast.Expr, lit *ast.FuncLit) bool {
+// baseIdent strips selectors, indexes and derefs off an lvalue down to
+// the identifier it is rooted in, nil when there is none.
+func baseIdent(e ast.Expr) *ast.Ident {
 	for {
 		switch x := e.(type) {
 		case *ast.SelectorExpr:
@@ -461,10 +359,9 @@ func (df *detFlow) declaredOutside(e ast.Expr, lit *ast.FuncLit) bool {
 		case *ast.ParenExpr:
 			e = x.X
 		case *ast.Ident:
-			obj := objOf(df.pass.TypesInfo, x)
-			return obj != nil && (obj.Pos() < lit.Pos() || obj.Pos() > lit.End())
+			return x
 		default:
-			return false
+			return nil
 		}
 	}
 }
@@ -544,15 +441,8 @@ func (df *detFlow) checkSnapshotStores(fn *ast.FuncDecl, taints map[string]taint
 			if t == nil {
 				continue
 			}
-			for {
-				if ptr, isPtr := t.(*types.Pointer); isPtr {
-					t = ptr.Elem()
-					continue
-				}
-				break
-			}
-			named, ok := t.(*types.Named)
-			if !ok || !df.snapTypes[named.Obj()] {
+			named := namedTypeOf(t)
+			if named == nil || !df.snapTypes[named.Obj()] {
 				continue
 			}
 			var rhs ast.Expr

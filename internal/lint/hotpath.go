@@ -9,18 +9,20 @@ import (
 	"golang.org/x/tools/go/ast/inspector"
 )
 
-// HotPathAnalyzer is the fast syntactic pre-pass of the //elsa:hotpath
-// contract: it flags the constructs that cost an allocation no matter
-// what escape analysis concludes — append growth, fmt formatting,
-// goroutine launches, string<->[]byte conversions and implicit
-// concrete→interface boxing. The allocation sites the compiler may
-// optimize away (make, new, composite literals, closures) are the
-// domain of elsaalloc, the dataflow layer that proves them
-// stack-allocatable or reports their escape path.
+// HotPathAnalyzer is the vet-time syntactic screen of the //elsa:hotpath
+// contract: it flags the constructs that cost an allocation whatever
+// escape analysis concludes — append growth, fmt formatting, goroutine
+// launches, string<->[]byte conversions, implicit concrete→interface
+// boxing, make(chan), and make(map)/map literals (a map the compiler
+// keeps on the stack still allocates when it grows, and -m does not
+// print either shape). The allocation sites escape analysis decides
+// (make([]T), new, composite literals, closures, addressed locals) are
+// the compiler's to judge: TestEscapeOracle reads its -m report.
 var HotPathAnalyzer = &analysis.Analyzer{
 	Name: "elsahotpath",
 	Doc: "report constructs that always allocate per call (append growth, fmt calls, goroutine " +
-		"launches, interface boxing, string<->[]byte conversions) inside functions marked //elsa:hotpath",
+		"launches, interface boxing, string<->[]byte conversions, channels and maps) inside functions " +
+		"marked //elsa:hotpath",
 	Requires: []*analysis.Analyzer{inspect.Analyzer},
 	Run:      runHotPath,
 }
@@ -61,6 +63,10 @@ func checkHotScope(pass *analysis.Pass, rep *reporter, body *ast.BlockStmt, sig 
 			return false
 		case *ast.CallExpr:
 			checkHotCall(pass, rep, n)
+		case *ast.CompositeLit:
+			if _, isMap := pass.TypesInfo.TypeOf(n).Underlying().(*types.Map); isMap {
+				rep.reportf(n.Pos(), hotMapMsg, "map literal")
+			}
 		case *ast.GoStmt:
 			rep.reportf(n.Pos(), "hotpath: goroutine launch allocates a stack")
 		case *ast.ReturnStmt:
@@ -71,13 +77,28 @@ func checkHotScope(pass *analysis.Pass, rep *reporter, body *ast.BlockStmt, sig 
 	})
 }
 
+const hotMapMsg = "hotpath: %s in a hotpath kernel is not provably allocation-free " +
+	"(map storage is heap-allocated); hoist it into reusable scratch state"
+
 // checkHotCall flags builtin and fmt calls that allocate.
 func checkHotCall(pass *analysis.Pass, rep *reporter, call *ast.CallExpr) {
 	info := pass.TypesInfo
 	switch fun := call.Fun.(type) {
 	case *ast.Ident:
-		if b, ok := info.Uses[fun].(*types.Builtin); ok && b.Name() == "append" {
+		b, ok := info.Uses[fun].(*types.Builtin)
+		if !ok {
+			break
+		}
+		switch b.Name() {
+		case "append":
 			rep.reportf(call.Pos(), "hotpath: append may grow and allocate; preallocate in a scratch buffer")
+		case "make":
+			switch info.TypeOf(call).Underlying().(type) {
+			case *types.Map:
+				rep.reportf(call.Pos(), hotMapMsg, "make(map)")
+			case *types.Chan:
+				rep.reportf(call.Pos(), "hotpath: make(chan) in a hotpath kernel allocates; channels belong to setup, not the per-call path")
+			}
 		}
 	case *ast.SelectorExpr:
 		if obj, ok := info.Uses[fun.Sel].(*types.Func); ok && obj.Pkg() != nil && obj.Pkg().Path() == "fmt" {

@@ -4,17 +4,13 @@
 // lock usage — into compile-time contracts instead of benchmark
 // aspirations.
 //
-// The suite ships thirteen analyzers:
+// The suite ships twelve analyzers:
 //
-//   - elsahotpath: a fast syntactic pre-pass over //elsa:hotpath
-//     functions for constructs that always cost an allocation (append
-//     growth, fmt formatting, goroutine launches, implicit interface
-//     conversions, string<->[]byte conversions).
-//   - elsaalloc: the dataflow layer of the same contract — make, new,
-//     composite literals and closures in //elsa:hotpath kernels are
-//     proven stack-allocatable (non-escaping, constant size) or
-//     reported with their concrete escape path; proven functions
-//     export an AllocFreeFact.
+//   - elsahotpath: the vet-time syntactic screen over //elsa:hotpath
+//     functions for constructs that cost an allocation whatever escape
+//     analysis concludes (append growth, fmt formatting, goroutine
+//     launches, implicit interface conversions, string<->[]byte
+//     conversions, make(chan), make(map) and map literals).
 //   - elsadeterminism: the training packages (sig, gradual, correlate,
 //     predict) must not read wall clocks, use the global math/rand
 //     source, or let map iteration order escape into ordered output
@@ -23,11 +19,11 @@
 //     blocking channel operation must live in a select that also waits
 //     on ctx.Done() (or have a default case); bare sends, bare
 //     receives and channel ranges are flagged.
-//   - elsalocksafe: flags locks copied by value (params, receivers,
-//     assignments, range copies), WaitGroup.Add called inside the
-//     goroutine it guards, and goroutines launched from cancellable
-//     functions with neither a cancellation nor a join path (the
-//     syntactic pre-pass of elsachan's leak analysis).
+//   - elsalocksafe: flags WaitGroup.Add called inside the goroutine it
+//     guards, and goroutines launched from cancellable functions with
+//     neither a cancellation nor a join path (the syntactic pre-pass
+//     of elsachan's leak analysis). Locks copied by value are stock
+//     go vet's copylocks, which CI runs as `go vet ./...`.
 //   - elsachan: models every channel as a cell with send/recv/close
 //     edges — through goroutine closures and struct fields — and flags
 //     double-close, close-by-non-owner (ownership = creating scope or
@@ -63,6 +59,16 @@
 //   - elsanolint: audits the //nolint:elsa... escape hatches themselves
 //     — every suppression must name known analyzers and carry a reason.
 //
+// The hot-path contract is held at three depths. elsahotpath is the
+// vet-time screen. Whether a make, new, composite literal, closure or
+// addressed local in a kernel reaches the heap is the compiler's own
+// escape analysis: TestEscapeOracle builds the module with
+// -gcflags='-m -l' and fails on any "escapes to heap"/"moved to heap"
+// report inside an //elsa:hotpath function that no reasoned
+// //nolint:elsahotpath covers. What a kernel allocates when it runs is
+// the AllocsPerRun tests beside the kernels and the benchmark's
+// pipeline.allocs_per_record row.
+//
 // Suppression: a finding is silenced by a //nolint:<name> comment on the
 // finding's line or the line above, where <name> is the analyzer name or
 // the blanket "elsa". A reason is mandatory, introduced by "//" or "--":
@@ -75,7 +81,9 @@ package lint
 
 import (
 	"go/ast"
+	"go/constant"
 	"go/token"
+	"go/types"
 	"strings"
 
 	"golang.org/x/tools/go/analysis"
@@ -84,7 +92,6 @@ import (
 // Analyzers is the full elsavet suite, in stable order.
 var Analyzers = []*analysis.Analyzer{
 	HotPathAnalyzer,
-	AllocAnalyzer,
 	DeterminismAnalyzer,
 	CtxFlowAnalyzer,
 	LockSafeAnalyzer,
@@ -100,12 +107,12 @@ var Analyzers = []*analysis.Analyzer{
 
 // analyzerNames returns the set of valid //nolint targets. Spelled as a
 // literal (not derived from Analyzers) to avoid an initialization cycle
-// through NolintAnalyzer.
+// through NolintAnalyzer; TestAnalyzerNamesMatchRegistry holds the two
+// equal.
 func analyzerNames() map[string]bool {
 	return map[string]bool{
 		"elsa":            true,
 		"elsahotpath":     true,
-		"elsaalloc":       true,
 		"elsadeterminism": true,
 		"elsactxflow":     true,
 		"elsalocksafe":    true,
@@ -118,6 +125,17 @@ func analyzerNames() map[string]bool {
 		"elsadetflow":     true,
 		"elsanolint":      true,
 	}
+}
+
+// inScope reports whether pkg is named in a comma-separated package
+// list — the scope flag of the package-scoped analyzers.
+func inScope(list string, pkg *types.Package) bool {
+	for _, p := range strings.Split(list, ",") {
+		if strings.TrimSpace(p) == pkg.Name() {
+			return true
+		}
+	}
+	return false
 }
 
 // hotPathDirective is the annotation marking a function as a verified
@@ -145,21 +163,78 @@ func directiveArg(cg *ast.CommentGroup, directive string) (string, bool) {
 		return "", false
 	}
 	for _, c := range cg.List {
-		if c.Text == directive {
-			return "", true
-		}
-		if strings.HasPrefix(c.Text, directive+" ") {
-			return strings.TrimSpace(c.Text[len(directive)+1:]), true
+		if arg, ok := directiveText(c.Text, directive); ok {
+			return arg, true
 		}
 	}
 	return "", false
+}
+
+// directiveText matches one comment's text against a directive,
+// returning the trailing argument.
+func directiveText(text, directive string) (string, bool) {
+	if text == directive {
+		return "", true
+	}
+	if strings.HasPrefix(text, directive+" ") {
+		return strings.TrimSpace(text[len(directive)+1:]), true
+	}
+	return "", false
+}
+
+// typeSpecDoc returns the comment group documenting ts: its own, or
+// the enclosing declaration's in the common single-spec form.
+func typeSpecDoc(gd *ast.GenDecl, ts *ast.TypeSpec) *ast.CommentGroup {
+	if ts.Doc == nil && len(gd.Specs) == 1 {
+		return gd.Doc
+	}
+	return ts.Doc
+}
+
+// lineIndex holds what parse extracted from each comment of a pass, by
+// file and line: the lookup behind every annotation that applies to
+// the code on its own line or the line below (//nolint,
+// //elsa:chanowner on a go statement, //elsa:nondet-ok).
+type lineIndex[T any] struct {
+	fset    *token.FileSet
+	entries map[string]map[int][]T // filename -> line -> parsed comments
+}
+
+func indexComments[T any](fset *token.FileSet, files []*ast.File, parse func(*ast.Comment) (T, bool)) *lineIndex[T] {
+	ix := &lineIndex[T]{fset: fset, entries: make(map[string]map[int][]T)}
+	for _, f := range files {
+		for _, cg := range f.Comments {
+			for _, c := range cg.List {
+				e, ok := parse(c)
+				if !ok {
+					continue
+				}
+				p := fset.Position(c.Pos())
+				byLine := ix.entries[p.Filename]
+				if byLine == nil {
+					byLine = make(map[int][]T)
+					ix.entries[p.Filename] = byLine
+				}
+				byLine[p.Line] = append(byLine[p.Line], e)
+			}
+		}
+	}
+	return ix
+}
+
+// near returns the entries covering pos: those on its line (inline
+// trailing comment), then those on the line above (standalone comment
+// over the statement).
+func (ix *lineIndex[T]) near(pos token.Pos) []T {
+	p := ix.fset.Position(pos)
+	byLine := ix.entries[p.Filename]
+	return append(append([]T(nil), byLine[p.Line]...), byLine[p.Line-1]...)
 }
 
 // nolintEntry is one parsed //nolint comment.
 type nolintEntry struct {
 	names  []string // analyzer names listed after the colon
 	reason string   // text after the "//" or "--" separator, trimmed
-	pos    token.Pos
 }
 
 // parseNolint decodes a "//nolint:..." comment, returning ok=false for
@@ -186,60 +261,33 @@ func parseNolint(text string) (e nolintEntry, ok bool) {
 	return e, true
 }
 
-// suppressor indexes every //nolint comment of the pass by file line. An
-// entry on line L suppresses findings on L (inline trailing comment) and
-// L+1 (standalone comment above the statement).
+// suppressor indexes every //nolint comment of the pass.
 type suppressor struct {
-	fset    *token.FileSet
-	entries map[string]map[int][]nolintEntry // filename -> line -> entries
-	aliases []string                         // extra analyzer names accepted as suppressing this pass
+	nolints *lineIndex[nolintEntry]
+	aliases []string // extra analyzer names accepted as suppressing this pass
 }
 
-func newSuppressor(pass *analysis.Pass) *suppressor {
-	s := &suppressor{fset: pass.Fset, entries: make(map[string]map[int][]nolintEntry)}
-	for _, f := range pass.Files {
-		for _, cg := range f.Comments {
-			for _, c := range cg.List {
-				e, ok := parseNolint(c.Text)
-				if !ok {
-					continue
-				}
-				e.pos = c.Pos()
-				p := pass.Fset.Position(c.Pos())
-				byLine := s.entries[p.Filename]
-				if byLine == nil {
-					byLine = make(map[int][]nolintEntry)
-					s.entries[p.Filename] = byLine
-				}
-				byLine[p.Line] = append(byLine[p.Line], e)
-			}
-		}
-	}
-	return s
+func newSuppressor(fset *token.FileSet, files []*ast.File) *suppressor {
+	return &suppressor{nolints: indexComments(fset, files, func(c *ast.Comment) (nolintEntry, bool) {
+		return parseNolint(c.Text)
+	})}
 }
 
 // suppressed reports whether a finding of analyzer name at pos is
 // covered by a well-formed nolint entry. Reasonless entries never
 // suppress: elsanolint flags them and the original finding stays live.
 func (s *suppressor) suppressed(name string, pos token.Pos) bool {
-	p := s.fset.Position(pos)
-	byLine := s.entries[p.Filename]
-	if byLine == nil {
-		return false
-	}
-	for _, line := range [2]int{p.Line, p.Line - 1} {
-		for _, e := range byLine[line] {
-			if e.reason == "" {
-				continue
+	for _, e := range s.nolints.near(pos) {
+		if e.reason == "" {
+			continue
+		}
+		for _, n := range e.names {
+			if n == name || n == "elsa" {
+				return true
 			}
-			for _, n := range e.names {
-				if n == name || n == "elsa" {
+			for _, a := range s.aliases {
+				if n == a {
 					return true
-				}
-				for _, a := range s.aliases {
-					if n == a {
-						return true
-					}
 				}
 			}
 		}
@@ -255,7 +303,7 @@ type reporter struct {
 }
 
 func newReporter(pass *analysis.Pass) *reporter {
-	return &reporter{pass: pass, sup: newSuppressor(pass)}
+	return &reporter{pass: pass, sup: newSuppressor(pass.Fset, pass.Files)}
 }
 
 func (r *reporter) reportf(pos token.Pos, format string, args ...interface{}) {
@@ -301,4 +349,83 @@ func rootString(e ast.Expr) string {
 		return rootString(e.X)
 	}
 	return ""
+}
+
+// objOf resolves an identifier to the object it defines or uses.
+func objOf(info *types.Info, id *ast.Ident) types.Object {
+	if obj := info.Defs[id]; obj != nil {
+		return obj
+	}
+	return info.Uses[id]
+}
+
+// constInt64 extracts an int64 from a constant expression value.
+func constInt64(tv types.TypeAndValue) (int64, bool) {
+	if tv.Value == nil {
+		return 0, false
+	}
+	v, ok := constant.Int64Val(constant.ToInt(tv.Value))
+	return v, ok
+}
+
+// declaredOutside reports whether id names a variable declared outside
+// the function literal lit, i.e. one the closure captures.
+func declaredOutside(info *types.Info, id *ast.Ident, lit *ast.FuncLit) bool {
+	obj := objOf(info, id)
+	return obj != nil && (obj.Pos() < lit.Pos() || obj.Pos() > lit.End())
+}
+
+// forEachChild calls fn on each direct child of n, in source order: the
+// "anything else" arm of the statement walkers that handle some node
+// kinds themselves and recurse through the rest.
+func forEachChild(n ast.Node, fn func(ast.Node)) {
+	ast.Inspect(n, func(m ast.Node) bool {
+		if m == n {
+			return true
+		}
+		if m != nil {
+			fn(m)
+		}
+		return false
+	})
+}
+
+// cellTable resolves storage expressions to the per-function cells of
+// the flow-sensitive analyzers: an identifier by its types.Object, a
+// deeper path (s.done, *p, xs[i]) by its rootString, so two mentions of
+// the same storage reach the same cell.
+type cellTable[C any] struct {
+	byObj  map[types.Object]*C
+	byPath map[string]*C
+}
+
+func newCellTable[C any]() cellTable[C] {
+	return cellTable[C]{byObj: make(map[types.Object]*C), byPath: make(map[string]*C)}
+}
+
+// lookup returns e's cell, building it with mk on first sight; nil
+// when e resolves to no object or path.
+func (t cellTable[C]) lookup(info *types.Info, e ast.Expr, mk func(name string) *C) *C {
+	if id, ok := e.(*ast.Ident); ok {
+		obj := objOf(info, id)
+		if obj == nil {
+			return nil
+		}
+		c, ok := t.byObj[obj]
+		if !ok {
+			c = mk(id.Name)
+			t.byObj[obj] = c
+		}
+		return c
+	}
+	root := rootString(e)
+	if root == "" {
+		return nil
+	}
+	c, ok := t.byPath[root]
+	if !ok {
+		c = mk(root)
+		t.byPath[root] = c
+	}
+	return c
 }

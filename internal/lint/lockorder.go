@@ -12,8 +12,8 @@ package lint
 // function's summary — the locks it may acquire and the order edges its
 // body creates — is exported as a LockOrderFact object fact, so a
 // caller in an importing package can extend held-sets across the
-// package boundary exactly the way AllocFreeFact carries the
-// allocation proof. The package's merged graph (its own edges plus
+// package boundary exactly the way AtomicFact carries a field's
+// access mode. The package's merged graph (its own edges plus
 // every imported LockGraphFact) is re-exported cumulatively as a
 // LockGraphFact package fact; a cycle is reported once, in the first
 // package that both completes it and contains one of its edges.
@@ -28,6 +28,7 @@ import (
 	"go/token"
 	"go/types"
 	"sort"
+	"strconv"
 	"strings"
 
 	"golang.org/x/tools/go/analysis"
@@ -73,21 +74,7 @@ type LockGraphFact struct {
 
 func (*LockGraphFact) AFact() {}
 func (f *LockGraphFact) String() string {
-	return "lockgraph(" + itoa(len(f.Edges)) + " edges)"
-}
-
-func itoa(n int) string {
-	if n == 0 {
-		return "0"
-	}
-	var b [20]byte
-	i := len(b)
-	for n > 0 {
-		i--
-		b[i] = byte('0' + n%10)
-		n /= 10
-	}
-	return string(b[i:])
+	return "lockgraph(" + strconv.Itoa(len(f.Edges)) + " edges)"
 }
 
 // lockEvent is one ordered happening in a function body.
@@ -213,41 +200,34 @@ func runLockOrder(pass *analysis.Pass) (interface{}, error) {
 		pass.ExportObjectFact(f.obj, summaryFact(s))
 	}
 	if len(merged) > 0 {
-		pass.ExportPackageFact(graphFact(merged))
+		pass.ExportPackageFact(&LockGraphFact{Edges: sortedEdges(merged)})
 	}
 	return nil, nil
 }
 
 func summaryFact(s *lockSummary) *LockOrderFact {
-	f := &LockOrderFact{}
+	f := &LockOrderFact{Edges: sortedEdges(s.edges)}
 	for a := range s.acquires {
 		f.Acquires = append(f.Acquires, a)
 	}
 	sort.Strings(f.Acquires)
-	for k, e := range s.edges {
-		f.Edges = append(f.Edges, LockEdge{From: k[0], To: k[1], Via: e.via})
-	}
-	sort.Slice(f.Edges, func(i, j int) bool {
-		if f.Edges[i].From != f.Edges[j].From {
-			return f.Edges[i].From < f.Edges[j].From
-		}
-		return f.Edges[i].To < f.Edges[j].To
-	})
 	return f
 }
 
-func graphFact(merged map[[2]string]localEdge) *LockGraphFact {
-	f := &LockGraphFact{}
-	for k, e := range merged {
-		f.Edges = append(f.Edges, LockEdge{From: k[0], To: k[1], Via: e.via})
+// sortedEdges lists an edge map in (From, To) order, the fact payloads'
+// byte-stable form.
+func sortedEdges(edges map[[2]string]localEdge) []LockEdge {
+	var out []LockEdge
+	for k, e := range edges {
+		out = append(out, LockEdge{From: k[0], To: k[1], Via: e.via})
 	}
-	sort.Slice(f.Edges, func(i, j int) bool {
-		if f.Edges[i].From != f.Edges[j].From {
-			return f.Edges[i].From < f.Edges[j].From
+	sort.Slice(out, func(i, j int) bool {
+		if out[i].From != out[j].From {
+			return out[i].From < out[j].From
 		}
-		return f.Edges[i].To < f.Edges[j].To
+		return out[i].To < out[j].To
 	})
-	return f
+	return out
 }
 
 // replayLockEvents runs one event trace against the current summaries,
@@ -396,18 +376,7 @@ func (lc *lockCollector) walk(n ast.Node) {
 		lc.walkStmts(n.Body.List)
 		return
 	}
-	first := true
-	ast.Inspect(n, func(m ast.Node) bool {
-		if first {
-			first = false
-			return true
-		}
-		if m == nil {
-			return false
-		}
-		lc.walk(m)
-		return false
-	})
+	forEachChild(n, lc.walk)
 }
 
 // walkDeferLit walks a deferred closure, dropping its unlock events

@@ -10,27 +10,27 @@ import (
 	"golang.org/x/tools/go/ast/inspector"
 )
 
-// LockSafeAnalyzer flags the three concurrency mistakes that bit (or
+// LockSafeAnalyzer flags two goroutine-lifetime mistakes that bit (or
 // nearly bit) the parallel training and streaming stages:
 //
-//  1. locks copied by value — a copied sync.Mutex/WaitGroup guards
-//     nothing; flagged on parameters, receivers, assignments and range
-//     variables;
-//  2. WaitGroup.Add called inside the goroutine it accounts for — the
+//  1. WaitGroup.Add called inside the goroutine it accounts for — the
 //     classic Wait-before-Add race; Add must happen before `go`;
-//  3. goroutines launched from a cancellable (ctx-taking) function with
+//  2. goroutines launched from a cancellable (ctx-taking) function with
 //     neither a ctx reference nor a WaitGroup join in their body — the
 //     leak Run's "all stage goroutines are joined" contract forbids.
 //
-// Check 3 is the syntactic pre-pass of elsachan's goroutine-leak
-// analysis, the way elsahotpath screens for elsaalloc: elsachan models
-// the channel cells the goroutine blocks on, and honors
-// //nolint:elsalocksafe suppressions as its own (one contract, two
-// depths).
+// Locks copied by value (parameters, receivers, assignments, range
+// variables) are stock go vet's copylocks; CI's build job runs it as
+// `go vet ./...`.
+//
+// Check 2 is the syntactic pre-pass of elsachan's goroutine-leak
+// analysis: elsachan models the channel cells the goroutine blocks on,
+// and honors //nolint:elsalocksafe suppressions as its own (one
+// contract, two depths).
 var LockSafeAnalyzer = &analysis.Analyzer{
 	Name: "elsalocksafe",
-	Doc: "report locks copied by value, WaitGroup.Add inside the goroutine it guards, and goroutines " +
-		"in cancellable functions with no cancellation or join path",
+	Doc: "report WaitGroup.Add inside the goroutine it guards, and goroutines in cancellable " +
+		"functions with no cancellation or join path",
 	Requires: []*analysis.Analyzer{inspect.Analyzer},
 	Run:      runLockSafe,
 }
@@ -40,136 +40,11 @@ func runLockSafe(pass *analysis.Pass) (interface{}, error) {
 	rep := newReporter(pass)
 
 	ins.Preorder([]ast.Node{(*ast.FuncDecl)(nil)}, func(n ast.Node) {
-		fn := n.(*ast.FuncDecl)
-		checkLockParams(pass, rep, fn)
-		if fn.Body == nil {
-			return
+		if fn := n.(*ast.FuncDecl); fn.Body != nil {
+			checkGoroutines(pass, rep, fn)
 		}
-		checkLockCopies(pass, rep, fn.Body)
-		checkGoroutines(pass, rep, fn)
 	})
 	return nil, nil
-}
-
-// lockPath returns the dotted path to the first lock type found inside
-// t (itself, a field, an array element), or "" when t carries no lock.
-// Pointers stop the search: sharing a *sync.Mutex is the point.
-func lockPath(t types.Type, depth int) string {
-	if depth > 6 {
-		return ""
-	}
-	if named, ok := t.(*types.Named); ok {
-		obj := named.Obj()
-		if obj.Pkg() != nil && obj.Pkg().Path() == "sync" {
-			switch obj.Name() {
-			case "Mutex", "RWMutex", "WaitGroup", "Once", "Cond", "Map", "Pool":
-				return obj.Name()
-			}
-		}
-		return lockPath(named.Underlying(), depth+1)
-	}
-	switch t := t.(type) {
-	case *types.Struct:
-		for i := 0; i < t.NumFields(); i++ {
-			if p := lockPath(t.Field(i).Type(), depth+1); p != "" {
-				return t.Field(i).Name() + "." + p
-			}
-		}
-	case *types.Array:
-		return lockPath(t.Elem(), depth+1)
-	}
-	return ""
-}
-
-// checkLockParams flags by-value parameters and receivers whose type
-// contains a lock.
-func checkLockParams(pass *analysis.Pass, rep *reporter, fn *ast.FuncDecl) {
-	flagField := func(f *ast.Field, kind string) {
-		t := pass.TypesInfo.TypeOf(f.Type)
-		if t == nil {
-			return
-		}
-		if _, isPtr := t.Underlying().(*types.Pointer); isPtr {
-			return
-		}
-		if p := lockPath(t, 0); p != "" {
-			rep.reportf(f.Pos(), "locksafe: %s passes a lock by value (sync.%s via %s); use a pointer",
-				kind, p[strings.LastIndexByte(p, '.')+1:], p)
-		}
-	}
-	if fn.Recv != nil {
-		for _, f := range fn.Recv.List {
-			flagField(f, "receiver")
-		}
-	}
-	if fn.Type.Params != nil {
-		for _, f := range fn.Type.Params.List {
-			flagField(f, "parameter")
-		}
-	}
-}
-
-// checkLockCopies flags assignments and range clauses that copy a value
-// whose type contains a lock. Composite literals and call results are
-// fresh values, not copies of a live lock, so only copies of existing
-// storage (identifiers, selectors, indexes, derefs) are flagged.
-func checkLockCopies(pass *analysis.Pass, rep *reporter, body *ast.BlockStmt) {
-	info := pass.TypesInfo
-	copiesLiveLock := func(rhs ast.Expr) (string, bool) {
-		switch ast.Unparen(rhs).(type) {
-		case *ast.Ident, *ast.SelectorExpr, *ast.IndexExpr, *ast.StarExpr:
-		default:
-			return "", false
-		}
-		t := info.TypeOf(rhs)
-		if t == nil {
-			return "", false
-		}
-		if _, isPtr := t.Underlying().(*types.Pointer); isPtr {
-			return "", false
-		}
-		p := lockPath(t, 0)
-		return p, p != ""
-	}
-	ast.Inspect(body, func(n ast.Node) bool {
-		switch n := n.(type) {
-		case *ast.AssignStmt:
-			for i, rhs := range n.Rhs {
-				if i >= len(n.Lhs) {
-					break
-				}
-				if p, ok := copiesLiveLock(rhs); ok {
-					rep.reportf(rhs.Pos(), "locksafe: assignment copies a lock (sync.%s via %s)",
-						p[strings.LastIndexByte(p, '.')+1:], p)
-				}
-			}
-		case *ast.RangeStmt:
-			t := info.TypeOf(n.X)
-			if t == nil {
-				return true
-			}
-			var elem types.Type
-			switch u := t.Underlying().(type) {
-			case *types.Slice:
-				elem = u.Elem()
-			case *types.Array:
-				elem = u.Elem()
-			case *types.Map:
-				elem = u.Elem()
-			}
-			if elem == nil || n.Value == nil {
-				return true
-			}
-			if _, isPtr := elem.Underlying().(*types.Pointer); isPtr {
-				return true
-			}
-			if p := lockPath(elem, 0); p != "" {
-				rep.reportf(n.Value.Pos(), "locksafe: range value copies a lock (sync.%s via %s); range over indexes or pointers",
-					p[strings.LastIndexByte(p, '.')+1:], p)
-			}
-		}
-		return true
-	})
 }
 
 // checkGoroutines flags (a) wg.Add inside a go'd function literal when
@@ -198,7 +73,9 @@ func checkGoroutines(pass *analysis.Pass, rep *reporter, fn *ast.FuncDecl) {
 						if recv != nil && strings.Contains(recv.Type().String(), "WaitGroup") {
 							switch obj.Name() {
 							case "Add":
-								if declaredOutside(info, sel.X, lit) {
+								// A selector like s.wg is rooted in captured state or a
+								// parameter either way: treated as outside.
+								if id, ok := ast.Unparen(sel.X).(*ast.Ident); !ok || declaredOutside(info, id, lit) {
 									rep.reportf(m.Pos(),
 										"locksafe: WaitGroup.Add inside the goroutine it guards races Wait; call Add before the go statement")
 								}
@@ -221,23 +98,4 @@ func checkGoroutines(pass *analysis.Pass, rep *reporter, fn *ast.FuncDecl) {
 		}
 		return true
 	})
-}
-
-// declaredOutside reports whether the storage expr refers to was
-// declared outside the function literal lit (i.e., captured).
-func declaredOutside(info *types.Info, expr ast.Expr, lit *ast.FuncLit) bool {
-	id, ok := ast.Unparen(expr).(*ast.Ident)
-	if !ok {
-		// Selector like s.wg: the root is captured state or a parameter
-		// either way; treat as outside.
-		return true
-	}
-	obj := info.Uses[id]
-	if obj == nil {
-		obj = info.Defs[id]
-	}
-	if obj == nil {
-		return true
-	}
-	return obj.Pos() < lit.Pos() || obj.Pos() > lit.End()
 }

@@ -35,7 +35,6 @@ import (
 // modulePkg is one typechecked package of the analyzed module.
 type modulePkg struct {
 	path  string
-	dir   string
 	files []*ast.File
 	pkg   *types.Package
 	info  *types.Info
@@ -104,7 +103,7 @@ func (l *moduleLoader) loadPath(path string) (*modulePkg, error) {
 		}
 		// Respect //go:build constraints and _GOOS/_GOARCH suffixes for the
 		// host platform, as the build does — otherwise mutually exclusive
-		// files (mmap_unix.go / mmap_other.go) typecheck as redeclarations.
+		// files typecheck as redeclarations.
 		if ok, err := build.Default.MatchFile(dir, name); err != nil || !ok {
 			continue
 		}
@@ -117,6 +116,17 @@ func (l *moduleLoader) loadPath(path string) (*modulePkg, error) {
 	if len(files) == 0 {
 		return nil, fmt.Errorf("no buildable go files in %s", dir)
 	}
+	p, err := checkPackage(l.fset, path, files, l)
+	if err != nil {
+		return nil, err
+	}
+	l.pkgs[path] = p
+	return p, nil
+}
+
+// checkPackage typechecks one package's parsed files, recording
+// everything the analyzers read off types.Info.
+func checkPackage(fset *token.FileSet, path string, files []*ast.File, imp types.Importer) (*modulePkg, error) {
 	info := &types.Info{
 		Types:      make(map[ast.Expr]types.TypeAndValue),
 		Defs:       make(map[*ast.Ident]types.Object),
@@ -125,14 +135,12 @@ func (l *moduleLoader) loadPath(path string) (*modulePkg, error) {
 		Scopes:     make(map[ast.Node]*types.Scope),
 		Implicits:  make(map[ast.Node]types.Object),
 	}
-	conf := types.Config{Importer: l}
-	pkg, err := conf.Check(path, l.fset, files, info)
+	conf := types.Config{Importer: imp}
+	pkg, err := conf.Check(path, fset, files, info)
 	if err != nil {
 		return nil, fmt.Errorf("typecheck %s: %w", path, err)
 	}
-	p := &modulePkg{path: path, dir: dir, files: files, pkg: pkg, info: info}
-	l.pkgs[path] = p
-	return p, nil
+	return &modulePkg{path: path, files: files, pkg: pkg, info: info}, nil
 }
 
 // StandaloneOptions configures a RunStandalone invocation.
@@ -201,11 +209,18 @@ func RunStandalone(opts StandaloneOptions, w io.Writer) (findings []Finding, fix
 
 	store := newStandaloneFacts()
 	for _, p := range pkgs {
-		fs, err := runSuite(loader.fset, p, opts.Analyzers, store)
+		err := runSuite(loader.fset, p, opts.Analyzers, store, func(a *analysis.Analyzer, d analysis.Diagnostic) {
+			findings = append(findings, Finding{
+				Package:  p.path,
+				Analyzer: a.Name,
+				Pos:      loader.fset.Position(d.Pos),
+				Message:  d.Message,
+				Fixes:    d.SuggestedFixes,
+			})
+		})
 		if err != nil {
 			return nil, 0, err
 		}
-		findings = append(findings, fs...)
 	}
 	// Byte-stable order for CI artifact diffing: (package, file, line,
 	// column, analyzer, message). Position alone is not a total order —
@@ -278,9 +293,10 @@ func readModulePath(root string) (string, error) {
 }
 
 // packageDirs walks the module for directories holding non-test go
-// files, skipping vendor, testdata and hidden directories. WalkDir
-// interleaves a directory's files around its subdirectories, so dedup
-// needs a set, not an adjacency check.
+// files, skipping vendor, testdata and hidden directories, and nested
+// modules (a sub-directory with its own go.mod), where `go vet ./...`
+// stops too. WalkDir interleaves a directory's files around its
+// subdirectories, so dedup needs a set, not an adjacency check.
 func packageDirs(root string) ([]string, error) {
 	var dirs []string
 	seen := make(map[string]bool)
@@ -289,8 +305,14 @@ func packageDirs(root string) ([]string, error) {
 			return err
 		}
 		if d.IsDir() {
+			if path == root {
+				return nil
+			}
 			name := d.Name()
-			if path != root && (name == "vendor" || name == "testdata" || strings.HasPrefix(name, ".") || strings.HasPrefix(name, "_")) {
+			if name == "vendor" || name == "testdata" || strings.HasPrefix(name, ".") || strings.HasPrefix(name, "_") {
+				return filepath.SkipDir
+			}
+			if _, err := os.Stat(filepath.Join(path, "go.mod")); err == nil {
 				return filepath.SkipDir
 			}
 			return nil
@@ -350,9 +372,11 @@ func newStandaloneFacts() *standaloneFacts {
 	}
 }
 
-// runSuite executes the analyzers over one package.
-func runSuite(fset *token.FileSet, p *modulePkg, analyzers []*analysis.Analyzer, store *standaloneFacts) ([]Finding, error) {
-	var findings []Finding
+// runSuite executes the analyzers over one package, handing each
+// diagnostic to report. It is the one place an analysis.Pass is built:
+// the standalone driver and the fixture harness both run through it.
+func runSuite(fset *token.FileSet, p *modulePkg, analyzers []*analysis.Analyzer, store *standaloneFacts,
+	report func(*analysis.Analyzer, analysis.Diagnostic)) error {
 	results := map[*analysis.Analyzer]interface{}{
 		inspect.Analyzer: inspector.New(p.files),
 	}
@@ -360,7 +384,6 @@ func runSuite(fset *token.FileSet, p *modulePkg, analyzers []*analysis.Analyzer,
 		if a == inspect.Analyzer {
 			continue
 		}
-		name := a.Name
 		pass := &analysis.Pass{
 			Analyzer:   a,
 			Fset:       fset,
@@ -369,15 +392,7 @@ func runSuite(fset *token.FileSet, p *modulePkg, analyzers []*analysis.Analyzer,
 			TypesInfo:  p.info,
 			TypesSizes: types.SizesFor("gc", runtime.GOARCH),
 			ResultOf:   results,
-			Report: func(d analysis.Diagnostic) {
-				findings = append(findings, Finding{
-					Package:  p.path,
-					Analyzer: name,
-					Pos:      fset.Position(d.Pos),
-					Message:  d.Message,
-					Fixes:    d.SuggestedFixes,
-				})
-			},
+			Report:     func(d analysis.Diagnostic) { report(a, d) },
 			ExportObjectFact: func(obj types.Object, fact analysis.Fact) {
 				store.objs[obj] = setStandaloneFact(store.objs[obj], fact)
 			},
@@ -394,10 +409,10 @@ func runSuite(fset *token.FileSet, p *modulePkg, analyzers []*analysis.Analyzer,
 			AllPackageFacts: func() []analysis.PackageFact { return nil },
 		}
 		if _, err := a.Run(pass); err != nil {
-			return nil, fmt.Errorf("%s on %s: %w", a.Name, p.path, err)
+			return fmt.Errorf("%s on %s: %w", a.Name, p.path, err)
 		}
 	}
-	return findings, nil
+	return nil
 }
 
 func setStandaloneFact(facts []analysis.Fact, fact analysis.Fact) []analysis.Fact {

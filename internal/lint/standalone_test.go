@@ -95,6 +95,39 @@ func TestStandaloneDiffAndFix(t *testing.T) {
 	}
 }
 
+// TestStandaloneStopsAtNestedModule holds the standalone driver to the
+// module boundary `go vet ./...` observes: a sub-directory with its own
+// go.mod (benchmark/ in this repository) is another module, not a
+// package of this one, and its findings are not this module's.
+func TestStandaloneStopsAtNestedModule(t *testing.T) {
+	root := writeTempModule(t)
+	nested := filepath.Join(root, "nested")
+	if err := os.Mkdir(nested, 0o755); err != nil {
+		t.Fatal(err)
+	}
+	for name, src := range map[string]string{
+		"go.mod":    "module example.com/nested\n\ngo 1.22\n",
+		"nested.go": "package nested\n\nvar x = 1 //nolint:elsabogus // names no analyzer\n",
+	} {
+		if err := os.WriteFile(filepath.Join(nested, name), []byte(src), 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	var buf bytes.Buffer
+	findings, _, err := RunStandalone(StandaloneOptions{Root: root, Analyzers: Analyzers}, &buf)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, f := range findings {
+		if f.Package != "example.com/tmpmod" {
+			t.Errorf("finding from outside the module: %s: %s: %s", f.Pos, f.Analyzer, f.Message)
+		}
+	}
+	if len(findings) != 2 {
+		t.Fatalf("want the root package's 2 findings, got %d:\n%s", len(findings), buf.String())
+	}
+}
+
 // TestStandaloneJSON checks the machine-readable output path: a JSON
 // array, one element per finding, sorted like the text form.
 func TestStandaloneJSON(t *testing.T) {

@@ -51,7 +51,7 @@ package lint
 // Cross-package composition: each annotated type exports a StateFact on
 // its *types.TypeName, so fleet code calling elsa.Monitor methods is
 // checked against the protocol the root package declared — the same
-// fact channel AllocFreeFact and LockGraphFact ride. Interface types
+// fact channel AtomicFact and LockGraphFact ride. Interface types
 // carry protocols too (directives on the interface's method docs), so
 // ingest.Backend constrains every call through the interface.
 //
@@ -204,11 +204,7 @@ func runState(pass *analysis.Pass) (interface{}, error) {
 		if fn.Body == nil || inTestFile(pass.Fset, fn.Pos()) {
 			return
 		}
-		sf := &stateFunc{
-			ck:     ck,
-			cells:  make(map[types.Object]*stateCell),
-			fields: make(map[string]*stateCell),
-		}
+		sf := &stateFunc{ck: ck, cells: newCellTable[stateCell]()}
 		sf.walk(fn.Body.List, make(stateTable))
 	})
 	return nil, nil
@@ -230,11 +226,7 @@ func (ck *stateChecker) collectProtos() {
 				if !ok {
 					continue
 				}
-				doc := ts.Doc
-				if doc == nil && len(gd.Specs) == 1 {
-					doc = gd.Doc
-				}
-				arg, ok := directiveArg(doc, stateDirective)
+				arg, ok := directiveArg(typeSpecDoc(gd, ts), stateDirective)
 				if !ok {
 					continue
 				}
@@ -399,15 +391,8 @@ func (ck *stateChecker) exportFacts() {
 // are stripped, local types hit the registry, imported types go
 // through the fact store. Returns nil for unannotated types.
 func (ck *stateChecker) protoFor(t types.Type) *stateProto {
-	for {
-		if ptr, ok := t.(*types.Pointer); ok {
-			t = ptr.Elem()
-			continue
-		}
-		break
-	}
-	named, ok := t.(*types.Named)
-	if !ok {
+	named := namedTypeOf(t)
+	if named == nil {
 		return nil
 	}
 	obj := named.Obj()
@@ -498,9 +483,8 @@ func assignTable(dst, src stateTable) {
 
 // stateFunc is the per-function interpreter.
 type stateFunc struct {
-	ck     *stateChecker
-	cells  map[types.Object]*stateCell
-	fields map[string]*stateCell
+	ck    *stateChecker
+	cells cellTable[stateCell]
 }
 
 // cellFor resolves an expression of a protocol type to its cell.
@@ -517,29 +501,11 @@ func (sf *stateFunc) cellFor(e ast.Expr) *stateCell {
 	if proto == nil {
 		return nil
 	}
-	switch x := e.(type) {
-	case *ast.Ident:
-		obj := objOf(sf.ck.pass.TypesInfo, x)
-		if obj == nil {
-			return nil
-		}
-		if c, ok := sf.cells[obj]; ok {
-			return c
-		}
-		c := &stateCell{name: x.Name, proto: proto}
-		sf.cells[obj] = c
-		return c
-	case *ast.SelectorExpr, *ast.StarExpr, *ast.IndexExpr:
-		root := rootString(x)
-		if root == "" {
-			return nil
-		}
-		if c, ok := sf.fields[root]; ok {
-			return c
-		}
-		c := &stateCell{name: root, proto: proto}
-		sf.fields[root] = c
-		return c
+	switch e.(type) {
+	case *ast.Ident, *ast.SelectorExpr, *ast.StarExpr, *ast.IndexExpr:
+		return sf.cells.lookup(sf.ck.pass.TypesInfo, e, func(name string) *stateCell {
+			return &stateCell{name: name, proto: proto}
+		})
 	}
 	return nil
 }

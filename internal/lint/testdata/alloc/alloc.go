@@ -1,7 +1,9 @@
-// Package alloc seeds the elsaalloc fixture: allocation sites in
-// //elsa:hotpath kernels that the flow layer must prove
-// stack-allocatable (non-escaping, constant size) or flag with their
-// escape path.
+// Package alloc seeds the escape oracle's fixture: allocation sites in
+// //elsa:hotpath kernels that the compiler either stack-allocates
+// (non-escaping, constant size) or reports under -gcflags='-m -l'. Each
+// // want is the compiler's own report, on the line it prints it for.
+// The always-allocate shapes -m does not print (maps, channels) are
+// elsahotpath's, in testdata/hotpath.
 package alloc
 
 type scratch struct {
@@ -13,8 +15,8 @@ var global []int
 
 // provenLocal is the payoff case: constant-size make, slice literal,
 // &composite and a closure, none escaping — the compiler stack-
-// allocates all of them, and the proof layer stays silent where the
-// old syntactic ban fired four times.
+// allocates all of them, and the oracle stays silent where a syntactic
+// ban would fire four times.
 //
 //elsa:hotpath
 func provenLocal(n int) int {
@@ -31,23 +33,23 @@ func provenLocal(n int) int {
 
 //elsa:hotpath
 func escapesByReturn() []int {
-	xs := make([]int, 4) // want "escapes .*returned"
+	xs := make([]int, 4) // want "make\(\[\]int, 4\) escapes to heap"
 	return xs
 }
 
 //elsa:hotpath
 func escapesToGlobal() {
-	global = make([]int, 4) // want "escapes .stored to package-level global"
+	global = make([]int, 4) // want "make\(\[\]int, 4\) escapes to heap"
 }
 
 //elsa:hotpath
 func escapesThroughField(s *scratch) {
-	s.out = append(s.out, &scratch{}) // want "&composite literal escapes"
+	s.out = append(s.out, &scratch{}) // want "&scratch{} escapes to heap"
 }
 
 //elsa:hotpath
 func nonConstSize(n int) int {
-	xs := make([]int, n) // want "non-constant size"
+	xs := make([]int, n) // want "make\(\[\]int, n\) escapes to heap"
 	return xs[0]
 }
 
@@ -55,19 +57,8 @@ func nonConstSize(n int) int {
 func tooBig() int {
 	var big [9000]int64
 	xs := big[:]
-	ys := make([]int64, 9000) // want "past the 65536-byte stack-allocation bound"
+	ys := make([]int64, 9000) // want "make\(\[\]int64, 9000\) escapes to heap"
 	return int(xs[0] + ys[0])
-}
-
-//elsa:hotpath
-func mapAlloc() int {
-	m := map[int]int{1: 2} // want "not provably allocation-free"
-	return m[1]
-}
-
-//elsa:hotpath
-func chanAlloc() chan int {
-	return make(chan int) // want "make.chan. in a hotpath kernel allocates"
 }
 
 func retain(f func() int) func() int { return f }
@@ -75,7 +66,7 @@ func retain(f func() int) func() int { return f }
 //elsa:hotpath
 func escapingClosure(base int) func() int {
 	k := base
-	g := func() int { return k } // want "closure escapes .*passed to retain.*captures k by reference"
+	g := func() int { return k } // want "func literal escapes to heap"
 	return retain(g)
 }
 
@@ -84,27 +75,26 @@ func escapingClosure(base int) func() int {
 //
 //elsa:hotpath
 func escapesIndirectly() *scratch {
-	tmp := make([]int, 8) // want "escapes"
-	var s scratch
+	tmp := make([]int, 8) // want "make\(\[\]int, 8\) escapes to heap"
+	var s scratch         // want "moved to heap: s"
 	s.buf = tmp
-	return &s // want "&s escapes .returned.*moving s to the heap"
+	return &s
 }
 
-// the refGate soundness hole: &xs[i] of a []int points into the
-// backing array even though an int element carries no references, so
-// the make must escape with the pointer.
+// &xs[i] of a []int points into the backing array even though an int
+// element carries no references, so the make escapes with the pointer.
 //
 //elsa:hotpath
 func escapesByElemAddr() *int {
-	xs := make([]int, 4) // want "escapes .*returned"
+	xs := make([]int, 4) // want "make\(\[\]int, 4\) escapes to heap"
 	return &xs[0]
 }
 
-// same hole through a selector + index chain.
+// the same through a selector + index chain.
 //
 //elsa:hotpath
 func escapesByFieldElemAddr() *int {
-	s := scratch{buf: make([]int, 2)} // want "escapes .*returned"
+	s := scratch{buf: make([]int, 2)} // want "make\(\[\]int, 2\) escapes to heap"
 	return &s.buf[0]
 }
 
@@ -115,11 +105,11 @@ type pair struct{ a, b int }
 //
 //elsa:hotpath
 func heapMovedByFieldAddr() *int {
-	var p pair
-	return &p.a // want "&p.a escapes .returned at line.*moving p to the heap"
+	var p pair // want "moved to heap: p"
+	return &p.a
 }
 
-// addresses that never leave the frame prove out clean.
+// addresses that never leave the frame stay on the stack.
 //
 //elsa:hotpath
 func addrStaysLocal() int {
@@ -130,8 +120,8 @@ func addrStaysLocal() int {
 	return xs[0] + p.a
 }
 
-// suppressedLegacy: a reasoned //nolint:elsahotpath covers the proof
-// layer too — one contract, two depths.
+// suppressedLegacy: a reasoned //nolint:elsahotpath covers the oracle
+// too — one contract, one suppression.
 //
 //elsa:hotpath
 func (s *scratch) suppressedLegacy(n int) {

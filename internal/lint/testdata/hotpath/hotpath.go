@@ -1,7 +1,8 @@
 // Package hotpath seeds one violation of every construct the
-// elsahotpath pre-pass bans, plus clean and suppressed counterexamples.
+// elsahotpath screen bans, plus clean and suppressed counterexamples.
 // The allocation sites escape analysis may rescue (make, new, composite
-// literals, closures) live in testdata/alloc, elsaalloc's fixture.
+// literals, closures) live in testdata/alloc, the escape oracle's
+// fixture.
 package hotpath
 
 import "fmt"
@@ -29,8 +30,8 @@ func appends(xs []int, v int) []int {
 	return append(xs, v) // want "append may grow and allocate"
 }
 
-// stackable constructs are the proof layer's domain now: the pre-pass
-// stays silent here, elsaalloc decides.
+// stackable constructs are the compiler's to judge: the screen stays
+// silent here, the escape oracle reads the verdict.
 //
 //elsa:hotpath
 func stackable(n int) int {
@@ -48,6 +49,26 @@ func formats(n int) string {
 //elsa:hotpath
 func conversions(s string) []byte {
 	return []byte(s) // want "conversion copies"
+}
+
+// maps and channels are the two always-allocate shapes the compiler's
+// -m report does not print, so the screen owns them.
+//
+//elsa:hotpath
+func mapAlloc() int {
+	m := map[int]int{1: 2} // want "not provably allocation-free"
+	return m[1]
+}
+
+//elsa:hotpath
+func makesMap(n int) int {
+	m := make(map[int]int, n) // want "make.map. in a hotpath kernel is not provably allocation-free"
+	return len(m)
+}
+
+//elsa:hotpath
+func chanAlloc() chan int {
+	return make(chan int) // want "make.chan. in a hotpath kernel allocates"
 }
 
 type boxer interface{ M() }

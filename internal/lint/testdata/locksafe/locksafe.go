@@ -1,52 +1,13 @@
-// Package locksafe seeds copied locks, in-goroutine WaitGroup.Add and
-// leakable goroutines — the three concurrency mistakes the analyzer
-// exists to catch before the race detector has to.
+// Package locksafe seeds in-goroutine WaitGroup.Add and leakable
+// goroutines — the two goroutine-lifetime mistakes the analyzer exists
+// to catch before the race detector has to. (Locks copied by value are
+// stock go vet's copylocks.)
 package locksafe
 
 import (
 	"context"
 	"sync"
 )
-
-type guarded struct {
-	mu    sync.Mutex
-	count int
-}
-
-func byValueParam(g guarded) int { // want "parameter passes a lock by value"
-	return g.count
-}
-
-func (g guarded) method() int { // want "receiver passes a lock by value"
-	return g.count
-}
-
-func (g *guarded) pointerMethod() int { // fine: shared, not copied
-	g.mu.Lock()
-	defer g.mu.Unlock()
-	return g.count
-}
-
-func assignmentCopy(g *guarded) {
-	snapshot := *g // want "assignment copies a lock"
-	_ = snapshot.count
-}
-
-func rangeCopy(gs []guarded) int {
-	total := 0
-	for _, g := range gs { // want "range value copies a lock"
-		total += g.count
-	}
-	return total
-}
-
-func rangeByIndex(gs []guarded) int {
-	total := 0
-	for i := range gs {
-		total += gs[i].count
-	}
-	return total
-}
 
 func addInsideGoroutine() {
 	var wg sync.WaitGroup
