@@ -213,9 +213,9 @@ func run(args []string, stdin io.Reader, stdout, stderr io.Writer) error {
 		st.Messages, st.Ticks, len(res.Predictions), st.LatePreds, st.LateRecords)
 	fmt.Fprintf(stderr, "elsamon: ingest: %d delivered, %d quarantined, %d resyncs, %d connections (%d aborted)\n",
 		bs.Delivered, bs.Quarantined, bs.Resyncs, bs.Conns, bs.AbortedConns)
-	if st.QuarantinedRecords > 0 || st.DedupedRecords > 0 || st.ShedRecords > 0 || st.Degraded {
-		fmt.Fprintf(stderr, "elsamon: hardening: %d quarantined, %d deduplicated, %d shed, %d degraded ticks\n",
-			st.QuarantinedRecords, st.DedupedRecords, st.ShedRecords, st.DegradedTicks)
+	if st.QuarantinedRecords > 0 || st.ShedRecords > 0 || st.Degraded {
+		fmt.Fprintf(stderr, "elsamon: hardening: %d quarantined, %d shed, %d degraded ticks\n",
+			st.QuarantinedRecords, st.ShedRecords, st.DegradedTicks)
 	}
 	printStages(stderr, st.Stages)
 	return nil
@@ -277,8 +277,8 @@ func printStages(stderr io.Writer, stages []elsa.StageStats) {
 	for _, sg := range stages {
 		fmt.Fprintf(stderr, "elsamon: stage %-9s in=%-8d out=%-8d dropped=%-6d maxqueue=%-5d wall=%s",
 			sg.Name, sg.In, sg.Out, sg.Dropped, sg.MaxQueue, sg.Wall.Round(time.Microsecond))
-		if sg.Quarantined > 0 || sg.Deduped > 0 || sg.Shed > 0 {
-			fmt.Fprintf(stderr, " quarantined=%d deduped=%d shed=%d", sg.Quarantined, sg.Deduped, sg.Shed)
+		if sg.Quarantined > 0 || sg.Shed > 0 {
+			fmt.Fprintf(stderr, " quarantined=%d shed=%d", sg.Quarantined, sg.Shed)
 		}
 		if sg.Health != "" {
 			fmt.Fprintf(stderr, " panics=%d bypassed=%d trips=%d probes=%d health=%s",

@@ -105,14 +105,6 @@ func (c *Campaign) Organizer() *helo.Organizer {
 	return c.organizer
 }
 
-// TrainRecords returns the training window.
-func (c *Campaign) TrainRecords() []logs.Record {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	c.ensureLog()
-	return c.train
-}
-
 // TestRecords returns the test window.
 func (c *Campaign) TestRecords() []logs.Record {
 	c.mu.Lock()

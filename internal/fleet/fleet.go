@@ -126,7 +126,7 @@ type Merged struct {
 // ShardStats is one slot's accounting snapshot.
 type ShardStats struct {
 	Name   string
-	State  string // "active" or "down"
+	State  string // "active", "down" or "closed"
 	Scopes int    // scope keys this shard owns (of those seen so far)
 
 	Entries  int64 // journal entries delivered (records + advances)

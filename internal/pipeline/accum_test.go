@@ -78,47 +78,6 @@ func TestSessionAccumulatorTapIsPassive(t *testing.T) {
 	}
 }
 
-// TestSessionAccumulatorDedupInvariant: a record stream duplicated the
-// way collector retry bursts duplicate it — exact copies within the
-// dedup window — must leave the accumulator byte-identical to the clean
-// stream's: the dedup ring admits one copy, the tick tap sees one spike.
-func TestSessionAccumulatorDedupInvariant(t *testing.T) {
-	model, profiles, test, cut, end := trained(t, 512)
-	test = test[:len(test)/3] // keep the duplicated run fast
-
-	run := func(recs []logs.Record) *sig.AccumState {
-		cfg := DefaultConfig()
-		cfg.DedupWindow = 8
-		cfg.Accumulate = accumConfigFor()
-		p := New(predict.NewEngine(model, profiles, predict.DefaultConfig()), nil, cfg)
-		s := p.NewSession(cut)
-		for _, r := range recs {
-			s.Feed(r)
-		}
-		s.AdvanceTo(end)
-		return p.Accumulator().State()
-	}
-
-	clean := run(test)
-	dup := make([]logs.Record, 0, 2*len(test))
-	for _, r := range test {
-		dup = append(dup, r, r)
-	}
-	noisy := run(dup)
-
-	b1, err := json.Marshal(clean)
-	if err != nil {
-		t.Fatal(err)
-	}
-	b2, err := json.Marshal(noisy)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(b1, b2) {
-		t.Fatal("duplicated stream perturbed the accumulator state")
-	}
-}
-
 // TestResumedAccumulatorMatchesUninterrupted extends the crash-resume
 // contract to the incremental statistics: kill a session mid-stream
 // with in-flight accumulator state (live ring, dirty pairs), resume on

@@ -2,8 +2,6 @@ package pipeline
 
 import (
 	"context"
-	"fmt"
-	"runtime"
 	"sync"
 	"testing"
 	"time"
@@ -12,7 +10,6 @@ import (
 	"github.com/elsa-hpc/elsa/internal/location"
 	"github.com/elsa-hpc/elsa/internal/logs"
 	"github.com/elsa-hpc/elsa/internal/predict"
-	"github.com/elsa-hpc/elsa/internal/sig"
 	"github.com/elsa-hpc/elsa/internal/topology"
 )
 
@@ -117,44 +114,3 @@ func BenchmarkMonitorFeed(b *testing.B) {
 	b.StopTimer()
 	b.ReportMetric(float64(fed)/b.Elapsed().Seconds(), "records/s")
 }
-
-// BenchmarkDetectFanout times one tick of the OutlierFilter stage body at
-// three model widths, sequential against fanned out over every CPU: the
-// measurement behind minShardSize. The 170-detector row is the bgl200
-// model's width.
-func BenchmarkDetectFanout(b *testing.B) {
-	for _, n := range []int{170, 1000, 4000} {
-		model := &correlate.Model{
-			Mode:       correlate.Hybrid,
-			Step:       10 * time.Second,
-			TrainStart: t0,
-			Profiles:   make(map[int]sig.Profile, n),
-			Thresholds: make(map[int]float64, n),
-		}
-		for id := 0; id < n; id++ {
-			model.Profiles[id] = sig.Profile{Event: id, Class: sig.Noise}
-			model.Thresholds[id] = 3
-		}
-		// bgl200-shaped ticks: a few dozen of the event types occur.
-		ticks := make([]*predict.Tick, 64)
-		for i := range ticks {
-			ticks[i] = predict.NewTick()
-			for j := 0; j < 40; j++ {
-				ticks[i].Add(logs.Record{EventID: (i*131 + j*17) % n})
-			}
-		}
-		for _, workers := range []int{1, runtime.NumCPU()} {
-			b.Run(fmt.Sprintf("detectors=%d/workers=%d", n, workers), func(b *testing.B) {
-				p := New(predict.NewEngine(model, nil, predict.DefaultConfig()), nil, Config{})
-				p.shards = partition(p.ids, workers) // past the minShardSize clamp this measures
-				b.ReportAllocs()
-				b.ResetTimer()
-				for i := 0; i < b.N; i++ {
-					benchHits = p.detect(ticks[i%len(ticks)], t0)
-				}
-			})
-		}
-	}
-}
-
-var benchHits []predict.Hit

@@ -36,42 +36,6 @@ func TestQuarantineReasonClassifiesCorruption(t *testing.T) {
 	}
 }
 
-func TestDedupRingEvictsOldest(t *testing.T) {
-	d := newDedupRing(3)
-	for k := uint64(1); k <= 3; k++ {
-		if d.observe(k) {
-			t.Fatalf("fresh key %d reported duplicate", k)
-		}
-	}
-	if !d.observe(2) {
-		t.Fatal("remembered key 2 not reported duplicate")
-	}
-	// 2 was re-inserted, evicting 1 (oldest); 1 is novel again.
-	if d.observe(4) {
-		t.Fatal("fresh key 4 reported duplicate")
-	}
-	if d.observe(1) {
-		t.Fatal("evicted key 1 still reported duplicate")
-	}
-}
-
-func TestDedupRingSnapshotRoundTrip(t *testing.T) {
-	d := newDedupRing(4)
-	for k := uint64(10); k < 16; k++ { // overflows: keeps 12..15
-		d.observe(k)
-	}
-	r := newDedupRing(4)
-	r.restore(d.keys())
-	for k := uint64(12); k < 16; k++ {
-		if !r.observe(k) {
-			t.Errorf("restored ring forgot key %d", k)
-		}
-	}
-	if r.observe(11) {
-		t.Error("restored ring remembers evicted key 11")
-	}
-}
-
 func TestSessionQuarantinesMalformedRecords(t *testing.T) {
 	node := topology.MustParse("R00-M0-N0-C:J02-U01")
 	s := New(predict.NewEngine(pairModel(), nil, predict.DefaultConfig()), nil, DefaultConfig()).NewSession(t0)
@@ -92,36 +56,87 @@ func TestSessionQuarantinesMalformedRecords(t *testing.T) {
 	if got := res.Stats.Stages[stageSource].Quarantined; got != 4 {
 		t.Errorf("source stage Quarantined = %d, want 4", got)
 	}
-	sample := s.p.Quarantined()
-	if len(sample) != 4 {
-		t.Fatalf("quarantine sample holds %d records, want 4", len(sample))
+}
+
+// TestSessionDropsFarFutureTimestamp: a collector's sentinel date passes
+// every quarantine check (year 9999 is a valid year) and used to close
+// every tick between the stream and itself inside one Feed call. It must
+// be dropped as a straggler, counted, and leave the stream's predictions
+// exactly those of the clean stream.
+func TestSessionDropsFarFutureTimestamp(t *testing.T) {
+	model, profiles, test, cut, end := trained(t, 501)
+	half := len(test) / 2
+	poison := test[half]
+	poison.Time = time.Date(9999, 12, 31, 23, 59, 59, 0, time.UTC)
+	if reason := quarantineReason(&poison); reason != "" {
+		t.Fatalf("the poisoned record is quarantined (%s); the test needs it admitted", reason)
 	}
-	if sample[0].Reason != "zero timestamp" {
-		t.Errorf("first sampled reason = %q, want %q", sample[0].Reason, "zero timestamp")
+
+	run := func(poisoned bool) ([]predict.Prediction, *predict.Result) {
+		s := New(predict.NewEngine(model, profiles, predict.DefaultConfig()), nil, DefaultConfig()).NewSession(cut)
+		var preds []predict.Prediction
+		for i, r := range test {
+			if poisoned && i == half {
+				start := time.Now()
+				if fired := feedOK(t, s, poison); len(fired) != 0 {
+					t.Errorf("the poisoned record fired %d predictions", len(fired))
+				}
+				if d := time.Since(start); d > time.Second {
+					t.Errorf("feeding the poisoned record took %v", d)
+				}
+			}
+			preds = append(preds, feedOK(t, s, r)...)
+		}
+		preds = append(preds, s.AdvanceTo(end)...)
+		return preds, s.Close()
+	}
+	want, clean := run(false)
+	got, res := run(true)
+
+	samePredictions(t, got, want, "poisoned", "clean")
+	if res.Stats.LateRecords != clean.Stats.LateRecords+1 {
+		t.Errorf("LateRecords = %d, want %d (clean stream's + the poisoned record)",
+			res.Stats.LateRecords, clean.Stats.LateRecords+1)
+	}
+	if got, want := res.Stats.Stages[stageSample].Dropped, clean.Stats.Stages[stageSample].Dropped+1; got != want {
+		t.Errorf("sample stage Dropped = %d, want %d", got, want)
+	}
+	if res.Stats.Ticks != clean.Stats.Ticks || res.Stats.Messages != clean.Stats.Messages {
+		t.Errorf("ticks/messages = %d/%d, want the clean stream's %d/%d",
+			res.Stats.Ticks, res.Stats.Messages, clean.Stats.Ticks, clean.Stats.Messages)
 	}
 }
 
-func TestSessionDedupSuppressesExactDuplicateBursts(t *testing.T) {
-	node := topology.MustParse("R00-M0-N0-C:J02-U01")
-	cfg := DefaultConfig()
-	cfg.DedupWindow = 64
-	s := New(predict.NewEngine(pairModel(), nil, predict.DefaultConfig()), nil, cfg).NewSession(t0)
-
-	burst := logs.Record{Time: t0.Add(5 * time.Second), EventID: 1, Location: node, Message: "retry storm"}
-	for i := 0; i < 5; i++ {
-		s.Feed(burst)
+// TestSamplerForwardJumpBound pins the edges of the forward-jump rule on
+// a one-day step (so an accepted year-long jump is 365 ticks, not three
+// million): the bound is measured from the session origin before the
+// first record, a shed record's timestamp is held to it too, and ticks
+// closed by advanceTo move the mark even though no record did.
+func TestSamplerForwardJumpBound(t *testing.T) {
+	const day = 24 * time.Hour
+	s := newSampler(t0, day, -1)
+	if _, ok := s.add(logs.Record{Time: t0.Add(367 * day), EventID: 1}); ok {
+		t.Error("record 367 days past the origin accepted")
 	}
-	// Any differing field makes the record novel again.
-	other := burst
-	other.Message = "retry storm 2"
-	s.Feed(other)
-
-	res := s.Close()
-	if res.Stats.DedupedRecords != 4 {
-		t.Errorf("DedupedRecords = %d, want 4", res.Stats.DedupedRecords)
+	if s.late != 1 {
+		t.Errorf("late = %d, want 1", s.late)
 	}
-	if res.Stats.Messages != 2 {
-		t.Errorf("Messages = %d, want 2 (one per distinct record)", res.Stats.Messages)
+	if ready := s.bump(t0.Add(367 * day)); len(ready) != 0 || !s.hw.IsZero() {
+		t.Errorf("shed timestamp 367 days ahead closed %d ticks, moved the mark to %v", len(ready), s.hw)
+	}
+	if _, ok := s.add(logs.Record{Time: t0.Add(365 * day), EventID: 1}); !ok {
+		t.Error("record 365 days past the origin dropped: a year-long outage must be survivable")
+	}
+	// The wall clock is authoritative: after it moved the cursor two more
+	// years on, a record there is current, not ahead of the stale mark.
+	s.advanceTo(t0.Add(3 * 365 * day))
+	if _, ok := s.add(logs.Record{Time: t0.Add(3*365*day + time.Hour), EventID: 1}); !ok {
+		t.Error("record just past an advanceTo cursor dropped as too far ahead")
+	}
+	// A bounded (replay) session keeps its own rule: in-window is in.
+	b := newSampler(t0, day, 800)
+	if _, ok := b.add(logs.Record{Time: t0.Add(700 * day), EventID: 1}); !ok {
+		t.Error("bounded session dropped an in-window record")
 	}
 }
 

@@ -1,11 +1,11 @@
 // Package pipeline is the streaming core of ELSA's online phase: a typed,
 // staged graph
 //
-//	Source → TemplateAssign (helo) → Sample/Signal (sig) → OutlierFilter → ChainMatch → PredictionSink
+//	Source → TemplateAssign (helo) → Sample/Signal (sig) → OutlierFilter → ChainMatch
 //
 // with context cancellation and per-stage counters (records in/out,
-// drops, max queue depth, wall time). The hot filtering stage shards its
-// per-event-type signal state across workers.
+// drops, max queue depth, wall time). A tick's predictions leave the
+// match stage in the Result and in Feed's return value.
 //
 // The graph has one set of stage bodies and one driver, Session, which
 // executes them synchronously, one record per Feed call — the deployment
@@ -21,8 +21,6 @@
 package pipeline
 
 import (
-	"runtime"
-	"sync"
 	"sync/atomic"
 	"time"
 
@@ -40,11 +38,18 @@ const (
 	stageSample
 	stageFilter
 	stageMatch
-	stageSink
 	numStages
 )
 
-var stageNames = [numStages]string{"source", "template", "sample", "filter", "match", "sink"}
+var stageNames = [numStages]string{"source", "template", "sample", "filter", "match"}
+
+// supervisedStages are the stages whose bodies run behind a panic barrier
+// with a failure budget and a circuit breaker (internal/resilience, its
+// default policy). A stage whose breaker trips runs in bypass mode —
+// records flow through unstamped, ticks produce no hits, or matching is
+// skipped — instead of killing the monitor, and the degradation is
+// visible in the stage's Health and the result's Degraded flag.
+var supervisedStages = [...]int{stageTemplate, stageFilter, stageMatch}
 
 // TemplateLearner is the online-learning slice of *helo.Organizer the
 // TemplateAssign stage needs: match a message against the template set,
@@ -67,43 +72,6 @@ func StampEventID(rec *logs.Record, org TemplateLearner) {
 // Config tunes the pipeline driver. The engine-level parameters (step,
 // tolerance, analysis-cost model) stay in predict.Config.
 type Config struct {
-	// Workers caps the filter stage's fan-out across detector shards.
-	// <= 0 selects runtime.NumCPU(). The effective width also never
-	// exceeds one worker per minShardSize detectors, so all but very wide
-	// models run sequentially.
-	Workers int
-
-	// GraceTicks is how many sampling ticks a record may lag the newest
-	// record seen and still be accepted into its (still open) tick.
-	// Records older than that are dropped and counted. Wall-clock
-	// advancement (Session.AdvanceTo) is authoritative and ignores the
-	// grace. Negative values are treated as 0.
-	GraceTicks int
-
-	// OnPrediction, when set, is invoked from the sink stage for every
-	// prediction as soon as its tick closes (live and replay).
-	OnPrediction func(predict.Prediction)
-
-	// Supervise wraps the template, filter and match stage bodies in
-	// panic barriers with failure budgets and circuit breakers
-	// (internal/resilience). A stage whose breaker trips runs in bypass
-	// mode — records flow through unstamped, ticks produce no hits, or
-	// matching is skipped — instead of killing the monitor, and the
-	// degradation is visible in the stage's Health and the result's
-	// Degraded flag. DefaultConfig enables it; the zero Config does not.
-	Supervise bool
-
-	// Supervision tunes the per-stage supervisors. Zero-value fields
-	// select the resilience package defaults.
-	Supervision resilience.Policy
-
-	// DedupWindow > 0 enables exact-duplicate suppression at ingest: a
-	// record identical in every field to one of the last DedupWindow
-	// accepted records is dropped and counted (collector retry bursts).
-	// It is off by default — a batch replay must see the stream
-	// verbatim to stay tick-for-tick identical to the reference engine.
-	DedupWindow int
-
 	// MaxBuffered bounds how many records the open (not yet closed)
 	// sampling ticks may hold before the sample stage starts shedding
 	// new records. Shedding stops once the buffer drains to half
@@ -120,25 +88,16 @@ type Config struct {
 	Accumulate *sig.AccumConfig
 }
 
-// DefaultGraceTicks is the default out-of-order tolerance: one sampling
-// tick, per the monitor's documented ingest contract.
+// DefaultGraceTicks is the out-of-order tolerance, per the monitor's
+// documented ingest contract: a record may lag the newest record seen by
+// one sampling tick and still be accepted into its (still open) tick.
+// Records older than that are dropped and counted. Wall-clock
+// advancement (Session.AdvanceTo) is authoritative and ignores the grace.
 const DefaultGraceTicks = 1
-
-// minShardSize is the fewest detectors worth giving a filter worker: the
-// measured crossover of BenchmarkDetectFanout (2 vCPUs). Two workers lose
-// 2x to the sequential loop at 170 detectors (the bgl200 model: ~35 us of
-// work against the cost of waking a goroutine and waiting for it), break
-// even at 1000 and win 1.5x at 4000.
-const minShardSize = 512
 
 // DefaultConfig returns the standard driver configuration.
 func DefaultConfig() Config {
-	return Config{
-		Workers:     runtime.NumCPU(),
-		GraceTicks:  DefaultGraceTicks,
-		Supervise:   true,
-		MaxBuffered: DefaultMaxBuffered,
-	}
+	return Config{MaxBuffered: DefaultMaxBuffered}
 }
 
 // Pipeline binds an armed prediction engine, a template organizer and a
@@ -154,11 +113,6 @@ type Pipeline struct {
 	//elsa:ephemeral driver configuration is a constructor argument, not stream state
 	cfg Config
 
-	//elsa:ephemeral model-derived wiring rebuilt by New
-	ids []int // all dense-detector event ids, ascending
-	//elsa:ephemeral model-derived wiring rebuilt by New
-	shards [][]int // ids partitioned for the filter fan-out
-
 	counters [numStages]stageCounter
 
 	// accum collects incremental training statistics from closed ticks;
@@ -168,51 +122,24 @@ type Pipeline struct {
 	//elsa:ephemeral per-tick outlier id scratch for the accumulator tap
 	accEvents []int
 
-	// Input hardening and supervision state (see harden.go).
-	//elsa:ephemeral ingest diagnostics; the aggregate counts persist via the stage counters
-	quar  quarantine
-	dedup *dedupRing // nil when Config.DedupWindow <= 0
+	// Supervisor and overload state (see harden.go).
 	//elsa:ephemeral supervision health is deliberately not restored; see restoreCounters
-	sups     [numStages]*resilience.Supervisor // nil when unsupervised
+	sups     [numStages]*resilience.Supervisor // set for supervisedStages only
 	shedding atomic.Bool
 }
 
 // New builds a pipeline over an engine. org may be nil when every record
 // arrives pre-stamped with an event id.
 func New(eng *predict.Engine, org TemplateLearner, cfg Config) *Pipeline {
-	if cfg.Workers <= 0 {
-		cfg.Workers = runtime.NumCPU()
-	}
-	if cfg.GraceTicks < 0 {
-		cfg.GraceTicks = 0
-	}
-	p := &Pipeline{eng: eng, org: org, cfg: cfg, ids: eng.DetectorIDs()}
-	p.shards = partition(p.ids, max(1, min(cfg.Workers, len(p.ids)/minShardSize)))
-	if cfg.DedupWindow > 0 {
-		p.dedup = newDedupRing(cfg.DedupWindow)
-	}
+	p := &Pipeline{eng: eng, org: org, cfg: cfg}
 	if cfg.Accumulate != nil {
 		p.accum = sig.NewAccumulator(*cfg.Accumulate)
 	}
-	if cfg.Supervise {
-		for _, st := range []int{stageTemplate, stageFilter, stageMatch} {
-			p.sups[st] = resilience.New(stageNames[st], cfg.Supervision)
-		}
+	for _, st := range supervisedStages {
+		p.sups[st] = resilience.New(stageNames[st], resilience.Policy{})
 	}
 	return p
 }
-
-// partition deals ids round-robin into w shards.
-func partition(ids []int, w int) [][]int {
-	shards := make([][]int, w)
-	for i, id := range ids {
-		shards[i%w] = append(shards[i%w], id)
-	}
-	return shards
-}
-
-// Engine returns the wrapped prediction engine.
-func (p *Pipeline) Engine() *predict.Engine { return p.eng }
 
 // Accumulator returns the incremental statistics accumulator, or nil
 // when Config.Accumulate was unset.
@@ -230,8 +157,10 @@ func (p *Pipeline) observeTick(b tickBatch, hits []predict.Hit) {
 	p.accum.ObserveTick(b.idx, b.sample.Counts, ev)
 }
 
-// FilterWorkers returns the filter stage's effective fan-out width.
-func (p *Pipeline) FilterWorkers() int { return len(p.shards) }
+// FilterWorkers is the reader of the benchmark's pipeline.filter_workers
+// row and nothing else: the filter stage is Engine.DetectOutliers, one
+// sequential loop. It goes when a benchmark-only PR drops the row.
+func (p *Pipeline) FilterWorkers() int { return 1 }
 
 // Stats returns a point-in-time snapshot of the per-stage counters, in
 // graph order, with each supervised stage's health merged in. Safe to
@@ -240,14 +169,14 @@ func (p *Pipeline) Stats() []predict.StageStats {
 	out := make([]predict.StageStats, numStages)
 	for i := range p.counters {
 		out[i] = p.counters[i].snapshot(stageNames[i])
-		if sup := p.sups[i]; sup != nil {
-			ss := sup.Stats()
-			out[i].Panics = ss.Panics
-			out[i].Bypassed = ss.Bypassed
-			out[i].Trips = ss.Trips
-			out[i].Probes = ss.Probes
-			out[i].Health = ss.Health.String()
-		}
+	}
+	for _, i := range supervisedStages {
+		ss := p.sups[i].Stats()
+		out[i].Panics = ss.Panics
+		out[i].Bypassed = ss.Bypassed
+		out[i].Trips = ss.Trips
+		out[i].Probes = ss.Probes
+		out[i].Health = ss.Health.String()
 	}
 	return out
 }
@@ -259,7 +188,6 @@ func (p *Pipeline) Stats() []predict.StageStats {
 func (p *Pipeline) fillStats(st *predict.Stats) {
 	st.Stages = p.Stats()
 	st.QuarantinedRecords = int(p.counters[stageSource].quarantined.Load())
-	st.DedupedRecords = int(p.counters[stageSource].deduped.Load())
 	st.ShedRecords = int(p.counters[stageSample].shed.Load())
 	if st.DegradedTicks > 0 || p.degradedNow() {
 		st.Degraded = true
@@ -275,7 +203,7 @@ type stageCounter struct {
 	maxQueue         atomic.Int64
 	wallNanos        atomic.Int64
 
-	quarantined, deduped, shed atomic.Int64
+	quarantined, shed atomic.Int64
 }
 
 func (c *stageCounter) observeQueue(depth int) {
@@ -299,7 +227,6 @@ func (c *stageCounter) snapshot(name string) predict.StageStats {
 		MaxQueue:    int(c.maxQueue.Load()),
 		Wall:        time.Duration(c.wallNanos.Load()),
 		Quarantined: c.quarantined.Load(),
-		Deduped:     c.deduped.Load(),
 		Shed:        c.shed.Load(),
 	}
 }
@@ -323,10 +250,6 @@ func (p *Pipeline) stamp(rec *logs.Record) {
 // probe succeeds.
 func (p *Pipeline) stampSafe(rec *logs.Record) {
 	sup := p.sups[stageTemplate]
-	if sup == nil {
-		p.stamp(rec)
-		return
-	}
 	if !sup.Allow() {
 		return
 	}
@@ -335,58 +258,15 @@ func (p *Pipeline) stampSafe(rec *logs.Record) {
 	sup.OK()
 }
 
-// detect runs the OutlierFilter stage body for one tick: every dense
-// detector observes its sampled value (sharded across the filter workers
-// when the model is wide enough), sparse events pass straight through,
-// and the merged hit set is sorted for deterministic matching. The
-// result is identical to Engine.DetectOutliers.
+// detect runs the OutlierFilter stage body for one tick: counters and the
+// wall timer around Engine.DetectOutliers.
 func (p *Pipeline) detect(t *predict.Tick, tickStart time.Time) []predict.Hit {
 	c := &p.counters[stageFilter]
 	c.in.Add(1)
 	start := time.Now()
-	var hits []predict.Hit
-	if len(p.shards) <= 1 {
-		hits = p.observeShard(p.ids, t, tickStart)
-	} else {
-		partial := make([][]predict.Hit, len(p.shards))
-		run := func(w int) {
-			// A panic on a worker goroutine cannot be recovered by the
-			// caller; the barrier must sit here. The shard's hits are
-			// lost for this tick, the process survives.
-			if sup := p.sups[stageFilter]; sup != nil {
-				defer sup.Recover()
-			}
-			partial[w] = p.observeShard(p.shards[w], t, tickStart)
-		}
-		var wg sync.WaitGroup
-		for w := 1; w < len(p.shards); w++ {
-			wg.Add(1)
-			go func(w int) {
-				defer wg.Done()
-				run(w)
-			}(w)
-		}
-		run(0) // on this goroutine: it would only wait otherwise
-		wg.Wait()
-		for _, hs := range partial {
-			hits = append(hits, hs...)
-		}
-	}
-	hits = p.eng.SparseHits(t, hits)
-	predict.SortHits(hits)
+	hits := p.eng.DetectOutliers(t, tickStart)
 	c.addWall(time.Since(start))
 	c.out.Add(int64(len(hits)))
-	return hits
-}
-
-// observeShard feeds the tick to the given detectors in order.
-func (p *Pipeline) observeShard(ids []int, t *predict.Tick, tickStart time.Time) []predict.Hit {
-	var hits []predict.Hit
-	for _, id := range ids {
-		if h, ok := p.eng.ObserveDetector(id, t, tickStart); ok {
-			hits = append(hits, h)
-		}
-	}
 	return hits
 }
 
@@ -395,9 +275,6 @@ func (p *Pipeline) observeShard(ids []int, t *predict.Tick, tickStart time.Time)
 // downstream matching handles as a quiet tick.
 func (p *Pipeline) detectSafe(t *predict.Tick, tickStart time.Time) []predict.Hit {
 	sup := p.sups[stageFilter]
-	if sup == nil {
-		return p.detect(t, tickStart)
-	}
 	if !sup.Allow() {
 		return nil
 	}
@@ -410,8 +287,8 @@ func (p *Pipeline) detectSafe(t *predict.Tick, tickStart time.Time) []predict.Hi
 	return hits
 }
 
-// match runs the ChainMatch + PredictionSink stage bodies for one closed
-// tick, appending into res and returning the predictions the tick fired.
+// match runs the ChainMatch stage body for one closed tick, appending
+// into res and returning the predictions the tick fired.
 //
 //elsa:hotpath
 func (p *Pipeline) match(b tickBatch, hits []predict.Hit, res *predict.Result) []predict.Prediction {
@@ -431,26 +308,14 @@ func (p *Pipeline) match(b tickBatch, hits []predict.Hit, res *predict.Result) [
 			fired[i].Degraded = true
 		}
 	}
-
-	cs := &p.counters[stageSink]
-	cs.in.Add(int64(len(fired)))
-	if p.cfg.OnPrediction != nil {
-		for _, pr := range fired {
-			p.cfg.OnPrediction(pr)
-		}
-	}
-	cs.out.Add(int64(len(fired)))
 	return fired
 }
 
-// matchSafe is the supervised match/sink stage: with the breaker
+// matchSafe is the supervised match stage: with the breaker
 // tripped the tick is skipped entirely — no chain advancement, no
 // emission — until the cooldown probe succeeds.
 func (p *Pipeline) matchSafe(b tickBatch, hits []predict.Hit, res *predict.Result) []predict.Prediction {
 	sup := p.sups[stageMatch]
-	if sup == nil {
-		return p.match(b, hits, res)
-	}
 	if !sup.Allow() {
 		return nil
 	}

@@ -19,8 +19,8 @@ const replayChunk = 512
 // replay is tick-for-tick identical to the live monitor), the context is
 // cancelled, or the source fails.
 //
-// Everything from tick close to sink is the session's, supervision guards
-// included. A replay adds one overlap: source → ingest → template
+// Everything from tick close to chain match is the session's, supervision
+// guards included. A replay adds one overlap: source → ingest → template
 // assignment runs one chunk ahead of the session on its own goroutine,
 // because template assignment is the heavy per-record stage and a replay,
 // unlike a live feed, always has the next records at hand. A replayed
@@ -29,7 +29,7 @@ const replayChunk = 512
 //
 // The returned result is complete on nil error and partial otherwise: a
 // cancelled replay stops between records, so every tick either ran the
-// whole filter → match → sink path or contributed nothing. Stats.Stages
+// whole filter → match path or contributed nothing. Stats.Stages
 // carry the per-stage counters either way, and the template goroutine is
 // joined before Run returns — cancellation never leaks.
 func (p *Pipeline) Run(ctx context.Context, src logs.RecordSource, start, end time.Time) (*predict.Result, error) {

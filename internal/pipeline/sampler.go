@@ -19,11 +19,13 @@ type tickBatch struct {
 // per-tick aggregates and decides when a tick is closed.
 //
 // Ordering contract: record timestamps are treated as an unreliable
-// clock. A tick closes only once a record stamped at least GraceTicks
-// full steps past its end has been seen (high-water mark), so records up
-// to GraceTicks late still land in their open tick. Records older than
-// the newest closed tick are dropped and counted — they can no longer be
-// sampled without corrupting already-filtered signal state. Explicit
+// clock. A tick closes only once a record stamped at least
+// DefaultGraceTicks full steps past its end has been seen (high-water
+// mark), so records up to DefaultGraceTicks late still land in their open
+// tick. Records older than the newest closed tick are dropped and
+// counted — they can no longer be sampled without corrupting
+// already-filtered signal state — and so, in an unbounded session, is a
+// record more than maxForwardJump ahead of the cursor. Explicit
 // wall-clock advancement (advanceTo) is authoritative and closes ticks
 // without grace.
 //
@@ -31,7 +33,6 @@ type tickBatch struct {
 type sampler struct {
 	origin time.Time
 	step   time.Duration
-	grace  int
 	//elsa:ephemeral run-window bound is a constructor argument; resumed sessions are always unbounded
 	limit int // ticks in the run window; < 0 means unbounded (live session)
 
@@ -41,7 +42,7 @@ type sampler struct {
 	//elsa:ephemeral derived from the open tick aggregates; recomputed on resume
 	buffered int // records currently held in open ticks
 
-	late    int64 // dropped: older than the newest closed tick
+	late    int64 // dropped: older than the newest closed tick, or too far ahead
 	outside int64 // dropped: outside the [start, end) run window
 }
 
@@ -49,11 +50,10 @@ type sampler struct {
 // rebuilds the cursor through it before overlaying the snapshot fields.
 //
 //elsa:snapshotter decode
-func newSampler(origin time.Time, step time.Duration, grace, limit int) *sampler {
+func newSampler(origin time.Time, step time.Duration, limit int) *sampler {
 	return &sampler{
 		origin: origin,
 		step:   step,
-		grace:  grace,
 		limit:  limit,
 		open:   make(map[int]*predict.Tick),
 	}
@@ -63,6 +63,26 @@ func (s *sampler) tickStart(idx int) time.Time {
 	return s.origin.Add(time.Duration(idx) * s.step)
 }
 
+// maxForwardJump is how far past the cursor an unbounded session lets one
+// record stamp itself. A record beyond it is dropped as a straggler:
+// sampling it would close, and materialise within that one call, every
+// tick up to a collector's sentinel date (2038, 9999) — which does not
+// return. The bound is a year, not minutes, because the cursor goes stale
+// while the monitored machine is down: a resumed monitor must accept the
+// first record after any shorter outage, or every later record would
+// look "ahead" of the stale cursor too.
+const maxForwardJump = 366 * 24 * time.Hour
+
+// tooFarAhead reports whether a timestamp d past the origin is more than
+// maxForwardJump past the cursor: the start of the next tick to close,
+// which trails the high-water mark by less than two ticks, sits at the
+// origin before the first record, and moves with advanceTo
+// (authoritative). A bounded session drops such records as outside its
+// window instead.
+func (s *sampler) tooFarAhead(d time.Duration) bool {
+	return s.limit < 0 && d-time.Duration(s.next)*s.step > maxForwardJump
+}
+
 // add folds one record in and returns the ticks its arrival closed, in
 // order. ok is false when the record was dropped.
 func (s *sampler) add(rec logs.Record) (ready []tickBatch, ok bool) {
@@ -70,12 +90,13 @@ func (s *sampler) add(rec logs.Record) (ready []tickBatch, ok bool) {
 		s.outside++
 		return nil, false
 	}
-	idx := int(rec.Time.Sub(s.origin) / s.step)
+	d := rec.Time.Sub(s.origin)
+	idx := int(d / s.step)
 	if s.limit >= 0 && idx >= s.limit {
 		s.outside++
 		return nil, false
 	}
-	if idx < s.next {
+	if idx < s.next || s.tooFarAhead(d) {
 		s.late++
 		return nil, false
 	}
@@ -91,8 +112,8 @@ func (s *sampler) add(rec logs.Record) (ready []tickBatch, ok bool) {
 		s.hw = rec.Time
 	}
 	// Close every tick whose grace window the high-water mark has passed:
-	// tick i closes once hw >= end(i) + grace*step.
-	for !s.hw.Before(s.tickStart(s.next + 1 + s.grace)) {
+	// tick i closes once hw >= end(i) + DefaultGraceTicks*step.
+	for !s.hw.Before(s.tickStart(s.next + 1 + DefaultGraceTicks)) {
 		ready = append(ready, s.closeNext())
 	}
 	return ready, true
@@ -101,12 +122,13 @@ func (s *sampler) add(rec logs.Record) (ready []tickBatch, ok bool) {
 // bump advances the high-water mark without sampling a record, closing
 // any ticks whose grace window it passed. The overload-shedding path
 // uses it: a flood's records are dropped, but their timestamps still
-// drive tick progress so the buffer drains and shedding can stop.
+// drive tick progress so the buffer drains and shedding can stop — unless
+// the timestamp is too far ahead to be believed.
 func (s *sampler) bump(ts time.Time) (ready []tickBatch) {
-	if ts.After(s.hw) {
+	if ts.After(s.hw) && !s.tooFarAhead(ts.Sub(s.origin)) {
 		s.hw = ts
 	}
-	for !s.hw.Before(s.tickStart(s.next + 1 + s.grace)) {
+	for !s.hw.Before(s.tickStart(s.next + 1 + DefaultGraceTicks)) {
 		if s.limit >= 0 && s.next >= s.limit {
 			break
 		}

@@ -19,12 +19,13 @@ var ErrClosed = errors.New("pipeline: session is closed")
 // API, and — bounded to a run window — what Run replays a batch through.
 //
 // Ingest contract: records should arrive roughly in time order. A record
-// up to Config.GraceTicks sampling ticks older than the newest record
-// seen is still accepted into its (still open) tick; older records are
-// dropped and counted in the sample stage's Dropped counter and the
-// result's LateRecords. AdvanceTo is wall-clock-authoritative: ticks it
-// closes are final regardless of grace. A Session is not safe for
-// concurrent use.
+// up to DefaultGraceTicks sampling ticks older than the newest record
+// seen is still accepted into its (still open) tick; older records, and
+// records stamped more than maxForwardJump (366 days) ahead of the
+// stream, are dropped and counted in the sample stage's Dropped counter
+// and the result's LateRecords. AdvanceTo is wall-clock-authoritative:
+// ticks it closes are final regardless of grace. A Session is not safe
+// for concurrent use.
 //
 //elsa:state open closed
 //elsa:snapshot
@@ -45,7 +46,7 @@ func (p *Pipeline) NewSession(start time.Time) *Session { return p.newSession(st
 func (p *Pipeline) newSession(start time.Time, nTicks int) *Session {
 	return &Session{
 		p:   p,
-		smp: newSampler(start, p.eng.Step(), p.cfg.GraceTicks, nTicks),
+		smp: newSampler(start, p.eng.Step(), nTicks),
 		res: p.eng.NewResult(),
 	}
 }

@@ -206,7 +206,8 @@ func (c *cancellingLearner) Learn(msg string, sev logs.Severity) *helo.Template 
 // between the template and match stages, mid-stream: the run must stop
 // without leaking goroutines, and everything emitted up to that point
 // must be an exact prefix of the uninterrupted run — a tick either
-// completes the full filter→match→sink path or contributes nothing.
+// completes the full filter→match path or contributes nothing. The
+// partial Result a cancelled Run returns is what carries that prefix.
 func TestRunCancelledMidTickEmitsNoPartialPredictions(t *testing.T) {
 	model, profiles, test, cut, end := trained(t, 501)
 
@@ -218,13 +219,12 @@ func TestRunCancelledMidTickEmitsNoPartialPredictions(t *testing.T) {
 		unstamped[i] = r
 	}
 
-	refCfg := DefaultConfig()
-	var want []predict.Prediction
-	refCfg.OnPrediction = func(p predict.Prediction) { want = append(want, p) }
-	if _, err := New(predict.NewEngine(model, profiles, predict.DefaultConfig()), helo.New(0), refCfg).
-		Run(context.Background(), logs.NewSliceSource(unstamped), cut, end); err != nil {
+	ref, err := New(predict.NewEngine(model, profiles, predict.DefaultConfig()), helo.New(0), DefaultConfig()).
+		Run(context.Background(), logs.NewSliceSource(unstamped), cut, end)
+	if err != nil {
 		t.Fatalf("reference Run: %v", err)
 	}
+	want := ref.Predictions
 	if len(want) == 0 {
 		t.Fatal("reference run emitted no predictions; the test needs some")
 	}
@@ -234,10 +234,7 @@ func TestRunCancelledMidTickEmitsNoPartialPredictions(t *testing.T) {
 	defer cancel()
 	learner := &cancellingLearner{inner: helo.New(0), after: len(unstamped) / 2, cancel: cancel}
 
-	cfg := DefaultConfig()
-	var got []predict.Prediction
-	cfg.OnPrediction = func(p predict.Prediction) { got = append(got, p) }
-	res, err := New(predict.NewEngine(model, profiles, predict.DefaultConfig()), learner, cfg).
+	res, err := New(predict.NewEngine(model, profiles, predict.DefaultConfig()), learner, DefaultConfig()).
 		Run(ctx, logs.NewSliceSource(unstamped), cut, end)
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("err = %v, want context.Canceled", err)
@@ -245,6 +242,7 @@ func TestRunCancelledMidTickEmitsNoPartialPredictions(t *testing.T) {
 	if res == nil {
 		t.Fatal("cancelled Run returned nil partial result")
 	}
+	got := res.Predictions
 	if len(got) >= len(want) {
 		t.Fatalf("cancelled run emitted %d predictions, reference %d — cancellation came too late to test anything", len(got), len(want))
 	}

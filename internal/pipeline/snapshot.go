@@ -11,11 +11,11 @@ import (
 
 // SessionState is the serialisable mid-stream state of a Session: the
 // sampler cursor (tick position, high-water mark, still-open tick
-// aggregates), the ingest dedup memory, the shedding flag, the engine's
-// online state and the accumulated result. A monitor that snapshots it
-// periodically can be killed and resumed without retraining and without
-// re-emitting or losing predictions: the resumed session continues
-// tick-for-tick where the snapshot was taken.
+// aggregates), the shedding flag, the engine's online state and the
+// accumulated result. A monitor that snapshots it periodically can be
+// killed and resumed without retraining and without re-emitting or
+// losing predictions: the resumed session continues tick-for-tick where
+// the snapshot was taken.
 //
 // The state is pure data — it references the model only through stable
 // keys (event ids, chain keys), which Pipeline.ResumeSession resolves
@@ -25,15 +25,13 @@ import (
 type SessionState struct {
 	Origin    time.Time             `json:"origin"`
 	Step      time.Duration         `json:"step"`
-	Grace     int                   `json:"grace"`
 	NextTick  int                   `json:"next_tick"`
 	HighWater time.Time             `json:"high_water"`
 	Open      map[int]*predict.Tick `json:"open,omitempty"`
 	Late      int64                 `json:"late,omitempty"`
 	Outside   int64                 `json:"outside,omitempty"`
 
-	Dedup    []uint64 `json:"dedup,omitempty"`
-	Shedding bool     `json:"shedding,omitempty"`
+	Shedding bool `json:"shedding,omitempty"`
 
 	// Accum carries the incremental training statistics mid-stream when
 	// the pipeline was armed with Config.Accumulate.
@@ -57,7 +55,6 @@ func (s *Session) State() (*SessionState, error) {
 	st := &SessionState{
 		Origin:    s.smp.origin,
 		Step:      s.smp.step,
-		Grace:     s.smp.grace,
 		NextTick:  s.smp.next,
 		HighWater: s.smp.hw,
 		Late:      s.smp.late,
@@ -70,9 +67,6 @@ func (s *Session) State() (*SessionState, error) {
 		for idx, t := range s.smp.open {
 			st.Open[idx] = copyTick(t)
 		}
-	}
-	if s.p.dedup != nil {
-		st.Dedup = s.p.dedup.keys()
 	}
 	if s.p.accum != nil {
 		st.Accum = s.p.accum.State()
@@ -109,7 +103,7 @@ func (p *Pipeline) ResumeSession(st *SessionState) (*Session, error) {
 	if err := p.eng.Restore(st.Engine); err != nil {
 		return nil, err
 	}
-	smp := newSampler(st.Origin, st.Step, st.Grace, -1)
+	smp := newSampler(st.Origin, st.Step, -1)
 	smp.next = st.NextTick
 	smp.hw = st.HighWater
 	smp.late = st.Late
@@ -126,9 +120,6 @@ func (p *Pipeline) ResumeSession(st *SessionState) (*Session, error) {
 		smp.buffered += t.N
 	}
 	p.shedding.Store(st.Shedding)
-	if p.dedup != nil {
-		p.dedup.restore(st.Dedup)
-	}
 	if p.accum != nil && st.Accum != nil {
 		acc, err := sig.RestoreAccumulator(*p.cfg.Accumulate, st.Accum)
 		if err != nil {
@@ -152,7 +143,7 @@ func (p *Pipeline) ResumeSession(st *SessionState) (*Session, error) {
 }
 
 // restoreCounters reloads the per-stage throughput counters from a stage
-// snapshot, matching stages by name. Supervision health is not restored:
+// snapshot, matching stages by name. Supervisor health is not restored:
 // a resumed process starts with closed breakers and a fresh failure
 // budget (the panics of a previous incarnation say nothing about this
 // one), while the cumulative panic counts live on in the snapshot's
@@ -172,7 +163,6 @@ func (p *Pipeline) restoreCounters(stages []predict.StageStats) {
 			c.maxQueue.Store(int64(ss.MaxQueue))
 			c.wallNanos.Store(int64(ss.Wall))
 			c.quarantined.Store(ss.Quarantined)
-			c.deduped.Store(ss.Deduped)
 			c.shed.Store(ss.Shed)
 		}
 	}

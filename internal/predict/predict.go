@@ -119,10 +119,15 @@ type Stats struct {
 	// Input-hardening and resilience accounting (internal/pipeline runs;
 	// zero for direct Engine.Run calls).
 	QuarantinedRecords int // malformed records diverted, never fatal
-	DedupedRecords     int // exact-duplicate burst records suppressed
 	ShedRecords        int // records dropped by overload shedding
 	DegradedTicks      int // ticks processed while shedding or bypassing
 	Degraded           bool
+
+	// DedupedRecords is always 0: ingest no longer suppresses duplicates.
+	// The field survives, off the snapshot wire, only because benchmark/
+	// still adds it into its failed-operation count; a benchmark-only PR
+	// drops that read and this field together.
+	DedupedRecords int `json:"-"`
 
 	// Stages holds per-stage pipeline counters when the run was driven
 	// through internal/pipeline (nil for direct Engine.Run calls).
@@ -141,16 +146,15 @@ type StageStats struct {
 	MaxQueue int
 	Wall     time.Duration
 
-	// Hardening counters: quarantined/deduplicated records (ingest) and
-	// shed records (overload).
+	// Hardening counters: quarantined records (ingest) and shed records
+	// (overload).
 	Quarantined int64
-	Deduped     int64
 	Shed        int64
 
 	// Supervision health: recovered stage-body panics, invocations
 	// bypassed with the breaker open, breaker trip and half-open probe
-	// counts, and the breaker state ("" when the stage runs
-	// unsupervised).
+	// counts, and the breaker state ("" for the source and sample
+	// stages, which run no supervised body).
 	Panics   int64
 	Bypassed int64
 	Trips    int64
@@ -250,9 +254,29 @@ type Engine struct {
 	//elsa:ephemeral model-derived wiring rebuilt by NewEngine
 	firstEvents map[int][]*correlate.Chain
 
-	detectors map[int]*outlier.Detector // dense events only
+	detectors denseFilters // dense events only
 	active    []*instance
 	spans     map[string]*spanTracker // chain key -> confirmed-delay stats
+}
+
+// denseFilter is one dense event's online outlier filter.
+type denseFilter struct {
+	id  int
+	det *outlier.Detector
+}
+
+// denseFilters is a model's dense filter set in filtering order:
+// ascending event id.
+type denseFilters []denseFilter
+
+// find returns event id's filter, or nil when the event takes the sparse
+// path.
+func (fs denseFilters) find(id int) *outlier.Detector {
+	i := sort.Search(len(fs), func(i int) bool { return fs[i].id >= id })
+	if i < len(fs) && fs[i].id == id {
+		return fs[i].det
+	}
+	return nil
 }
 
 // spanTracker accumulates the observed trigger-to-terminal spans of one
@@ -281,17 +305,18 @@ func NewEngine(model *correlate.Model, profiles map[string]*location.Profile, cf
 		cfg:         cfg,
 		byEvent:     make(map[int][]chainRef),
 		firstEvents: make(map[int][]*correlate.Chain),
-		detectors:   make(map[int]*outlier.Detector),
 		spans:       make(map[string]*spanTracker),
 	}
 	e.rebuildChains()
 	// Dense signals get a real online filter; silent signals use the
-	// fast path (any occurrence is an outlier).
+	// fast path (any occurrence is an outlier). The set never changes
+	// after construction, so it is put in filtering order here, once.
 	for id, p := range model.Profiles {
 		if p.Class != sig.Silent && model.Mode != correlate.DataMiningOnly {
-			e.detectors[id] = outlier.NewDetector(cfg.OutlierWindow, model.Thresholds[id])
+			e.detectors = append(e.detectors, denseFilter{id, outlier.NewDetector(cfg.OutlierWindow, model.Thresholds[id])})
 		}
 	}
+	sort.Slice(e.detectors, func(i, j int) bool { return e.detectors[i].id < e.detectors[j].id })
 	return e
 }
 
@@ -377,8 +402,8 @@ func (e *Engine) NewResult() *Result {
 
 // Run streams the time-sorted, event-stamped records through the engine
 // tick by tick over [start, end). It is the in-process reference driver:
-// internal/pipeline composes exactly the same stage steps (SampleTick,
-// DetectOutliers, MatchChains, FinishTick) across channels.
+// internal/pipeline's Session composes exactly the same stage steps
+// (Tick.Add, DetectOutliers, MatchChains, FinishTick) record by record.
 func (e *Engine) Run(recs []logs.Record, start, end time.Time) *Result {
 	res := e.NewResult()
 	nTicks := int(end.Sub(start) / e.cfg.Step)
@@ -405,74 +430,71 @@ func (e *Engine) processTick(cur []logs.Record, tick int, tickStart, tickEnd tim
 }
 
 // DetectorIDs returns the event ids that carry a dense online filter, in
-// ascending order. Detector state per id is independent, so a caller may
-// partition the ids into shards and observe each shard from its own
-// worker — the basis of the pipeline's filter fan-out.
+// ascending order.
 func (e *Engine) DetectorIDs() []int {
-	ids := make([]int, 0, len(e.detectors))
-	for id := range e.detectors {
-		ids = append(ids, id)
+	ids := make([]int, len(e.detectors))
+	for i, d := range e.detectors {
+		ids[i] = d.id
 	}
-	sort.Ints(ids)
 	return ids
 }
 
-// ObserveDetector feeds one dense event's tick value to its online
-// filter, returning a Hit when the tick is an outlier occurrence.
-// Every detector must be observed exactly once per tick, in tick order,
-// so its window state evolves; concurrent calls are safe only across
-// distinct ids. Periodic signals are scored on their phase residual,
+// observe feeds one dense event's tick value to its online filter,
+// returning a Hit when the tick is an outlier occurrence. Every detector
+// must be observed exactly once per tick, in tick order, so its window
+// state evolves. Periodic signals are scored on their phase residual,
 // anchored to the training epoch, so scheduled beats pass.
 //
 //elsa:hotpath
-func (e *Engine) ObserveDetector(id int, t *Tick, tickStart time.Time) (Hit, bool) {
-	det := e.detectors[id]
-	v := float64(t.Counts[id])
-	if p := e.model.Profiles[id]; p.Class == sig.Periodic && len(p.Baseline) > 0 {
+func (e *Engine) observe(d denseFilter, t *Tick, tickStart time.Time) (Hit, bool) {
+	v := float64(t.Counts[d.id])
+	if p := e.model.Profiles[d.id]; p.Class == sig.Periodic && len(p.Baseline) > 0 {
 		phase := int(tickStart.Sub(e.model.TrainStart)/e.cfg.Step) % len(p.Baseline)
 		if phase < 0 {
 			phase += len(p.Baseline)
 		}
 		v -= p.Baseline[phase]
 	}
-	obs := det.Observe(v)
-	if obs.Outlier && t.Counts[id] > 0 {
-		return Hit{Event: id, Loc: t.FirstLoc[id]}, true
+	obs := d.det.Observe(v)
+	if obs.Outlier && t.Counts[d.id] > 0 {
+		return Hit{Event: d.id, Loc: t.FirstLoc[d.id]}, true
 	}
 	return Hit{}, false
 }
 
-// SparseHits appends the tick's sparse-path outliers to hits: events
+// sparseHits appends the tick's sparse-path outliers to hits: events
 // without a dense filter (silent signals and event types never seen in
 // training) count any occurrence as an outlier. The appended tail is
 // sorted so the function's output is deterministic on its own — the
-// sparse ids come out of a map — rather than relying on every caller to
-// canonicalise the merged hit set (they do, but elsavet rightly refuses
+// sparse ids come out of a map — rather than relying on the caller to
+// canonicalise the merged hit set (it does, but elsavet rightly refuses
 // to take that on faith).
-func (e *Engine) SparseHits(t *Tick, hits []Hit) []Hit {
+func (e *Engine) sparseHits(t *Tick, hits []Hit) []Hit {
 	n := len(hits)
 	for id := range t.Counts {
-		if _, dense := e.detectors[id]; dense {
+		if e.detectors.find(id) != nil {
 			continue
 		}
 		hits = append(hits, Hit{Event: id, Loc: t.FirstLoc[id]})
 	}
-	SortHits(hits[n:])
+	sortHits(hits[n:])
 	return hits
 }
 
 // DetectOutliers runs the full filtering stage for one tick: every dense
 // detector observes its value, sparse events pass through, and the hit
-// set is sorted for deterministic matching.
+// set is sorted for deterministic matching. It is the only loop over the
+// dense detectors: the pipeline's filter stage and the benchmark's
+// layered driver both call it.
 func (e *Engine) DetectOutliers(t *Tick, tickStart time.Time) []Hit {
 	var hits []Hit
-	for _, id := range e.DetectorIDs() {
-		if h, ok := e.ObserveDetector(id, t, tickStart); ok {
+	for _, d := range e.detectors {
+		if h, ok := e.observe(d, t, tickStart); ok {
 			hits = append(hits, h)
 		}
 	}
-	hits = e.SparseHits(t, hits)
-	SortHits(hits)
+	hits = e.sparseHits(t, hits)
+	sortHits(hits)
 	return hits
 }
 
@@ -670,12 +692,12 @@ func abs(x int) int {
 	return x
 }
 
-// SortHits orders outlier hits by event id (insertion sort; outlier sets
+// sortHits orders outlier hits by event id (insertion sort; outlier sets
 // per tick are tiny). Hits within one tick never share an event id, so
 // the order is total and matching is deterministic.
 //
 //elsa:hotpath
-func SortHits(hits []Hit) {
+func sortHits(hits []Hit) {
 	for i := 1; i < len(hits); i++ {
 		for j := i; j > 0 && hits[j].Event < hits[j-1].Event; j-- {
 			hits[j], hits[j-1] = hits[j-1], hits[j]

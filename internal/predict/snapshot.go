@@ -50,8 +50,8 @@ func (e *Engine) State() *EngineState {
 		Active:    make([]InstanceState, 0, len(e.active)),
 		Spans:     make(map[string]SpanState, len(e.spans)),
 	}
-	for _, id := range e.DetectorIDs() {
-		st.Detectors[id] = e.detectors[id].State()
+	for _, d := range e.detectors {
+		st.Detectors[d.id] = d.det.State()
 	}
 	for _, in := range e.active {
 		st.Active = append(st.Active, InstanceState{
@@ -84,8 +84,8 @@ func (e *Engine) Restore(st *EngineState) error {
 		byKey[e.chains[i].Key()] = &e.chains[i]
 	}
 	for id, ds := range st.Detectors {
-		det, ok := e.detectors[id]
-		if !ok {
+		det := e.detectors.find(id)
+		if det == nil {
 			return fmt.Errorf("predict: snapshot has detector state for unknown event %d", id)
 		}
 		if err := det.Restore(ds); err != nil {

@@ -74,15 +74,6 @@ const (
 	DefaultJitter      = 0.5
 )
 
-// DefaultPolicy returns the supervision parameters the pipeline uses.
-func DefaultPolicy() Policy {
-	return Policy{
-		MaxFailures: DefaultMaxFailures,
-		Window:      DefaultWindow,
-		Cooldown:    DefaultCooldown,
-	}
-}
-
 // normalised fills policy defaults in place.
 func (p Policy) normalised() Policy {
 	if p.MaxFailures <= 0 {

@@ -309,10 +309,6 @@ func (l Location) Contains(other Location) bool {
 	return other.Card == l.Card && other.Slot == l.Slot && other.Unit == l.Unit
 }
 
-// SameComponent reports whether a and b name exactly the same component at
-// the same granularity.
-func SameComponent(a, b Location) bool { return a == b }
-
 // CommonScope returns the smallest scope at which a and b share an
 // enclosing component. Two distinct flat nodes share only ScopeSystem.
 func CommonScope(a, b Location) Scope {

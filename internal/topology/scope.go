@@ -42,9 +42,6 @@ func ParseScope(name string) (Scope, error) {
 	return 0, fmt.Errorf("topology: unknown scope %q (want node, nodecard, midplane, rack, or system)", name)
 }
 
-// Wider reports whether s is a strictly coarser level than t.
-func (s Scope) Wider(t Scope) bool { return s > t }
-
 // MaxScope returns the coarser of a and b.
 func MaxScope(a, b Scope) Scope {
 	if a > b {

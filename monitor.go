@@ -29,8 +29,12 @@ var ErrClosed = pipeline.ErrClosed
 // up to one sampling tick older than the newest record seen is still
 // accepted into its (still open) tick; older records are dropped and
 // counted (Stats.LateRecords and the sample stage's Dropped counter)
-// rather than corrupting tick state. AdvanceTo is wall-clock
-// authoritative: ticks it closes are final.
+// rather than corrupting tick state. So is a record stamped more than
+// 366 days ahead of the newest time the monitor has seen — a collector's
+// sentinel date would otherwise close every tick up to itself in one
+// call; the bound is a year so that a monitor resumed after a long
+// machine outage still accepts the first record after it. AdvanceTo is
+// wall-clock authoritative: ticks it closes are final.
 //
 //elsa:state open closed
 //elsa:snapshot

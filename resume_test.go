@@ -3,6 +3,7 @@ package elsa
 import (
 	"bytes"
 	"errors"
+	"fmt"
 	"strings"
 	"testing"
 	"time"
@@ -105,10 +106,10 @@ func TestResumeMonitorRejectsBadSnapshots(t *testing.T) {
 		t.Errorf("ErrVersionMismatch = %+v, want Got 99 / Want %d / Kind %q", vErr, monitorFormatVersion, "monitor snapshot")
 	}
 
-	if _, err := model.ResumeMonitor(strings.NewReader(`{"version": 2}`)); err == nil {
+	if _, err := model.ResumeMonitor(strings.NewReader(`{"version": 3}`)); err == nil {
 		t.Error("snapshot without session state accepted")
 	}
-	if _, err := model.ResumeMonitor(strings.NewReader(`{"version": 2, "bogus": true}`)); err == nil {
+	if _, err := model.ResumeMonitor(strings.NewReader(`{"version": 3, "bogus": true}`)); err == nil {
 		t.Error("snapshot with unknown fields accepted")
 	}
 
@@ -190,9 +191,9 @@ func resumeSeed(t testing.TB) []byte {
 	return seed.Bytes()
 }
 
-// asVersion1 relabels a snapshot as format version 1.
-func asVersion1(snap []byte) []byte {
-	return bytes.Replace(snap, []byte(`"version": 2`), []byte(`"version": 1`), 1)
+// asVersion relabels a snapshot as format version v.
+func asVersion(snap []byte, v int) []byte {
+	return bytes.Replace(snap, []byte(`"version": 3`), []byte(fmt.Sprintf(`"version": %d`, v)), 1)
 }
 
 // TestResumeMonitorRejectsVersion1: version 1 stage counters carried a
@@ -200,10 +201,22 @@ func asVersion1(snap []byte) []byte {
 // snapshot must fail as what it is — another format version, the signal
 // to start a fresh monitor — whatever else it holds.
 func TestResumeMonitorRejectsVersion1(t *testing.T) {
-	_, err := fuzzResumeModel(t).ResumeMonitor(bytes.NewReader(asVersion1(resumeSeed(t))))
+	_, err := fuzzResumeModel(t).ResumeMonitor(bytes.NewReader(asVersion(resumeSeed(t), 1)))
 	var vErr *ErrVersionMismatch
-	if !errors.As(err, &vErr) || vErr.Got != 1 || vErr.Want != 2 {
-		t.Fatalf("err = %v, want ErrVersionMismatch{Got: 1, Want: 2}", err)
+	if !errors.As(err, &vErr) || vErr.Got != 1 || vErr.Want != 3 {
+		t.Fatalf("err = %v, want ErrVersionMismatch{Got: 1, Want: 3}", err)
+	}
+}
+
+// TestResumeMonitorRejectsVersion2: version 2 sessions carried the grace
+// and dedup-ring fields, deduplication counters and a sink stage row the
+// envelope no longer has. Same contract: a typed version error, not a
+// decode error about whichever field the strict decoder meets first.
+func TestResumeMonitorRejectsVersion2(t *testing.T) {
+	_, err := fuzzResumeModel(t).ResumeMonitor(bytes.NewReader(asVersion(resumeSeed(t), 2)))
+	var vErr *ErrVersionMismatch
+	if !errors.As(err, &vErr) || vErr.Got != 2 || vErr.Want != 3 {
+		t.Fatalf("err = %v, want ErrVersionMismatch{Got: 2, Want: 3}", err)
 	}
 }
 
@@ -215,8 +228,9 @@ func TestResumeMonitorRejectsVersion1(t *testing.T) {
 func FuzzResumeMonitor(f *testing.F) {
 	seed := resumeSeed(f)
 	f.Add(seed)
-	f.Add(asVersion1(seed))
-	f.Add([]byte(`{"version":2,"session":{"accum":{"max_lag":360,"exact":true,"last_tick":3,"last_trim":9}}}`))
+	f.Add(asVersion(seed, 1))
+	f.Add(asVersion(seed, 2))
+	f.Add([]byte(`{"version":3,"session":{"accum":{"max_lag":360,"exact":true,"last_tick":3,"last_trim":9}}}`))
 	f.Fuzz(func(t *testing.T, data []byte) {
 		mon, err := fuzzResumeModel(t).ResumeMonitor(bytes.NewReader(data))
 		if err != nil {
