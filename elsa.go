@@ -97,7 +97,9 @@ type TrainConfig struct {
 	// Correlation tunes signal extraction, outlier calibration, seeding
 	// and mining.
 	Correlation correlate.Config
-	// HELOThreshold is the template-merge similarity (0 = default).
+	// HELOThreshold is the template-merge similarity (0 = default). Keep
+	// it in (0, 1]: above 1 nothing merges, and LoadModel refuses a model
+	// saved with such a value.
 	HELOThreshold float64
 }
 
@@ -161,11 +163,8 @@ func (m *Model) PredictiveChains() []Chain { return m.inner.PredictiveChains() }
 
 // EventTemplate returns the mined template text for an event id.
 func (m *Model) EventTemplate(event int) string {
-	ts := m.organizer.Templates()
-	if event < 0 || event >= len(ts) {
-		return ""
-	}
-	return ts[event].String()
+	text, _ := m.organizer.Pattern(event)
+	return text
 }
 
 // EventCount returns the number of event types mined during training.

@@ -36,8 +36,11 @@ func TestIsNumeric(t *testing.T) {
 		"ddr3ecc":   false,
 		"127.0.0.1": true,
 	} {
-		if got := isNumeric(s); got != want {
+		if got := isNumeric([]byte(s)); got != want {
 			t.Errorf("isNumeric(%q) = %v, want %v", s, got, want)
+		}
+		if got := isNumericString(s); got != want {
+			t.Errorf("isNumericString(%q) = %v, want %v", s, got, want)
 		}
 	}
 }

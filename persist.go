@@ -126,8 +126,14 @@ func LoadModel(r io.Reader) (*Model, error) {
 
 // restoreOrganizer validates a persisted template set before handing it
 // to helo.Restore (which panics on malformed input — fine for internal
-// callers, wrong for a file read off disk).
+// callers, wrong for a file read off disk). The threshold is checked
+// too: above 1 no message ever merges, so every record would open a
+// template and the next one scan them all; Save and Snapshot write the
+// effective value, so 0 is never on the wire either.
 func restoreOrganizer(env heloEnvelope) (*helo.Organizer, error) {
+	if !(env.Threshold > 0 && env.Threshold <= 1) {
+		return nil, fmt.Errorf("template threshold %v outside (0, 1]", env.Threshold)
+	}
 	seen := make([]bool, len(env.Templates))
 	for i, t := range env.Templates {
 		if t == nil {

@@ -109,6 +109,21 @@ func TestLoadModelRejectsUnknownFields(t *testing.T) {
 	}
 }
 
+// TestLoadModelRejectsForgedThreshold: a merge threshold above 1 means no
+// message ever merges, so a monitor over the loaded model opens a
+// template per record and scans them all on the next — quadratic in the
+// stream, and every table sized by event id grows with it.
+func TestLoadModelRejectsForgedThreshold(t *testing.T) {
+	for _, v := range []string{"2", "0", "-0.6", "1.0000001"} {
+		if _, err := LoadModel(strings.NewReader(smallModelWithThreshold(t, v))); err == nil || !strings.Contains(err.Error(), "threshold") {
+			t.Errorf("model with threshold %s: err = %v, want a threshold error", v, err)
+		}
+	}
+	if _, err := LoadModel(strings.NewReader(smallModelWithThreshold(t, "1"))); err != nil {
+		t.Errorf("model with threshold 1 rejected: %v", err)
+	}
+}
+
 func TestSavedModelIsStableJSON(t *testing.T) {
 	model, _, _ := trainSmallModel(t, 61)
 	var a, b strings.Builder
@@ -140,6 +155,17 @@ const smallModelJSON = `{"version":1,
  "Thresholds":{"0":0.5,"1":2.25},"Severity":{"0":4,"1":5}},
 "locations":{"0@0|1@7":{"ChainKey":"0@0|1@7","Occurrences":3,"ScopeCounts":{"4":3},"MeanAffected":2,"TriggerIncluded":3}}}`
 
+// smallModelWithThreshold is smallModelJSON with another HELO merge
+// threshold.
+func smallModelWithThreshold(t testing.TB, v string) string {
+	t.Helper()
+	blob := strings.Replace(smallModelJSON, `"threshold":0.6`, `"threshold":`+v, 1)
+	if blob == smallModelJSON {
+		t.Fatal("could not forge the threshold; envelope layout changed?")
+	}
+	return blob
+}
+
 // FuzzLoadModel: a model file is bytes this process did not necessarily
 // write. Arbitrary input must come back as an error, never a panic, and
 // whatever LoadModel accepts must be a fixed point of Save → LoadModel →
@@ -152,6 +178,7 @@ func FuzzLoadModel(f *testing.F) {
 	f.Add([]byte(smallModelJSON))
 	f.Add([]byte(`{"version":1,"model":{}}`))
 	f.Add([]byte(`{"version":1,"helo":{"templates":[null]},"model":{"Profiles":{},"Thresholds":{},"Severity":{}}}`))
+	f.Add([]byte(smallModelWithThreshold(f, "2")))
 	f.Fuzz(func(t *testing.T, data []byte) {
 		m, err := LoadModel(bytes.NewReader(data))
 		if err != nil {

@@ -220,6 +220,32 @@ func TestResumeMonitorRejectsVersion2(t *testing.T) {
 	}
 }
 
+// forgeThreshold rewrites the HELO merge threshold a snapshot carries.
+func forgeThreshold(t testing.TB, snap []byte, v string) []byte {
+	t.Helper()
+	forged := bytes.Replace(snap, []byte(`"threshold": 0.6`), []byte(`"threshold": `+v), 1)
+	if bytes.Equal(forged, snap) {
+		t.Fatal("could not forge the threshold; envelope layout changed?")
+	}
+	return forged
+}
+
+// TestResumeMonitorRejectsForgedThreshold: the snapshot's organizer
+// replaces the model's, so its threshold is checked like the model
+// file's (TestLoadModelRejectsForgedThreshold).
+func TestResumeMonitorRejectsForgedThreshold(t *testing.T) {
+	seed := resumeSeed(t)
+	for _, v := range []string{"2", "0", "-1"} {
+		_, err := fuzzResumeModel(t).ResumeMonitor(bytes.NewReader(forgeThreshold(t, seed, v)))
+		if err == nil || !strings.Contains(err.Error(), "threshold") {
+			t.Errorf("snapshot with threshold %s: err = %v, want a threshold error", v, err)
+		}
+	}
+	if _, err := fuzzResumeModel(t).ResumeMonitor(bytes.NewReader(seed)); err != nil {
+		t.Errorf("the unforged snapshot no longer resumes: %v", err)
+	}
+}
+
 // FuzzResumeMonitor: a monitor snapshot is bytes this process did not
 // necessarily write. Arbitrary input must come back as an error, never
 // a panic, and whatever ResumeMonitor accepts must be a fixed point of
@@ -231,6 +257,7 @@ func FuzzResumeMonitor(f *testing.F) {
 	f.Add(asVersion(seed, 1))
 	f.Add(asVersion(seed, 2))
 	f.Add([]byte(`{"version":3,"session":{"accum":{"max_lag":360,"exact":true,"last_tick":3,"last_trim":9}}}`))
+	f.Add(forgeThreshold(f, seed, "2"))
 	f.Fuzz(func(t *testing.T, data []byte) {
 		mon, err := fuzzResumeModel(t).ResumeMonitor(bytes.NewReader(data))
 		if err != nil {
