@@ -79,21 +79,12 @@ func tuneForMode(mode Mode, horizon int, cfg Config) (sig.CrossCorrConfig, gradu
 	return cc, mining
 }
 
-// streamingSweepBudget is the exact-sweep mass budget for a live
-// monitor's accumulator. The batch prefilter bounds a one-shot sweep, so
-// its budget is small; the monitor amortises the same work over the
-// stream's lifetime (per tick it is bounded by the co-occurrence ring),
-// and the exact regime is what keeps refresh cheap — in bucket mode
-// every active pair turns dirty each round. The conservative degradation
-// still guards truly pathological streams.
-const streamingSweepBudget = 1 << 38
-
 // AccumConfigFor derives the accumulator arming for a mode: the same
 // window and candidate threshold the mode's batch prefilter gates on,
 // so the live counters admit exactly the candidate set AllPairs would.
 func AccumConfigFor(mode Mode, cfg Config) sig.AccumConfig {
 	cc, _ := tuneForMode(mode, 0, cfg)
-	return sig.AccumConfig{MaxLag: cc.MaxLag, MinCount: cc.MinCount, Budget: streamingSweepBudget}
+	return sig.AccumConfig{MaxLag: cc.MaxLag, MinCount: cc.MinCount}
 }
 
 // Refresh rebuilds the model's chains from the accumulator's live

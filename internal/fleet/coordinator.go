@@ -52,7 +52,7 @@ func New(model *elsa.Model, start time.Time, cfg Config) (*Coordinator, error) {
 		cfg:    cfg,
 		start:  start,
 		blob:   blob.Bytes(),
-		ring:   NewRing(cfg.Replicas),
+		ring:   NewRing(DefaultReplicas),
 		byName: make(map[string]*slot),
 		owners: make(map[string]*slot),
 	}
@@ -61,8 +61,8 @@ func New(model *elsa.Model, start time.Time, cfg Config) (*Coordinator, error) {
 		sl := &slot{
 			name: name,
 			sup:  resilience.New("fleet/"+name, cfg.Supervision),
-			bo: resilience.NewBackoff(cfg.Handoff.Base, cfg.Handoff.Max,
-				cfg.Handoff.Jitter, cfg.Handoff.Seed+int64(i)),
+			bo: resilience.NewBackoff(resilience.DefaultBaseBackoff, resilience.DefaultMaxBackoff,
+				resilience.DefaultJitter, cfg.Handoff.Seed+int64(i)),
 		}
 		c.ring.Add(name)
 		c.slots = append(c.slots, sl)
@@ -210,7 +210,7 @@ func (c *Coordinator) abandon(sl *slot, reason string) {
 // failover accounting). Returns the catch-up predictions the successor's
 // replay regenerated beyond the already-merged cursor.
 func (c *Coordinator) recoverSlot(sl *slot, planned, force bool) []Merged {
-	for attempt := 0; attempt < c.cfg.Handoff.MaxAttempts; attempt++ {
+	for attempt := 0; attempt < handoffTries; attempt++ {
 		if !force && !sl.sup.Allow() {
 			sl.denied++
 			return nil // breaker open: stay down, keep accruing the gap

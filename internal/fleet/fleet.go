@@ -42,22 +42,20 @@ const (
 	DefaultShards        = 4
 	DefaultSnapshotEvery = 100_000
 	DefaultFeedTimeout   = 2 * time.Second
-	DefaultHandoffTries  = 3
 )
 
-// HandoffPolicy bounds the coordinator's restore/handoff retry loop.
+// handoffTries is how many restore attempts one recovery round makes
+// before leaving the shard down (the next delivery starts a new round,
+// breaker permitting). The delay between attempts is the supervision
+// default backoff: resilience.DefaultBaseBackoff doubling up to
+// DefaultMaxBackoff, jittered by DefaultJitter.
+const handoffTries = 3
+
+// HandoffPolicy is what a test substitutes in the coordinator's
+// restore/handoff retry loop.
 type HandoffPolicy struct {
-	// MaxAttempts is how many restore attempts one recovery round makes
-	// before leaving the shard down (the next delivery starts a new
-	// round, breaker permitting). <= 0 selects DefaultHandoffTries.
-	MaxAttempts int
-	// Base/Max/Jitter/Seed shape the capped jittered-exponential delay
-	// between attempts (resilience.Backoff); zero values select the
-	// supervision defaults.
-	Base   time.Duration
-	Max    time.Duration
-	Jitter float64
-	Seed   int64
+	// Seed seeds the backoff jitter; shard i draws from Seed+i.
+	Seed int64
 	// Sleep injects the delay implementation; nil selects time.Sleep.
 	// Tests pass a recorder so recovery runs without real waiting.
 	Sleep func(time.Duration)
@@ -72,9 +70,6 @@ type Config struct {
 	// node scope (finest); rack or midplane match the paper's
 	// propagation neighbourhoods.
 	Scope topology.Scope
-	// Replicas is the ring's virtual-point count per shard; <= 0 selects
-	// DefaultReplicas.
-	Replicas int
 	// SnapshotEvery is how many journal entries a shard absorbs between
 	// automatic snapshots (the failover replay bound). 0 selects
 	// DefaultSnapshotEvery; negative disables automatic snapshots.
@@ -83,7 +78,7 @@ type Config struct {
 	// failed liveness probe and the incarnation is abandoned. <= 0
 	// selects DefaultFeedTimeout.
 	FeedTimeout time.Duration
-	// Handoff tunes the restore retry loop.
+	// Handoff seeds and fakes the restore retry loop's delays.
 	Handoff HandoffPolicy
 	// Supervision is the per-shard breaker policy; shard i runs under
 	// Seed+i so backoff schedules are decorrelated but reproducible.
@@ -95,17 +90,11 @@ func (cfg Config) normalised() Config {
 	if cfg.Shards <= 0 {
 		cfg.Shards = DefaultShards
 	}
-	if cfg.Replicas <= 0 {
-		cfg.Replicas = DefaultReplicas
-	}
 	if cfg.SnapshotEvery == 0 {
 		cfg.SnapshotEvery = DefaultSnapshotEvery
 	}
 	if cfg.FeedTimeout <= 0 {
 		cfg.FeedTimeout = DefaultFeedTimeout
-	}
-	if cfg.Handoff.MaxAttempts <= 0 {
-		cfg.Handoff.MaxAttempts = DefaultHandoffTries
 	}
 	if cfg.Handoff.Sleep == nil {
 		cfg.Handoff.Sleep = func(d time.Duration) { time.Sleep(d) }

@@ -83,13 +83,20 @@ func escapeOracle(t *testing.T, root string) []escapeSite {
 	}
 
 	var sites []escapeSite
-	seen := make(map[string]bool) // a generic function reports once per instantiation
+	// A generic function reports once per instantiation, and again from each
+	// importing package that instantiates it: one site is one position.
+	seen := make(map[string]bool)
 	for _, l := range strings.Split(string(out), "\n") {
 		m := escapeLineRx.FindStringSubmatch(l)
-		if m == nil || seen[l] {
+		if m == nil {
 			continue
 		}
-		seen[l] = true
+		m[1] = filepath.Clean(m[1])
+		pos := strings.Join(m[1:4], ":")
+		if seen[pos] {
+			continue
+		}
+		seen[pos] = true
 		line, _ := strconv.Atoi(m[2])
 		col, _ := strconv.Atoi(m[3])
 		hf := hotFuncs(m[1])

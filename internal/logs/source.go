@@ -1,7 +1,5 @@
 package logs
 
-import "io"
-
 // RecordSource is a pull-based record iterator. The streaming pipeline
 // consumes sources instead of slices, so callers never need the whole
 // log in memory: a source may wrap an in-memory batch (replay), a file
@@ -44,37 +42,6 @@ func (s *SliceSource) Err() error { return nil }
 
 // Remaining returns how many records have not been pulled yet.
 func (s *SliceSource) Remaining() int { return len(s.recs) - s.i }
-
-// ReaderSource lazily decodes canonical text records from an io.Reader,
-// one line per Next call. Malformed lines end the stream with the
-// decoding error in Err; use a tolerant wrapper if drops are preferred.
-type ReaderSource struct {
-	r   *Reader
-	err error
-}
-
-// NewReaderSource wraps r in a lazy record source.
-func NewReaderSource(r io.Reader) *ReaderSource {
-	return &ReaderSource{r: NewReader(r)}
-}
-
-// Next decodes and returns the next record.
-func (s *ReaderSource) Next() (Record, bool) {
-	if s.err != nil {
-		return Record{}, false
-	}
-	rec, err := s.r.Next()
-	if err != nil {
-		if err != io.EOF {
-			s.err = err
-		}
-		return Record{}, false
-	}
-	return rec, true
-}
-
-// Err returns the error that ended the stream, or nil at clean EOF.
-func (s *ReaderSource) Err() error { return s.err }
 
 // FuncSource adapts a pull function to a RecordSource; useful for
 // adapters and tests.

@@ -2,7 +2,6 @@ package logs
 
 import (
 	"errors"
-	"strings"
 	"testing"
 	"time"
 )
@@ -36,40 +35,6 @@ func TestSliceSourceDrains(t *testing.T) {
 	}
 	if _, ok := src.Next(); ok {
 		t.Error("exhausted source yielded a record")
-	}
-}
-
-func TestReaderSourceDecodes(t *testing.T) {
-	recs := sourceRecords(3)
-	var sb strings.Builder
-	if err := WriteAll(&sb, recs); err != nil {
-		t.Fatal(err)
-	}
-	got, err := Drain(NewReaderSource(strings.NewReader(sb.String())))
-	if err != nil {
-		t.Fatalf("Drain: %v", err)
-	}
-	if len(got) != len(recs) {
-		t.Fatalf("decoded %d records, want %d", len(got), len(recs))
-	}
-	for i := range got {
-		if !got[i].Time.Equal(recs[i].Time) || got[i].Message != recs[i].Message {
-			t.Errorf("record %d = %v, want %v", i, got[i], recs[i])
-		}
-	}
-}
-
-func TestReaderSourceSurfacesDecodeError(t *testing.T) {
-	src := NewReaderSource(strings.NewReader("not a record\n"))
-	if _, ok := src.Next(); ok {
-		t.Fatal("malformed line yielded a record")
-	}
-	if src.Err() == nil {
-		t.Fatal("Err = nil after malformed line")
-	}
-	// The source stays ended.
-	if _, ok := src.Next(); ok {
-		t.Error("source continued after error")
 	}
 }
 

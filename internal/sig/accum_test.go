@@ -70,8 +70,8 @@ func accumCounts(ac *Accumulator) map[[2]int]int {
 	return out
 }
 
-// TestAccumulatorMatchesBatchSweep: in the exact regime the streaming
-// ring sweep must reproduce the batch exactSweep counters bit for bit on
+// TestAccumulatorMatchesBatchSweep: the windowed counter driven a tick at
+// a time must reproduce the frozen batch exactSweep counters bit for bit on
 // randomized trains, including simultaneous-spike double counting.
 func TestAccumulatorMatchesBatchSweep(t *testing.T) {
 	rng := rand.New(rand.NewSource(515))
@@ -81,11 +81,8 @@ func TestAccumulatorMatchesBatchSweep(t *testing.T) {
 		if len(trains) < 2 {
 			continue
 		}
-		ac := NewAccumulator(AccumConfig{MaxLag: maxLag, MinCount: 1, Budget: 1 << 30})
+		ac := NewAccumulator(AccumConfig{MaxLag: maxLag, MinCount: 1})
 		feedTrains(ac, trains)
-		if !ac.Exact() {
-			t.Fatalf("trial %d: accumulator left exact regime under a huge budget", trial)
-		}
 		want := batchCounts(trains, maxLag)
 		if got := accumCounts(ac); !reflect.DeepEqual(got, want) {
 			t.Fatalf("trial %d (maxLag=%d): incremental counters diverge\n got=%v\nwant=%v",
@@ -94,36 +91,6 @@ func TestAccumulatorMatchesBatchSweep(t *testing.T) {
 		for id, tr := range trains {
 			if !reflect.DeepEqual(ac.Trains()[id], tr) {
 				t.Fatalf("trial %d: train %d diverges", trial, id)
-			}
-		}
-	}
-}
-
-// TestAccumulatorBucketModeUpperBounds: past the mass budget the
-// counters must upper-bound the true counts and candidate emission must
-// never lose a pair that reaches MinCount.
-func TestAccumulatorBucketModeUpperBounds(t *testing.T) {
-	rng := rand.New(rand.NewSource(99))
-	trains := randomTrains(rng, burstyTrains)
-	maxLag := 12
-	ac := NewAccumulator(AccumConfig{MaxLag: maxLag, MinCount: 3, Budget: 50})
-	feedTrains(ac, trains)
-	if ac.Exact() {
-		t.Fatal("accumulator stayed exact past a tiny budget")
-	}
-	ref := batchCounts(trains, maxLag)
-	cands := ac.Candidates()
-	set := make(map[[2]int]int, len(cands))
-	for _, c := range cands {
-		set[[2]int{c.A, c.B}] = c.Count
-	}
-	for pair, n := range ref {
-		if got := ac.PairCount(pair[0], pair[1]); got < n {
-			t.Fatalf("pair %v: bucket-mode count %d undercounts exact %d", pair, got, n)
-		}
-		if n >= 3 {
-			if _, ok := set[pair]; !ok {
-				t.Fatalf("pair %v with %d co-occurrences missing from candidates", pair, n)
 			}
 		}
 	}
@@ -156,6 +123,37 @@ func TestAccumulatorDirtyDrain(t *testing.T) {
 		if c.A != 1 && c.A != 2 {
 			t.Fatalf("unexpected dirty pair %+v", c)
 		}
+	}
+}
+
+// TestAccumulatorQuietDrainIsEmpty: however much co-occurrence mass the
+// stream has carried, a pair is dirty only because a spike moved it — a
+// drain after ticks that brought records but no spike returns nothing, and
+// Candidates leaves the dirty set alone. (The bucket regime the accumulator
+// used to degrade into re-dirtied every active pair on every drain.)
+func TestAccumulatorQuietDrainIsEmpty(t *testing.T) {
+	ac := NewAccumulator(AccumConfig{MaxLag: 30, MinCount: 1})
+	tick := 0
+	for ; tick < 3000; tick++ { // 40 events a tick, 30 ticks deep: ~1.4e8 spike pairs
+		ac.ObserveTick(tick, nil, seq(tick%7, tick%7+40))
+	}
+	if len(ac.DrainDirty()) == 0 {
+		t.Fatal("the busy stream dirtied nothing")
+	}
+	for round := 0; round < 3; round++ {
+		for end := tick + 50; tick < end; tick++ {
+			ac.ObserveTick(tick, map[int]int{3: 2}, nil)
+		}
+		if len(ac.Candidates()) == 0 {
+			t.Fatal("the busy stream left no candidates")
+		}
+		if d := ac.DrainDirty(); len(d) != 0 {
+			t.Fatalf("round %d: drain with no new spike returned %d pairs, want none", round, len(d))
+		}
+	}
+	ac.ObserveTick(tick, nil, []int{1, 2})
+	if d := ac.DrainDirty(); len(d) != 2 {
+		t.Fatalf("drain after one simultaneous pair = %v, want both orders", d)
 	}
 }
 
@@ -252,44 +250,42 @@ func TestAccumulatorResumeAfterTrimMatchesUninterrupted(t *testing.T) {
 // equal states must be byte-identical (the kill/resume contract).
 func TestAccumulatorStateRoundTrip(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
-	for _, budget := range []int{1 << 30, 40} { // exact regime and bucket regime
-		trains := randomTrains(rng, burstyTrains)
-		cfg := AccumConfig{MaxLag: 9, MinCount: 2, Budget: budget}
-		ac := NewAccumulator(cfg)
-		feedTrains(ac, trains)
+	trains := randomTrains(rng, burstyTrains)
+	cfg := AccumConfig{MaxLag: 9, MinCount: 2}
+	ac := NewAccumulator(cfg)
+	feedTrains(ac, trains)
 
-		st := ac.State()
-		blob, err := json.Marshal(st)
-		if err != nil {
-			t.Fatal(err)
-		}
-		var decoded AccumState
-		if err := json.Unmarshal(blob, &decoded); err != nil {
-			t.Fatal(err)
-		}
-		restored, err := RestoreAccumulator(cfg, &decoded)
-		if err != nil {
-			t.Fatal(err)
-		}
+	st := ac.State()
+	blob, err := json.Marshal(st)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var decoded AccumState
+	if err := json.Unmarshal(blob, &decoded); err != nil {
+		t.Fatal(err)
+	}
+	restored, err := RestoreAccumulator(cfg, &decoded)
+	if err != nil {
+		t.Fatal(err)
+	}
 
-		// Continue both with the same extra ticks.
-		base := ac.LastTick() + 3
-		for i := 0; i < 30; i++ {
-			out := []int{1 + i%3, 4}
-			ac.ObserveTick(base+i, map[int]int{4: 2}, out)
-			restored.ObserveTick(base+i, map[int]int{4: 2}, out)
-		}
-		if !reflect.DeepEqual(accumCounts(ac), accumCounts(restored)) {
-			t.Fatalf("budget %d: counters diverge after resume", budget)
-		}
-		if !reflect.DeepEqual(ac.Candidates(), restored.Candidates()) {
-			t.Fatalf("budget %d: candidates diverge after resume", budget)
-		}
-		b1, _ := json.Marshal(ac.State())
-		b2, _ := json.Marshal(restored.State())
-		if !bytes.Equal(b1, b2) {
-			t.Fatalf("budget %d: post-resume snapshots not byte-identical", budget)
-		}
+	// Continue both with the same extra ticks.
+	base := ac.LastTick() + 3
+	for i := 0; i < 30; i++ {
+		out := []int{1 + i%3, 4}
+		ac.ObserveTick(base+i, map[int]int{4: 2}, out)
+		restored.ObserveTick(base+i, map[int]int{4: 2}, out)
+	}
+	if !reflect.DeepEqual(accumCounts(ac), accumCounts(restored)) {
+		t.Fatal("counters diverge after resume")
+	}
+	if !reflect.DeepEqual(ac.Candidates(), restored.Candidates()) {
+		t.Fatal("candidates diverge after resume")
+	}
+	b1, _ := json.Marshal(ac.State())
+	b2, _ := json.Marshal(restored.State())
+	if !bytes.Equal(b1, b2) {
+		t.Fatal("post-resume snapshots not byte-identical")
 	}
 }
 
@@ -372,8 +368,8 @@ func stateJSON(t testing.TB, ac accumKernel) []byte {
 }
 
 // sameState fails unless the live kernel's snapshot equals the frozen
-// one's byte for byte: counters, dirty set, mass, regime, ring, block
-// seeding, trains and event statistics all ride in it.
+// one's byte for byte: counters, dirty set, ring, trains and event
+// statistics all ride in it.
 func sameState(t testing.TB, got, want accumKernel, at string) {
 	t.Helper()
 	if g, w := stateJSON(t, got), stateJSON(t, want); !bytes.Equal(g, w) {
@@ -399,8 +395,6 @@ var accumStreams = []accumStream{
 	{name: "zero-lag", cfg: AccumConfig{MaxLag: 0, MinCount: 1}, ids: seq(0, 6), p: 0.4},
 	{name: "duplicates", cfg: AccumConfig{MaxLag: 9, MinCount: 2}, ids: seq(0, 9), p: 0.2, messy: true},
 	{name: "gaps", cfg: AccumConfig{MaxLag: 6, MinCount: 1}, ids: seq(0, 8), p: 0.3, gapEvery: 23},
-	{name: "budget", cfg: AccumConfig{MaxLag: 12, MinCount: 3, Budget: 700}, ids: seq(0, 10), p: 0.25},
-	{name: "budget-messy", cfg: AccumConfig{MaxLag: 5, MinCount: 1, Budget: 90}, ids: seq(0, 7), p: 0.4, messy: true, gapEvery: 31},
 	{name: "horizon", cfg: AccumConfig{MaxLag: 8, MinCount: 2, HorizonCap: 40}, ids: seq(0, 8), p: 0.2},
 	{name: "growth", cfg: AccumConfig{MaxLag: 11, MinCount: 1}, ids: seq(0, 5), p: 0.3,
 		lateIDs: []int{63, 64, 70, 130, 300, 1100}},
@@ -419,9 +413,8 @@ func seq(lo, hi int) []int {
 // TestAccumulatorMatchesFrozenKernel is the replace-not-fork proof: on
 // randomized streams the windowed-count kernel and the frozen ring sweep
 // agree on the snapshot bytes after every tick, on every DrainDirty and
-// Candidates result, across the budget boundary (regime, mass and the
-// prev/cur block seeding are in the snapshot), and when the live side is
-// killed and restored from its own snapshot in the middle of a window.
+// Candidates result, and when the live side is killed and restored from
+// its own snapshot in the middle of a window.
 func TestAccumulatorMatchesFrozenKernel(t *testing.T) {
 	for si, sc := range accumStreams {
 		t.Run(sc.name, func(t *testing.T) {
@@ -486,9 +479,6 @@ func TestAccumulatorMatchesFrozenKernel(t *testing.T) {
 					sameState(t, live, frozen, at+" after restore")
 				}
 			}
-			if sc.cfg.Budget > 0 && live.State().Exact {
-				t.Fatalf("budget %d never blown: the stream does not cross the boundary", sc.cfg.Budget)
-			}
 		})
 	}
 }
@@ -500,7 +490,7 @@ func TestAccumulatorMatchesFrozenKernel(t *testing.T) {
 func TestAccumulatorSaturatesLikeFrozenKernel(t *testing.T) {
 	cfg := AccumConfig{MaxLag: 10, MinCount: 1}
 	seed := &AccumState{
-		MaxLag: 10, Exact: true, LastTick: 3, TickSeen: 4, Mass: 3,
+		MaxLag: 10, LastTick: 3, TickSeen: 4,
 		Trains: map[int][]int{1: {1, 2, 3}},
 		Counts: map[uint64]int32{refPairKey(1, 2): counterCap - 2, refPairKey(2, 1): counterCap},
 		Ring:   []accSpike{{T: 1, E: 1}, {T: 2, E: 1}, {T: 3, E: 1}},
@@ -534,9 +524,7 @@ func TestAccumulatorSaturatesLikeFrozenKernel(t *testing.T) {
 // and the live lists are all in place (spike trains and the ring grow
 // amortised, which AllocsPerRun's integer average rounds away).
 func TestObserveTickWarmZeroAlloc(t *testing.T) {
-	cfg := DefaultAccumConfig()
-	cfg.Budget = 1 << 50
-	ac := NewAccumulator(cfg)
+	ac := NewAccumulator(DefaultAccumConfig())
 	counts := make(map[int]int)
 	hitSets := make([][]int, 97)
 	for i := range hitSets {
@@ -555,9 +543,6 @@ func TestObserveTickWarmZeroAlloc(t *testing.T) {
 	for tick < 20000 {
 		observe()
 	}
-	if !ac.Exact() {
-		t.Fatal("warm-up left the exact regime; the test would time the bucket path")
-	}
 	if n := testing.AllocsPerRun(2000, observe); n != 0 {
 		t.Fatalf("warm ObserveTick allocates %v times per tick, want 0", n)
 	}
@@ -570,7 +555,7 @@ func TestRestoreAccumulatorRejectsForgedState(t *testing.T) {
 	cfg := AccumConfig{MaxLag: 10, MinCount: 1}
 	base := func() *AccumState {
 		return &AccumState{
-			MaxLag: 10, Exact: true, LastTick: 9, TickSeen: 10, Mass: 1,
+			MaxLag: 10, LastTick: 9, TickSeen: 10,
 			Trains: map[int][]int{1: {8}, 2: {9}},
 			Counts: map[uint64]int32{refPairKey(1, 2): 1},
 			Dirty:  []uint64{refPairKey(1, 2)},
@@ -581,17 +566,13 @@ func TestRestoreAccumulatorRejectsForgedState(t *testing.T) {
 		t.Fatalf("well-formed state rejected: %v", err)
 	}
 	for name, forge := range map[string]func(*AccumState){
-		"negative mass":        func(st *AccumState) { st.Mass = -1 },
 		"negative tick count":  func(st *AccumState) { st.TickSeen = -4 },
 		"unsorted ring":        func(st *AccumState) { st.Ring[0].T, st.Ring[1].T = 9, 8 },
 		"ring newer than tick": func(st *AccumState) { st.Ring[1].T = 10 },
-		"ring past the budget": func(st *AccumState) { st.Exact = false },
 		"zero count":           func(st *AccumState) { st.Counts[refPairKey(3, 4)] = 0 },
 		"negative count":       func(st *AccumState) { st.Counts[refPairKey(3, 4)] = -7 },
 		"count past the cap":   func(st *AccumState) { st.Counts[refPairKey(3, 4)] = counterCap + 1 },
 		"dirty without count":  func(st *AccumState) { st.Dirty = append(st.Dirty, refPairKey(5, 6)) },
-		"block count":          func(st *AccumState) { st.Exact, st.Ring, st.Cur = false, nil, map[int]int32{1: -2} },
-		"block count too wide": func(st *AccumState) { st.Exact, st.Ring, st.Prev = false, nil, map[int]int32{1: 12} },
 		"negative trim cursor": func(st *AccumState) { st.LastTrim = -1 },
 		"trim cursor ahead":    func(st *AccumState) { st.LastTrim = 10 },
 	} {
@@ -631,9 +612,8 @@ func TestRestoreAccumulatorRejectsForgedState(t *testing.T) {
 // FuzzIncrementalCounters feeds arbitrary spike layouts — including the
 // permutations and duplications the ingest dedup ring admits, which all
 // collapse to the same per-tick outlier sets — through the streaming
-// accumulator and asserts its exact-regime counters equal the batch
-// exactSweep over the identical merged timeline, and that under the
-// fuzzed budget (which may be blown anywhere) its snapshot equals the
+// accumulator and asserts its counters equal the frozen batch exactSweep
+// over the identical merged timeline, and that its snapshot equals the
 // frozen ring-sweep kernel's after every tick and every drain.
 func FuzzIncrementalCounters(f *testing.F) {
 	f.Add([]byte{0, 1, 1, 0, 2, 3, 0, 0, 1, 1, 2, 0, 3, 7, 4, 1}, uint8(6))
@@ -646,16 +626,15 @@ func FuzzIncrementalCounters(f *testing.F) {
 			return
 		}
 		maxLag := int(lagB % 32)
-		ac := NewAccumulator(AccumConfig{MaxLag: maxLag, MinCount: 1, Budget: 1 << 30})
+		ac := NewAccumulator(AccumConfig{MaxLag: maxLag, MinCount: 1})
 		feedTrains(ac, trains)
 		want := batchCounts(trains, maxLag)
 		if got := accumCounts(ac); !reflect.DeepEqual(got, want) {
 			t.Fatalf("incremental counters diverge from batch exactSweep\n got=%v\nwant=%v", got, want)
 		}
 
-		// The top bits of the lag byte pick a budget from "never blown" down
-		// to "blown within a few spikes".
-		cfg := AccumConfig{MaxLag: maxLag, MinCount: 1 + int(lagB>>7), Budget: []int{1 << 30, 200, 40, 6}[lagB>>5&3]}
+		// The top bits of the lag byte pick the emission threshold.
+		cfg := AccumConfig{MaxLag: maxLag, MinCount: 1 + int(lagB>>5)}
 		live, frozen := NewAccumulator(cfg), newRefAccum(cfg)
 		last := 0
 		for _, tr := range trains {
@@ -692,28 +671,27 @@ func FuzzRestoreAccumulator(f *testing.F) {
 	ac.ObserveTick(2, nil, []int{2, 2100})
 	seed, _ := json.Marshal(ac.State())
 	f.Add(seed)
-	bucket := NewAccumulator(AccumConfig{MaxLag: 4, MinCount: 1, Budget: 1})
-	bucket.ObserveTick(0, nil, []int{1, 2, 3})
-	bucket.ObserveTick(7, nil, []int{1, 3})
-	seed, _ = json.Marshal(bucket.State())
-	f.Add(seed)
-	f.Add([]byte(`{"max_lag":4,"exact":true,"counts":{"9223372036854775808":1,"18446744073709551615":5},"dirty":[18446744073709551615]}`))
-	f.Add([]byte(`{"max_lag":4,"exact":true,"last_tick":3,"ring":[{"t":3,"e":-1},{"t":3,"e":2147483648}],"trains":{"-1":[3]}}`))
-	f.Add([]byte(`{"max_lag":4,"exact":true,"mass":-1}`))
+	// A format version 3 state: the regime flag and the mass are no longer
+	// fields, and decode as if absent.
+	f.Add([]byte(`{"max_lag":4,"exact":true,"mass":3,"last_tick":2,"ticks":2,"counts":{"4294967298":1},"ring":[{"t":0,"e":1},{"t":2,"e":2}]}`))
+	f.Add([]byte(`{"max_lag":4,"exact":false,"mass":9,"last_tick":7,"ticks":2,"prev_block":-1,"cur_block":1,"cur":{"1":1,"3":1}}`))
+	f.Add([]byte(`{"max_lag":4,"counts":{"9223372036854775808":1,"18446744073709551615":5},"dirty":[18446744073709551615]}`))
+	f.Add([]byte(`{"max_lag":4,"last_tick":3,"ring":[{"t":3,"e":-1},{"t":3,"e":2147483648}],"trains":{"-1":[3]}}`))
+	f.Add([]byte(`{"max_lag":4,"ticks":-1}`))
 	trimmed := NewAccumulator(AccumConfig{MaxLag: 4, MinCount: 1, HorizonCap: 8})
 	for tick := 0; tick < 12; tick++ {
 		trimmed.ObserveTick(tick, nil, []int{1 + tick%2})
 	}
 	seed, _ = json.Marshal(trimmed.State()) // "last_trim":9
 	f.Add(seed)
-	f.Add([]byte(`{"max_lag":4,"exact":true,"last_tick":3,"last_trim":4}`))
-	f.Add([]byte(`{"max_lag":4,"exact":true,"last_tick":3,"last_trim":-2}`))
+	f.Add([]byte(`{"max_lag":4,"last_tick":3,"last_trim":4}`))
+	f.Add([]byte(`{"max_lag":4,"last_tick":3,"last_trim":-2}`))
 	f.Fuzz(func(t *testing.T, data []byte) {
 		var st AccumState
 		if json.Unmarshal(data, &st) != nil {
 			return
 		}
-		cfg := AccumConfig{MaxLag: st.MaxLag, MinCount: 1, Budget: 1 << 20, HorizonCap: 8}
+		cfg := AccumConfig{MaxLag: st.MaxLag, MinCount: 1, HorizonCap: 8}
 		ac, err := RestoreAccumulator(cfg, &st)
 		if err != nil {
 			return
@@ -757,7 +735,7 @@ type refAccum struct {
 	cfg AccumConfig
 
 	trains SpikeTrains         // event id -> sorted outlier ticks
-	counts map[uint64]int32    // ordered pair -> co-occurrence count (upper bound past the budget)
+	counts map[uint64]int32    // ordered pair -> co-occurrence count
 	dirty  map[uint64]struct{} // pairs whose count changed since the last drain
 	events map[int]*EventStat
 
@@ -766,19 +744,10 @@ type refAccum struct {
 
 	lastTick int
 	ticks    int
-	mass     int64
-	exact    bool
-
-	// Block-bucket state, live once the mass budget is blown: per-event
-	// spike counts of the previous closed block and the still-open one,
-	// over blocks of width MaxLag+1 anchored at tick 0.
-	prevBlock, curBlock int
-	prev, cur           map[int]int32
-
 	lastTrim int
 }
 
-// newRefAccum returns an empty accumulator in the exact regime.
+// newRefAccum returns an empty accumulator.
 func newRefAccum(cfg AccumConfig) *refAccum {
 	if cfg.MaxLag < 0 {
 		cfg.MaxLag = 0
@@ -786,16 +755,12 @@ func newRefAccum(cfg AccumConfig) *refAccum {
 	if cfg.MinCount < 1 {
 		cfg.MinCount = 1
 	}
-	if cfg.Budget <= 0 {
-		cfg.Budget = exactSweepBudget
-	}
 	return &refAccum{
 		cfg:    cfg,
 		trains: make(SpikeTrains),
 		counts: make(map[uint64]int32),
 		dirty:  make(map[uint64]struct{}),
 		events: make(map[int]*EventStat),
-		exact:  true,
 	}
 }
 
@@ -871,17 +836,13 @@ func (ac *refAccum) ObserveTick(tick int, counts map[int]int, outliers []int) {
 		}
 		ac.trains[e] = append(tr, tick)
 		ac.stat(e).Spikes++
-		if ac.exact {
-			ac.exactAdd(tick, e)
-		} else {
-			ac.bucketAdd(tick, e)
-		}
+		ac.exactAdd(tick, e)
 	}
 	ac.maybeTrim()
 }
 
-// exactAdd pairs one new spike against every live ring entry, mirroring
-// exactSweep over the merged timeline: ring entries precede the spike in
+// exactAdd pairs one new spike against every live ring entry, mirroring the
+// frozen exactSweep over the merged timeline: ring entries precede the spike in
 // (tick, event) order, same-event pairs are skipped, and a simultaneous
 // pair also counts in the reverse order (the kernel's delay-0 bin sees
 // it from both sides).
@@ -896,102 +857,7 @@ func (ac *refAccum) exactAdd(tick, e int) {
 			ac.bump(e, r.E, 1)
 		}
 	}
-	ac.mass += int64(len(ac.ring) - ac.head)
 	ac.ring = append(ac.ring, accSpike{T: tick, E: e})
-	if ac.mass > int64(ac.cfg.Budget) {
-		ac.switchToBuckets()
-	}
-}
-
-// switchToBuckets degrades to the block-bucket upper bound: the live
-// ring spikes (at most two blocks wide, since the ring spans MaxLag)
-// seed the block counts. Pairs among them were already counted exactly,
-// so the seeded products double-count those — the bound only ever moves
-// up, which is the direction conservative pruning needs.
-func (ac *refAccum) switchToBuckets() {
-	ac.exact = false
-	g := ac.cfg.MaxLag + 1
-	ac.prev, ac.cur = make(map[int]int32), make(map[int]int32)
-	ac.prevBlock, ac.curBlock = -1, ac.lastTick/g
-	for _, r := range ac.ring[ac.head:] {
-		if b := r.T / g; b == ac.curBlock {
-			ac.cur[r.E]++
-		} else {
-			ac.prevBlock = b
-			ac.prev[r.E]++
-		}
-	}
-	ac.ring, ac.head = nil, 0
-}
-
-// bucketAdd folds a spike into the open block, flushing closed blocks'
-// pair products on block advance.
-func (ac *refAccum) bucketAdd(tick, e int) {
-	if b := tick / (ac.cfg.MaxLag + 1); b != ac.curBlock {
-		ac.flushBlock()
-		if b != ac.curBlock+1 {
-			// A gap: the closed block has no adjacent successor, so its
-			// cross products are zero and prev is irrelevant.
-			ac.prev = make(map[int]int32)
-			ac.prevBlock = -1
-		}
-		ac.curBlock = b
-	}
-	ac.cur[e]++
-}
-
-// flushBlock adds the closing block's within-block products and the
-// previous block's cross products, exactly as blockSweep does for block
-// b: cur x cur plus prev x cur when the blocks are adjacent. prev then
-// becomes the closed block.
-func (ac *refAccum) flushBlock() {
-	for a, na := range ac.cur {
-		for b, nb := range ac.cur {
-			if a != b {
-				ac.bump(a, b, na*nb)
-			}
-		}
-	}
-	if ac.prevBlock >= 0 && ac.curBlock == ac.prevBlock+1 {
-		for a, na := range ac.prev {
-			for b, nb := range ac.cur {
-				if a != b {
-					ac.bump(a, b, na*nb)
-				}
-			}
-		}
-	}
-	ac.prev, ac.cur = ac.cur, ac.prev
-	ac.prevBlock = ac.curBlock
-	for k := range ac.cur {
-		delete(ac.cur, k)
-	}
-}
-
-// flushPending materialises the still-open block's products so emission
-// sees them. The block stays open and keeps its counts, so a later final
-// flush re-adds these products — an over-count, tolerated because bucket
-// mode is an upper bound by construction.
-func (ac *refAccum) flushPending() {
-	if ac.exact || len(ac.cur) == 0 {
-		return
-	}
-	for a, na := range ac.cur {
-		for b, nb := range ac.cur {
-			if a != b {
-				ac.bump(a, b, na*nb)
-			}
-		}
-	}
-	if ac.prevBlock >= 0 && ac.curBlock == ac.prevBlock+1 {
-		for a, na := range ac.prev {
-			for b, nb := range ac.cur {
-				if a != b {
-					ac.bump(a, b, na*nb)
-				}
-			}
-		}
-	}
 }
 
 // maybeTrim drops spikes older than the horizon cap, amortised to one
@@ -1018,10 +884,7 @@ func (ac *refAccum) maybeTrim() {
 }
 
 // Candidates returns every pair at or above MinCount, sorted by (A, B).
-// In bucket mode the still-open block's products are flushed first
-// (conservatively) so fresh co-occurrences are never invisible.
 func (ac *refAccum) Candidates() []PairCand {
-	ac.flushPending()
 	return ac.emit(func(k uint64) bool { return true })
 }
 
@@ -1031,7 +894,6 @@ func (ac *refAccum) Candidates() []PairCand {
 // increment, so crossing the threshold always re-surfaces them. This is
 // the delta a refresh needs to re-score.
 func (ac *refAccum) DrainDirty() []PairCand {
-	ac.flushPending()
 	out := ac.emit(func(k uint64) bool { _, d := ac.dirty[k]; return d })
 	ac.dirty = make(map[uint64]struct{})
 	return out
@@ -1060,14 +922,10 @@ func (ac *refAccum) emit(eligible func(uint64) bool) []PairCand {
 // identical bytes.
 func (ac *refAccum) State() *AccumState {
 	st := &AccumState{
-		MaxLag:    ac.cfg.MaxLag,
-		Exact:     ac.exact,
-		Mass:      ac.mass,
-		LastTick:  ac.lastTick,
-		TickSeen:  ac.ticks,
-		PrevBlock: ac.prevBlock,
-		CurBlock:  ac.curBlock,
-		LastTrim:  ac.lastTrim,
+		MaxLag:   ac.cfg.MaxLag,
+		LastTick: ac.lastTick,
+		TickSeen: ac.ticks,
+		LastTrim: ac.lastTrim,
 	}
 	if len(ac.trains) > 0 {
 		st.Trains = make(map[int][]int, len(ac.trains))
@@ -1097,12 +955,6 @@ func (ac *refAccum) State() *AccumState {
 	if live := ac.ring[ac.head:]; len(live) > 0 {
 		st.Ring = append([]accSpike(nil), live...)
 	}
-	if len(ac.prev) > 0 {
-		st.Prev = copyBlock(ac.prev)
-	}
-	if len(ac.cur) > 0 {
-		st.Cur = copyBlock(ac.cur)
-	}
 	return st
 }
 
@@ -1118,8 +970,6 @@ func restoreRefAccum(cfg AccumConfig, st *AccumState) (*refAccum, error) {
 		return nil, fmt.Errorf("sig: accumulator snapshot window MaxLag=%d, config wants %d",
 			st.MaxLag, ac.cfg.MaxLag)
 	}
-	ac.exact = st.Exact
-	ac.mass = st.Mass
 	ac.lastTick = st.LastTick
 	ac.ticks = st.TickSeen
 	ac.lastTrim = st.LastTrim
@@ -1140,15 +990,5 @@ func restoreRefAccum(cfg AccumConfig, st *AccumState) (*refAccum, error) {
 		ac.events[id] = &e
 	}
 	ac.ring = append([]accSpike(nil), st.Ring...)
-	if !ac.exact {
-		ac.prevBlock, ac.curBlock = st.PrevBlock, st.CurBlock
-		ac.prev, ac.cur = copyBlock(st.Prev), copyBlock(st.Cur)
-		if ac.prev == nil {
-			ac.prev = make(map[int]int32)
-		}
-		if ac.cur == nil {
-			ac.cur = make(map[int]int32)
-		}
-	}
 	return ac, nil
 }

@@ -111,12 +111,13 @@ func AllPairs(trains SpikeTrains, cfg CrossCorrConfig) []PairCorrelation {
 // AllPairsStats is AllPairs plus a report of how much of the pair space
 // the prefilter pruned versus scored.
 func AllPairsStats(trains SpikeTrains, cfg CrossCorrConfig) ([]PairCorrelation, PairStats) {
-	return allPairsStats(trains, cfg, kernelAuto)
+	return allPairsStats(trains, cfg, kernelAuto, exactSweepBudget)
 }
 
 // allPairsStats is AllPairsStats with every worker's histogram kernel
-// forced unless force is kernelAuto; only the in-package tests force one.
-func allPairsStats(trains SpikeTrains, cfg CrossCorrConfig, force kernelKind) ([]PairCorrelation, PairStats) {
+// forced unless force is kernelAuto, and the prefilter's sweep picked
+// against budget; only the in-package tests pass anything else.
+func allPairsStats(trains SpikeTrains, cfg CrossCorrConfig, force kernelKind, budget int) ([]PairCorrelation, PairStats) {
 	ids := make([]int, 0, len(trains))
 	for id := range trains {
 		ids = append(ids, id)
@@ -124,7 +125,7 @@ func allPairsStats(trains SpikeTrains, cfg CrossCorrConfig, force kernelKind) ([
 	sort.Ints(ids)
 
 	stats := PairStats{Events: len(ids), Candidates: len(ids) * (len(ids) - 1)}
-	cands := prefilterPairs(trains, ids, cfg)
+	cands := prefilterPairs(trains, ids, cfg, budget)
 	stats.Scored = len(cands)
 	if len(cands) == 0 {
 		return nil, stats

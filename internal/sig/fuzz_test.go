@@ -33,7 +33,7 @@ func fuzzTrains(data []byte) (SpikeTrains, []int) {
 // refPairCounts brute-forces the quantity both sweeps approximate: for each
 // ordered pair of distinct dense indices (a, b), the number of spike pairs
 // with 0 <= t_b - t_a <= maxLag. Simultaneous spikes count toward both
-// orders, exactly as exactSweep's delay-0 double count does.
+// orders, exactly as the sweeps' delay-0 double count does.
 func refPairCounts(trains SpikeTrains, ids []int, maxLag int) map[[2]int32]int {
 	ref := make(map[[2]int32]int)
 	for ai, a := range ids {
@@ -58,11 +58,12 @@ func refPairCounts(trains SpikeTrains, ids []int, maxLag int) map[[2]int32]int {
 }
 
 // FuzzPrefilterPairs checks the prefilter's conservativeness invariants on
-// arbitrary spike layouts: the exact sweep's counts equal a brute-force
-// reference, the block sweep's counts upper-bound it, and prefilterPairs
-// never prunes a pair whose true co-occurrence count reaches MinCount —
-// the property that makes the pruned AllPairs scan identical to the blind
-// E^2 enumeration.
+// arbitrary spike layouts: the windowed sweep's counts equal the frozen
+// exactSweep's cell for cell and a brute-force reference, the block sweep's
+// counts upper-bound it, and prefilterPairs — with either sweep forced —
+// never prunes a pair whose true co-occurrence count reaches MinCount: the
+// property that makes the pruned AllPairs scan identical to the blind E^2
+// enumeration.
 func FuzzPrefilterPairs(f *testing.F) {
 	f.Add([]byte{0, 1, 1, 0, 2, 3, 0, 0, 1, 1, 2, 0, 3, 7, 4, 1}, uint8(6), uint8(3))
 	f.Add([]byte{1, 0, 2, 0, 3, 0, 4, 0, 0, 0}, uint8(0), uint8(1))
@@ -78,8 +79,10 @@ func FuzzPrefilterPairs(f *testing.F) {
 		ref := refPairCounts(trains, ids, maxLag)
 		tl := mergeTimeline(trains, ids)
 
-		exact := newPairCounter(len(ids))
-		exactSweep(tl, maxLag, exact)
+		exact, frozen := newPairCounter(len(ids)), newPairCounter(len(ids))
+		windowSweep(tl, maxLag, exact)
+		exactSweep(tl, maxLag, frozen)
+		sameDenseCounts(t, exact, frozen, "windowSweep")
 		block := newPairCounter(len(ids))
 		blockSweep(tl, maxLag, len(ids), block)
 		for ai := range ids {
@@ -90,7 +93,7 @@ func FuzzPrefilterPairs(f *testing.F) {
 				a, b := int32(ai), int32(bi)
 				want := ref[[2]int32{a, b}]
 				if got := int(exact.get(a, b)); got != want {
-					t.Fatalf("exactSweep(%d,%d) = %d, brute force = %d", ai, bi, got, want)
+					t.Fatalf("windowSweep(%d,%d) = %d, brute force = %d", ai, bi, got, want)
 				}
 				if got := int(block.get(a, b)); got < want {
 					t.Fatalf("blockSweep(%d,%d) = %d undercounts brute force %d", ai, bi, got, want)
@@ -98,15 +101,17 @@ func FuzzPrefilterPairs(f *testing.F) {
 			}
 		}
 
-		cands := prefilterPairs(trains, ids, CrossCorrConfig{MaxLag: maxLag, MinCount: minCount})
-		set := make(map[[2]int32]bool, len(cands))
-		for _, c := range cands {
-			set[c] = true
-		}
-		for pair, n := range ref {
-			if n >= minCount && !set[pair] {
-				t.Fatalf("prefilterPairs pruned (%d,%d) with %d >= MinCount %d co-occurrences",
-					pair[0], pair[1], n, minCount)
+		for _, budget := range []int{exactSweepBudget, 0} { // the windowed sweep, then the block sweep
+			cands := prefilterPairs(trains, ids, CrossCorrConfig{MaxLag: maxLag, MinCount: minCount}, budget)
+			set := make(map[[2]int32]bool, len(cands))
+			for _, c := range cands {
+				set[c] = true
+			}
+			for pair, n := range ref {
+				if n >= minCount && !set[pair] {
+					t.Fatalf("prefilterPairs (budget %d) pruned (%d,%d) with %d >= MinCount %d co-occurrences",
+						budget, pair[0], pair[1], n, minCount)
+				}
 			}
 		}
 	})

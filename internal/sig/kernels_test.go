@@ -72,7 +72,7 @@ func TestAllPairsForcedKernelsMatchReference(t *testing.T) {
 		for trial := 0; trial < 10; trial++ {
 			trains := randomTrains(rng, trainDensity(trial%3))
 			cfg := DefaultCrossCorrConfig()
-			got, _ := allPairsStats(trains, cfg, kind)
+			got, _ := allPairsStats(trains, cfg, kind, exactSweepBudget)
 			want := referenceAllPairs(trains, cfg)
 			if !reflect.DeepEqual(got, want) {
 				t.Fatalf("%s trial %d: forced kernel diverged\n got=%v\nwant=%v", kind, trial, got, want)

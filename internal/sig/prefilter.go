@@ -30,12 +30,11 @@ type spike struct {
 }
 
 // exactSweepBudget caps the co-occurrence mass (total number of ordered
-// spike pairs within MaxLag of each other) the exact per-instance sweep is
-// allowed to count. Above it the prefilter switches to the block-bucket
+// spike pairs within MaxLag of each other) of a timeline the exact windowed
+// sweep is given. Above it the prefilter switches to the block-bucket
 // upper-bound sweep, whose cost depends on the number of events per block,
-// not on how often they fire. A package variable so tests can force either
-// regime.
-var exactSweepBudget = 1 << 22
+// not on how many of them are inside the window at once.
+const exactSweepBudget = 1 << 22
 
 // denseCounterMax bounds the side of the flat pair table: ids below it
 // index an id x id []int32 directly (2048 -> 16 MiB at most), a pair with
@@ -51,7 +50,7 @@ const counterCap = 1 << 30
 func pairKey(a, b int32) uint64 { return uint64(uint32(a))<<32 | uint64(uint32(b)) }
 
 // pairCounter accumulates per-ordered-pair co-occurrence counts and which
-// of them changed since clearDirty: the one counter behind the batch sweeps
+// of them changed since clearDirty: the one table behind the batch sweeps
 // (sized up front) and the streaming Accumulator (grown by doubling as
 // event ids appear).
 type pairCounter struct {
@@ -207,10 +206,11 @@ func (c *pairCounter) emit(need int32) [][2]int32 {
 // Two sweeps implement the bound, picked by the co-occurrence mass of the
 // merged timeline (measured with one cheap two-pointer pass):
 //
-//   - exact: slide a MaxLag window over the merged timeline and count each
-//     in-window ordered pair once. O(mass) increments — ideal for the
-//     sparse outlier-filtered trains the hybrid pipeline feeds in, where
-//     most pairs never co-occur at all.
+//   - exact: feed the merged timeline through a coWindow, the counter the
+//     streaming Accumulator runs tick by tick. One update per spike and
+//     distinct in-window event — ideal for the sparse outlier-filtered
+//     trains the hybrid pipeline feeds in, where most pairs never co-occur
+//     at all.
 //   - block upper bound: bucket the timeline into blocks of width MaxLag+1;
 //     any co-occurrence within MaxLag lands in the same block or the next,
 //     so sum-of-block-count-products over adjacent blocks is >= the true
@@ -218,7 +218,10 @@ func (c *pairCounter) emit(need int32) [][2]int32 {
 //     for S_i distinct events per block — independent of how densely the
 //     trains fire, which keeps raw unfiltered trains from blowing the
 //     sweep up past the kernel cost it is trying to save.
-func prefilterPairs(trains SpikeTrains, ids []int, cfg CrossCorrConfig) [][2]int32 {
+//
+// budget is exactSweepBudget; only the in-package tests pass another to
+// force a sweep.
+func prefilterPairs(trains SpikeTrains, ids []int, cfg CrossCorrConfig, budget int) [][2]int32 {
 	if cfg.MaxLag < 0 || len(ids) < 2 {
 		return nil
 	}
@@ -237,14 +240,14 @@ func prefilterPairs(trains SpikeTrains, ids []int, cfg CrossCorrConfig) [][2]int
 			j++
 		}
 		mass += j - i - 1
-		if mass > exactSweepBudget {
+		if mass > budget {
 			break
 		}
 	}
 
 	counts := newPairCounter(len(ids))
-	if mass <= exactSweepBudget {
-		exactSweep(tl, cfg.MaxLag, counts)
+	if mass <= budget {
+		windowSweep(tl, cfg.MaxLag, counts)
 	} else {
 		blockSweep(tl, cfg.MaxLag, len(ids), counts)
 	}
@@ -316,28 +319,12 @@ func mergeTimeline(trains SpikeTrains, ids []int) []spike {
 	return tl
 }
 
-// exactSweep counts every ordered co-occurrence within maxLag once.
-//
-//elsa:hotpath
-func exactSweep(tl []spike, maxLag int, counts *pairCounter) {
-	j := 0
-	for i := range tl {
-		if j < i+1 {
-			j = i + 1
-		}
-		for j < len(tl) && tl[j].t-tl[i].t <= maxLag {
-			j++
-		}
-		for k := i + 1; k < j; k++ {
-			if tl[k].id == tl[i].id {
-				continue
-			}
-			counts.add(tl[i].id, tl[k].id, 1)
-			if tl[k].t == tl[i].t {
-				// Simultaneous: the reverse order sees the same delay-0 hit.
-				counts.add(tl[k].id, tl[i].id, 1)
-			}
-		}
+// windowSweep counts every ordered co-occurrence within maxLag once.
+func windowSweep(tl []spike, maxLag int, counts *pairCounter) {
+	w := newCoWindow(maxLag)
+	for _, s := range tl {
+		w.expire(s.t)
+		w.add(s.t, int(s.id), counts)
 	}
 }
 
@@ -346,7 +333,7 @@ func exactSweep(tl []spike, maxLag int, counts *pairCounter) {
 // within maxLag spans at most one block boundary, so every true
 // co-occurrence (a, b) is covered by the count product of a's block with
 // b's block (itself or the successor). The i-with-i product also covers
-// the reverse order of simultaneous spikes, matching exactSweep's
+// the reverse order of simultaneous spikes, matching windowSweep's
 // double-count of delay-0 hits.
 func blockSweep(tl []spike, maxLag, events int, counts *pairCounter) {
 	g := maxLag + 1

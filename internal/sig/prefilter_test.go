@@ -1,6 +1,7 @@
 package sig
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 	"reflect"
@@ -173,17 +174,15 @@ func randomTrains(rng *rand.Rand, d trainDensity) SpikeTrains {
 // pre-change implementation. Run under -race it also exercises the
 // worker-pool scratch discipline.
 func TestAllPairsMatchesReference(t *testing.T) {
-	defer func(old int) { exactSweepBudget = old }(exactSweepBudget)
 	regimes := []struct {
 		name   string
 		budget int
 	}{
 		{"exact-sweep", 1 << 62},
 		{"block-sweep", 0},
-		{"adaptive", 1 << 22},
+		{"adaptive", exactSweepBudget},
 	}
 	for _, reg := range regimes {
-		exactSweepBudget = reg.budget
 		t.Run(reg.name, func(t *testing.T) {
 			for _, d := range []trainDensity{sparseTrains, denseTrains, burstyTrains} {
 				t.Run(d.String(), func(t *testing.T) {
@@ -202,7 +201,7 @@ func TestAllPairsMatchesReference(t *testing.T) {
 							cfg.MaxLag = 0 // simultaneous-only edge
 							cfg.MinScore = 0.05
 						}
-						got := AllPairs(trains, cfg)
+						got, _ := allPairsStats(trains, cfg, kernelAuto, reg.budget)
 						want := referenceAllPairs(trains, cfg)
 						if !reflect.DeepEqual(got, want) {
 							t.Fatalf("%s trial %d: fast path diverged\n got=%v\nwant=%v", d, trial, got, want)
@@ -211,6 +210,87 @@ func TestAllPairsMatchesReference(t *testing.T) {
 				})
 			}
 		})
+	}
+}
+
+// exactSweep is the prefilter's exact sweep as it stood before the windowed
+// counter, frozen: every spike walks every later in-window spike, one
+// increment per ordered co-occurrence. It is the reference the coWindow
+// must equal cell for cell, from the batch side
+// (TestWindowSweepMatchesFrozenExactSweep, FuzzPrefilterPairs) and from the
+// streaming side (TestAccumulatorMatchesBatchSweep, FuzzIncrementalCounters),
+// and is not to be optimised.
+func exactSweep(tl []spike, maxLag int, counts *pairCounter) {
+	j := 0
+	for i := range tl {
+		if j < i+1 {
+			j = i + 1
+		}
+		for j < len(tl) && tl[j].t-tl[i].t <= maxLag {
+			j++
+		}
+		for k := i + 1; k < j; k++ {
+			if tl[k].id == tl[i].id {
+				continue
+			}
+			counts.add(tl[i].id, tl[k].id, 1)
+			if tl[k].t == tl[i].t {
+				// Simultaneous: the reverse order sees the same delay-0 hit.
+				counts.add(tl[k].id, tl[i].id, 1)
+			}
+		}
+	}
+}
+
+// sameDenseCounts fails unless the two counters' flat tables agree cell for
+// cell and neither spilled into the hashed overflow.
+func sameDenseCounts(t testing.TB, got, want *pairCounter, at string) {
+	t.Helper()
+	if got.e != want.e || len(got.m) != 0 || len(want.m) != 0 {
+		t.Fatalf("%s: table sides %d vs %d, overflow %d vs %d", at, got.e, want.e, len(got.m), len(want.m))
+	}
+	for k := range want.dense {
+		if got.dense[k] != want.dense[k] {
+			t.Fatalf("%s: pair (%d,%d) = %d, frozen exactSweep = %d",
+				at, k/int(want.e), k%int(want.e), got.dense[k], want.dense[k])
+		}
+	}
+}
+
+// TestWindowSweepMatchesFrozenExactSweep: over random sparse, dense and
+// bursty timelines — simultaneous spikes across events, and trains that
+// repeat a tick, which training never builds but the sweep must not count
+// as a self-pair — the windowed counter fills the dense table exactly as
+// the frozen per-instance sweep does.
+func TestWindowSweepMatchesFrozenExactSweep(t *testing.T) {
+	rng := rand.New(rand.NewSource(2025))
+	for trial := 0; trial < 120; trial++ {
+		trains := randomTrains(rng, trainDensity(trial%3))
+		ids := make([]int, 0, len(trains))
+		for id := range trains {
+			ids = append(ids, id)
+		}
+		sort.Ints(ids)
+		if trial%2 == 1 {
+			// Repeat some ticks inside a train and pin one onto another
+			// train's tick.
+			for _, id := range ids {
+				tr := trains[id]
+				for k := 0; k < 1+len(tr)/8; k++ {
+					tr = append(tr, tr[rng.Intn(len(tr))])
+				}
+				other := trains[ids[rng.Intn(len(ids))]]
+				tr = append(tr, other[rng.Intn(len(other))])
+				sort.Ints(tr)
+				trains[id] = tr
+			}
+		}
+		maxLag := []int{0, 1, 6, 60, 360}[trial%5]
+		tl := mergeTimeline(trains, ids)
+		got, want := newPairCounter(len(ids)), newPairCounter(len(ids))
+		windowSweep(tl, maxLag, got)
+		exactSweep(tl, maxLag, want)
+		sameDenseCounts(t, got, want, fmt.Sprintf("trial %d (%s, maxLag=%d)", trial, trainDensity(trial%3), maxLag))
 	}
 }
 

@@ -42,7 +42,7 @@ type monitorEnvelope struct {
 }
 
 // monitorFormatVersion increments on breaking changes to the envelope.
-const monitorFormatVersion = 3
+const monitorFormatVersion = 4
 
 // Snapshot writes the monitor's resumable state as versioned JSON. Taken
 // periodically (and on shutdown), it lets a crashed or restarted process

@@ -106,10 +106,10 @@ func TestResumeMonitorRejectsBadSnapshots(t *testing.T) {
 		t.Errorf("ErrVersionMismatch = %+v, want Got 99 / Want %d / Kind %q", vErr, monitorFormatVersion, "monitor snapshot")
 	}
 
-	if _, err := model.ResumeMonitor(strings.NewReader(`{"version": 3}`)); err == nil {
+	if _, err := model.ResumeMonitor(strings.NewReader(fmt.Sprintf(`{"version": %d}`, monitorFormatVersion))); err == nil {
 		t.Error("snapshot without session state accepted")
 	}
-	if _, err := model.ResumeMonitor(strings.NewReader(`{"version": 3, "bogus": true}`)); err == nil {
+	if _, err := model.ResumeMonitor(strings.NewReader(fmt.Sprintf(`{"version": %d, "bogus": true}`, monitorFormatVersion))); err == nil {
 		t.Error("snapshot with unknown fields accepted")
 	}
 
@@ -193,7 +193,8 @@ func resumeSeed(t testing.TB) []byte {
 
 // asVersion relabels a snapshot as format version v.
 func asVersion(snap []byte, v int) []byte {
-	return bytes.Replace(snap, []byte(`"version": 3`), []byte(fmt.Sprintf(`"version": %d`, v)), 1)
+	cur := fmt.Sprintf(`"version": %d`, monitorFormatVersion)
+	return bytes.Replace(snap, []byte(cur), []byte(fmt.Sprintf(`"version": %d`, v)), 1)
 }
 
 // TestResumeMonitorRejectsVersion1: version 1 stage counters carried a
@@ -203,8 +204,8 @@ func asVersion(snap []byte, v int) []byte {
 func TestResumeMonitorRejectsVersion1(t *testing.T) {
 	_, err := fuzzResumeModel(t).ResumeMonitor(bytes.NewReader(asVersion(resumeSeed(t), 1)))
 	var vErr *ErrVersionMismatch
-	if !errors.As(err, &vErr) || vErr.Got != 1 || vErr.Want != 3 {
-		t.Fatalf("err = %v, want ErrVersionMismatch{Got: 1, Want: 3}", err)
+	if !errors.As(err, &vErr) || vErr.Got != 1 || vErr.Want != monitorFormatVersion {
+		t.Fatalf("err = %v, want ErrVersionMismatch{Got: 1, Want: %d}", err, monitorFormatVersion)
 	}
 }
 
@@ -215,8 +216,28 @@ func TestResumeMonitorRejectsVersion1(t *testing.T) {
 func TestResumeMonitorRejectsVersion2(t *testing.T) {
 	_, err := fuzzResumeModel(t).ResumeMonitor(bytes.NewReader(asVersion(resumeSeed(t), 2)))
 	var vErr *ErrVersionMismatch
-	if !errors.As(err, &vErr) || vErr.Got != 2 || vErr.Want != 3 {
-		t.Fatalf("err = %v, want ErrVersionMismatch{Got: 2, Want: 3}", err)
+	if !errors.As(err, &vErr) || vErr.Got != 2 || vErr.Want != monitorFormatVersion {
+		t.Fatalf("err = %v, want ErrVersionMismatch{Got: 2, Want: %d}", err, monitorFormatVersion)
+	}
+}
+
+// TestResumeMonitorRejectsVersion3: a version 3 accumulator carried the
+// co-occurrence mass and the regime flag ("exact", "mass", and past the
+// budget the prev/cur block counts) the envelope no longer has. Same
+// contract — the typed version error, before the strict decoder can
+// complain about "exact".
+func TestResumeMonitorRejectsVersion3(t *testing.T) {
+	seed := asVersion(resumeSeed(t), 3)
+	v3 := bytes.Replace(seed, []byte(`"max_lag": 360,`), []byte(`"max_lag": 360, "exact": true, "mass": 12,`), 1)
+	if bytes.Equal(v3, seed) {
+		t.Fatal("could not plant the version 3 fields; envelope layout changed?")
+	}
+	for _, snap := range [][]byte{seed, v3} {
+		_, err := fuzzResumeModel(t).ResumeMonitor(bytes.NewReader(snap))
+		var vErr *ErrVersionMismatch
+		if !errors.As(err, &vErr) || vErr.Got != 3 || vErr.Want != monitorFormatVersion {
+			t.Fatalf("err = %v, want ErrVersionMismatch{Got: 3, Want: %d}", err, monitorFormatVersion)
+		}
 	}
 }
 
@@ -256,7 +277,9 @@ func FuzzResumeMonitor(f *testing.F) {
 	f.Add(seed)
 	f.Add(asVersion(seed, 1))
 	f.Add(asVersion(seed, 2))
-	f.Add([]byte(`{"version":3,"session":{"accum":{"max_lag":360,"exact":true,"last_tick":3,"last_trim":9}}}`))
+	f.Add(asVersion(seed, 3))
+	f.Add([]byte(`{"version":3,"session":{"accum":{"max_lag":360,"exact":true,"mass":7,"last_tick":3,"last_trim":9}}}`))
+	f.Add([]byte(fmt.Sprintf(`{"version":%d,"session":{"accum":{"max_lag":360,"last_tick":3,"last_trim":9}}}`, monitorFormatVersion)))
 	f.Add(forgeThreshold(f, seed, "2"))
 	f.Fuzz(func(t *testing.T, data []byte) {
 		mon, err := fuzzResumeModel(t).ResumeMonitor(bytes.NewReader(data))
