@@ -1,7 +1,9 @@
 package outlier
 
 import (
+	"math"
 	"math/rand"
+	"reflect"
 	"sort"
 	"testing"
 
@@ -233,25 +235,95 @@ func TestDetectorWindowBounded(t *testing.T) {
 	for i := 0; i < 10000; i++ {
 		d.Observe(float64(i % 7))
 	}
-	if got := d.med.len(); got > 100 {
+	if got := d.med.n; got > 100 {
 		t.Errorf("median window grew to %d live entries, want <= 2*window", got)
 	}
 }
 
-// TestMedianWindowMatchesSortedSet drives the two-heap median and the
-// frozen sorted-slice reference through identical random insert/remove
-// streams (removals always of present values, as the Detector guarantees)
-// and requires bit-identical medians after every operation.
+// checkWindow asserts medianWindow's documented invariants.
+func checkWindow(t testing.TB, m *medianWindow) {
+	t.Helper()
+	if len(m.vals) != len(m.cnt) {
+		t.Fatalf("%d values, %d counts", len(m.vals), len(m.cnt))
+	}
+	n, below := 0, 0
+	for i, c := range m.cnt {
+		if c <= 0 {
+			t.Fatalf("slot %d (value %v) has count %d", i, m.vals[i], c)
+		}
+		if i > 0 && !(m.vals[i-1] < m.vals[i]) {
+			t.Fatalf("values not strictly ascending at slot %d: %v, %v", i, m.vals[i-1], m.vals[i])
+		}
+		if i < m.idx {
+			below += int(c)
+		}
+		n += int(c)
+	}
+	if n != m.n || below != m.below {
+		t.Fatalf("n=%d below=%d, slots hold n=%d below=%d", m.n, m.below, n, below)
+	}
+	if r := (n - 1) / 2; n > 0 && !(m.below <= r && r < m.below+int(m.cnt[m.idx])) {
+		t.Fatalf("cursor slot %d covers ranks [%d,%d), median rank is %d", m.idx, m.below, m.below+int(m.cnt[m.idx]), r)
+	}
+}
+
+// servedSeries are the sample shapes the online engine actually feeds a
+// Detector: per-tick integer counts (constant, sparse, bursty, drifting)
+// and the non-integer residuals of a periodic signal against its
+// baseline, next to the continuous noise the older tests use.
+var servedSeries = []struct {
+	name string
+	gen  func(rng *rand.Rand, i int) float64
+}{
+	{"constant", func(*rand.Rand, int) float64 { return 0 }},
+	{"sparse", func(rng *rand.Rand, _ int) float64 {
+		if rng.Intn(25) == 0 { // 4 % of ticks carry a message or three
+			return float64(1 + rng.Intn(3))
+		}
+		return 0
+	}},
+	{"bursty", func(rng *rand.Rand, i int) float64 {
+		if i%500 >= 470 {
+			return float64(20 + rng.Intn(60))
+		}
+		return float64(rng.Intn(2))
+	}},
+	{"drifting", func(rng *rand.Rand, i int) float64 { return float64(i/40 + rng.Intn(3)) }},
+	{"periodic-residual", func(rng *rand.Rand, i int) float64 {
+		baseline := [...]float64{0.1, 2.7, 0.1, 0.3, 5.9, 0.1}
+		c := 0.0
+		if i%6 == 1 || i%6 == 4 {
+			c = float64(3 + rng.Intn(3))
+		}
+		return c - baseline[i%6]
+	}},
+	{"gaussian", func(rng *rand.Rand, _ int) float64 {
+		v := 8 + rng.NormFloat64()*1.5
+		if rng.Intn(29) == 0 {
+			v += 40
+		}
+		return v
+	}},
+}
+
+var servedWindows = []int{1, 2, 3, 64, DefaultWindow}
+
+// TestMedianWindowMatchesSortedSet drives the multiplicity window and the
+// frozen sorted-slice reference through identical streams — random
+// insert/remove of coarse values, then every served series sliding
+// through every served window length for three windows — and requires
+// bit-identical medians and intact invariants after every operation
+// (removals always of present values, as the Detector guarantees).
 func TestMedianWindowMatchesSortedSet(t *testing.T) {
 	for seed := int64(0); seed < 20; seed++ {
 		rng := rand.New(rand.NewSource(seed))
-		m := newMedianWindow()
+		var m medianWindow
 		var ref sortedSet
 		var present []float64
 		for op := 0; op < 3000; op++ {
 			if len(present) == 0 || rng.Intn(3) != 0 {
 				// Coarse quantization forces duplicate values, the
-				// regime where half-assignment bugs hide.
+				// regime where cursor bookkeeping bugs hide.
 				v := float64(rng.Intn(20)) / 4
 				m.insert(v)
 				ref.insert(v)
@@ -264,75 +336,214 @@ func TestMedianWindowMatchesSortedSet(t *testing.T) {
 				m.remove(v)
 				ref.remove(v)
 			}
-			if m.len() != ref.len() {
-				t.Fatalf("seed %d op %d: len %d vs reference %d", seed, op, m.len(), ref.len())
+			checkWindow(t, &m)
+			if m.n != ref.len() {
+				t.Fatalf("seed %d op %d: len %d vs reference %d", seed, op, m.n, ref.len())
 			}
-			if got, want := m.median(), ref.median(); got != want {
+			if got, want := m.median(), ref.median(); math.Float64bits(got) != math.Float64bits(want) {
 				t.Fatalf("seed %d op %d: median %v vs reference %v", seed, op, got, want)
 			}
 		}
 	}
-}
-
-// TestMedianWindowCompactsDrift pins the memory bound: a monotonically
-// drifting signal parks every eviction below the heap tops, so without
-// compaction the pending-deletion heaps would grow with the stream.
-func TestMedianWindowCompactsDrift(t *testing.T) {
-	m := newMedianWindow()
-	const window = 64
-	for i := 0; i < 100000; i++ {
-		m.insert(float64(i))
-		if i >= window {
-			m.remove(float64(i - window))
+	for _, s := range servedSeries {
+		for _, window := range servedWindows {
+			rng := rand.New(rand.NewSource(int64(window)))
+			var m medianWindow
+			var ref sortedSet
+			xs := make([]float64, 3*window+5)
+			for i := range xs {
+				xs[i] = s.gen(rng, i)
+				if i >= window {
+					m.remove(xs[i-window])
+					ref.remove(xs[i-window])
+				}
+				m.insert(xs[i])
+				ref.insert(xs[i])
+				checkWindow(t, &m)
+				if got, want := m.median(), ref.median(); m.n != ref.len() || math.Float64bits(got) != math.Float64bits(want) {
+					t.Fatalf("%s window %d sample %d: median %v of %d vs reference %v of %d",
+						s.name, window, i, got, m.n, want, ref.len())
+				}
+			}
 		}
 	}
-	if m.len() != window {
-		t.Fatalf("live entries = %d, want %d", m.len(), window)
+}
+
+// TestMedianWindowCompactsDrift pins the memory bound: the window stores
+// exactly one slot per distinct live value, so a monotonically drifting
+// signal, whose every sample is a value never seen before, holds window
+// slots however long the stream runs, and a signal that settles on one
+// value falls back to one slot.
+func TestMedianWindowCompactsDrift(t *testing.T) {
+	var m medianWindow
+	const window = 64
+	live := map[float64]int{}
+	slide := func(in, out float64) {
+		m.insert(in)
+		live[in]++
+		if live[out]--; live[out] == 0 {
+			delete(live, out)
+		}
+		m.remove(out)
+		if len(m.vals) > len(live) || len(m.cnt) > len(live) {
+			t.Fatalf("%d value and %d count slots stored for %d distinct live values", len(m.vals), len(m.cnt), len(live))
+		}
 	}
-	if total := len(m.lo.xs) + len(m.hi.xs) + len(m.loDel.xs) + len(m.hiDel.xs); total > 8*window+256 {
-		t.Fatalf("heap storage grew to %d entries for a %d-sample window", total, window)
+	for i := 0; i < window; i++ {
+		m.insert(float64(i))
+		live[float64(i)]++
 	}
+	for i := window; i < 100000; i++ {
+		slide(float64(i), float64(i-window))
+	}
+	if m.n != window || len(m.vals) != window {
+		t.Fatalf("drifting: %d samples in %d slots, want %d in %d", m.n, len(m.vals), window, window)
+	}
+	for i := 100000; i < 100000+window; i++ {
+		slide(7, float64(i-window))
+	}
+	if m.n != window || len(m.vals) != 1 {
+		t.Fatalf("settled: %d samples in %d slots, want %d in 1", m.n, len(m.vals), window)
+	}
+}
+
+// refDetector is Detector.Observe reimplemented on the frozen sortedSet:
+// every push removes what its ring evicts and inserts what it takes in,
+// whatever the two values are.
+type refDetector struct {
+	threshold float64
+	raw, cor  ring
+	sorted    sortedSet
+	// unchanged counts the pushes into a full ring that evicted the very
+	// bits they pushed: the ones the production Detector leaves the
+	// median window alone for.
+	unchanged int
+}
+
+func newRefDetector(window int, threshold float64) *refDetector {
+	return &refDetector{threshold: threshold, raw: newRing(window), cor: newRing(window)}
+}
+
+func (r *refDetector) push(ring *ring, v float64) {
+	if old, evicted := ring.push(v); evicted {
+		if math.Float64bits(old) == math.Float64bits(v) {
+			r.unchanged++
+		}
+		r.sorted.remove(old)
+	}
+	r.sorted.insert(v)
+}
+
+func (r *refDetector) observe(v float64) Observation {
+	r.push(&r.raw, v)
+	med := r.sorted.median()
+	want := Observation{Value: v, Median: med, Corrected: v}
+	if diff := v - med; diff > r.threshold || diff < -r.threshold {
+		want.Outlier = true
+		want.Corrected = med
+	}
+	r.push(&r.cor, want.Corrected)
+	return want
+}
+
+// sameObservation is bit equality: == would let a median of the wrong
+// zero sign, or a NaN, through.
+func sameObservation(a, b Observation) bool {
+	return a.Outlier == b.Outlier &&
+		math.Float64bits(a.Value) == math.Float64bits(b.Value) &&
+		math.Float64bits(a.Median) == math.Float64bits(b.Median) &&
+		math.Float64bits(a.Corrected) == math.Float64bits(b.Corrected)
 }
 
 // TestDetectorMatchesSortedSetReference runs a full production Detector
-// against a reference detector reimplemented on the frozen sortedSet and
-// requires identical observations on noisy streams with fault bursts.
+// against the reference detector on every served series at every served
+// window length, through warm-up and three further windows of eviction,
+// and requires bit-identical observations. Every series but the
+// continuous one must also have exercised the path where the evicted
+// sample equals the pushed one and the window is left untouched.
 func TestDetectorMatchesSortedSetReference(t *testing.T) {
-	type refDetector struct {
-		raw, cor ring
-		sorted   sortedSet
-	}
-	for seed := int64(0); seed < 5; seed++ {
-		rng := rand.New(rand.NewSource(100 + seed))
-		const window, threshold = 48, 2.0
-		d := NewDetector(window, threshold)
-		r := &refDetector{raw: newRing(window), cor: newRing(window)}
-		for i := 0; i < 2000; i++ {
-			v := 8 + rng.NormFloat64()*1.5
-			if rng.Intn(29) == 0 {
-				v += 40
-			}
-			got := d.Observe(v)
-
-			if old, evicted := r.raw.push(v); evicted {
-				r.sorted.remove(old)
-			}
-			r.sorted.insert(v)
-			med := r.sorted.median()
-			want := Observation{Value: v, Median: med, Corrected: v}
-			if diff := v - med; diff > threshold || diff < -threshold {
-				want.Outlier = true
-				want.Corrected = med
-			}
-			if old, evicted := r.cor.push(want.Corrected); evicted {
-				r.sorted.remove(old)
-			}
-			r.sorted.insert(want.Corrected)
-
-			if got != want {
-				t.Fatalf("seed %d sample %d: %+v vs reference %+v", seed, i, got, want)
+	for _, s := range servedSeries {
+		for _, window := range servedWindows {
+			for _, threshold := range []float64{DefaultFloor, 2} {
+				rng := rand.New(rand.NewSource(100 + int64(window)))
+				d := NewDetector(window, threshold)
+				r := newRefDetector(window, threshold)
+				outliers := 0
+				for i := 0; i < 4*window+5; i++ {
+					v := s.gen(rng, i)
+					got, want := d.Observe(v), r.observe(v)
+					if !sameObservation(got, want) {
+						t.Fatalf("%s window %d threshold %v sample %d: %+v vs reference %+v",
+							s.name, window, threshold, i, got, want)
+					}
+					if got.Outlier {
+						outliers++
+					}
+				}
+				checkWindow(t, &d.med)
+				if s.name != "gaussian" && r.unchanged == 0 {
+					t.Errorf("%s window %d threshold %v: no push evicted the value it pushed; the skip path went untested",
+						s.name, window, threshold)
+				}
+				if window == DefaultWindow && s.name != "constant" && outliers == 0 {
+					t.Errorf("%s window %d threshold %v: no outlier flagged; the correction path went untested",
+						s.name, window, threshold)
+				}
 			}
 		}
+	}
+}
+
+// FuzzDetectorMatchesSortedSet is the same differential on an arbitrary
+// stream: the first two bytes pick the window length and threshold, every
+// further byte is one sample on a quarter-integer grid (so values repeat
+// and the skip path is reachable).
+func FuzzDetectorMatchesSortedSet(f *testing.F) {
+	f.Add([]byte{3, 2, 0, 0, 0, 0, 4, 0, 0, 0, 0, 0, 8, 0, 0})
+	f.Add([]byte{0, 0, 1, 2, 3, 4, 5, 6, 7, 8, 9})
+	f.Add([]byte{63, 9, 0, 200, 0, 200, 0, 200, 0, 200, 100, 100, 100})
+	f.Add(append([]byte{1, 1}, make([]byte, 40)...))
+	f.Fuzz(func(t *testing.T, data []byte) {
+		if len(data) < 2 {
+			return
+		}
+		window := 1 + int(data[0])%96
+		threshold := DefaultFloor + float64(data[1]%16)/4
+		d := NewDetector(window, threshold)
+		r := newRefDetector(window, threshold)
+		for i, b := range data[2:] {
+			v := float64(int8(b)) / 4
+			if got, want := d.Observe(v), r.observe(v); !sameObservation(got, want) {
+				t.Fatalf("window %d threshold %v sample %d (%v): %+v vs reference %+v", window, threshold, i, v, got, want)
+			}
+			checkWindow(t, &d.med)
+		}
+	})
+}
+
+// countSeries is a deterministic sparse count signal: zero, with one to
+// three messages on every 25th tick (4 % of ticks).
+func countSeries(i int) float64 {
+	if i%25 == 0 {
+		return float64(1 + (i/25)%3)
+	}
+	return 0
+}
+
+// TestObserveWarmZeroAlloc pins that a warm detector on a count signal
+// allocates nothing: slots come and go, but inside the capacity the
+// warm-up grew.
+func TestObserveWarmZeroAlloc(t *testing.T) {
+	d := NewDetector(64, DefaultFloor)
+	i := 0
+	for ; i < 64*4; i++ {
+		d.Observe(countSeries(i))
+	}
+	if got := testing.AllocsPerRun(1000, func() {
+		d.Observe(countSeries(i))
+		i++
+	}); got != 0 {
+		t.Errorf("Observe on a warm count-valued detector allocates %v times per call, want 0", got)
 	}
 }
 
@@ -345,6 +556,20 @@ func BenchmarkObserve(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		d.Observe(10 + rng.NormFloat64())
+	}
+}
+
+// BenchmarkObserveCounts is the served distribution: a sparse integer
+// count signal on a full default window (BenchmarkObserve's continuous
+// Gaussians, every sample a new distinct value, are the worst case).
+func BenchmarkObserveCounts(b *testing.B) {
+	d := NewDetector(DefaultWindow, DefaultFloor)
+	for i := 0; i < DefaultWindow*2; i++ {
+		d.Observe(countSeries(i))
+	}
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		d.Observe(countSeries(i))
 	}
 }
 
@@ -381,5 +606,30 @@ func TestDetectorRestoreRejectsOversizedSnapshot(t *testing.T) {
 	err := d.Restore(DetectorState{Raw: []float64{1, 2, 3, 4, 5}})
 	if err == nil {
 		t.Fatal("oversized snapshot accepted")
+	}
+}
+
+// TestDetectorRestoreRejectsNonFiniteSnapshot forges the states an
+// exported struct lets anyone build: a NaN or infinite sample would break
+// the window's ordering, so Restore refuses it and keeps what it had.
+func TestDetectorRestoreRejectsNonFiniteSnapshot(t *testing.T) {
+	for _, bad := range []float64{math.NaN(), math.Inf(1), math.Inf(-1)} {
+		for _, st := range []DetectorState{
+			{Raw: []float64{1, bad}, Cor: []float64{1, 1}},
+			{Raw: []float64{1, 1}, Cor: []float64{bad, 1}},
+		} {
+			d := NewDetector(4, 1)
+			d.Observe(3)
+			before := d.State()
+			if err := d.Restore(st); err == nil {
+				t.Fatalf("snapshot with sample %v accepted", bad)
+			}
+			if after := d.State(); !reflect.DeepEqual(after, before) {
+				t.Fatalf("rejected snapshot changed the detector: %+v -> %+v", before, after)
+			}
+			if obs := d.Observe(3); obs.Median != 3 {
+				t.Fatalf("detector unusable after a rejected snapshot: %+v", obs)
+			}
+		}
 	}
 }

@@ -255,28 +255,33 @@ type Engine struct {
 	firstEvents map[int][]*correlate.Chain
 
 	detectors denseFilters // dense events only
-	active    []*instance
-	spans     map[string]*spanTracker // chain key -> confirmed-delay stats
+	//elsa:ephemeral per-tick scratch, rewritten by every DetectOutliers call
+	counts []int // this tick's count per detector, parallel to detectors
+	active []*instance
+	spans  map[string]*spanTracker // chain key -> confirmed-delay stats
 }
 
-// denseFilter is one dense event's online outlier filter.
+// denseFilter is one dense event's online outlier filter. A periodic
+// signal is scored on its residual against baseline, the per-phase
+// profile learned in training; baseline is nil for every other class.
 type denseFilter struct {
-	id  int
-	det *outlier.Detector
+	id       int
+	det      *outlier.Detector
+	baseline []float64
 }
 
 // denseFilters is a model's dense filter set in filtering order:
 // ascending event id.
 type denseFilters []denseFilter
 
-// find returns event id's filter, or nil when the event takes the sparse
-// path.
-func (fs denseFilters) find(id int) *outlier.Detector {
+// index returns the position of event id's filter, or -1 when the event
+// takes the sparse path.
+func (fs denseFilters) index(id int) int {
 	i := sort.Search(len(fs), func(i int) bool { return fs[i].id >= id })
 	if i < len(fs) && fs[i].id == id {
-		return fs[i].det
+		return i
 	}
-	return nil
+	return -1
 }
 
 // spanTracker accumulates the observed trigger-to-terminal spans of one
@@ -313,10 +318,15 @@ func NewEngine(model *correlate.Model, profiles map[string]*location.Profile, cf
 	// after construction, so it is put in filtering order here, once.
 	for id, p := range model.Profiles {
 		if p.Class != sig.Silent && model.Mode != correlate.DataMiningOnly {
-			e.detectors = append(e.detectors, denseFilter{id, outlier.NewDetector(cfg.OutlierWindow, model.Thresholds[id])})
+			d := denseFilter{id: id, det: outlier.NewDetector(cfg.OutlierWindow, model.Thresholds[id])}
+			if p.Class == sig.Periodic {
+				d.baseline = p.Baseline
+			}
+			e.detectors = append(e.detectors, d)
 		}
 	}
 	sort.Slice(e.detectors, func(i, j int) bool { return e.detectors[i].id < e.detectors[j].id })
+	e.counts = make([]int, len(e.detectors))
 	return e
 }
 
@@ -439,61 +449,64 @@ func (e *Engine) DetectorIDs() []int {
 	return ids
 }
 
-// observe feeds one dense event's tick value to its online filter,
-// returning a Hit when the tick is an outlier occurrence. Every detector
-// must be observed exactly once per tick, in tick order, so its window
-// state evolves. Periodic signals are scored on their phase residual,
-// anchored to the training epoch, so scheduled beats pass.
-//
-//elsa:hotpath
-func (e *Engine) observe(d denseFilter, t *Tick, tickStart time.Time) (Hit, bool) {
-	v := float64(t.Counts[d.id])
-	if p := e.model.Profiles[d.id]; p.Class == sig.Periodic && len(p.Baseline) > 0 {
-		phase := int(tickStart.Sub(e.model.TrainStart)/e.cfg.Step) % len(p.Baseline)
-		if phase < 0 {
-			phase += len(p.Baseline)
-		}
-		v -= p.Baseline[phase]
-	}
-	obs := d.det.Observe(v)
-	if obs.Outlier && t.Counts[d.id] > 0 {
-		return Hit{Event: d.id, Loc: t.FirstLoc[d.id]}, true
-	}
-	return Hit{}, false
-}
-
-// sparseHits appends the tick's sparse-path outliers to hits: events
-// without a dense filter (silent signals and event types never seen in
-// training) count any occurrence as an outlier. The appended tail is
-// sorted so the function's output is deterministic on its own — the
-// sparse ids come out of a map — rather than relying on the caller to
-// canonicalise the merged hit set (it does, but elsavet rightly refuses
-// to take that on faith).
-func (e *Engine) sparseHits(t *Tick, hits []Hit) []Hit {
-	n := len(hits)
-	for id := range t.Counts {
-		if e.detectors.find(id) != nil {
+// scatter deals the tick's counts out to their consumers: a dense event's
+// count lands in e.counts at its detector's position, and every other
+// event (silent signals and event types never seen in training, where any
+// occurrence is an outlier) becomes a sparse hit. A tick names a handful
+// of events against a model's hundreds of detectors, so the map is walked
+// once rather than probed once per detector. The sparse hits are sorted
+// here so the function's output is deterministic on its own — the ids
+// come out of a map — rather than relying on the caller to canonicalise
+// the merged hit set (it does, but elsavet rightly refuses to take that
+// on faith); the e.counts stores land on distinct positions, so their
+// order does not matter. Clearing first, not after use, keeps a tick that
+// panicked half-way from leaking counts into the next.
+func (e *Engine) scatter(t *Tick) (sparse []Hit) {
+	clear(e.counts)
+	for id, c := range t.Counts {
+		if i := e.detectors.index(id); i >= 0 {
+			e.counts[i] = c
 			continue
 		}
-		hits = append(hits, Hit{Event: id, Loc: t.FirstLoc[id]})
+		sparse = append(sparse, Hit{Event: id, Loc: t.FirstLoc[id]})
 	}
-	sortHits(hits[n:])
-	return hits
+	sortHits(sparse)
+	return sparse
+}
+
+// observe feeds the tick's count c of the filter's event to its detector
+// and reports whether the tick is an outlier occurrence. Periodic signals
+// are scored on their phase residual, anchored to the training epoch
+// (sinceTrain is the tick's distance from it in steps), so scheduled
+// beats pass.
+//
+//elsa:hotpath
+func (d *denseFilter) observe(c, sinceTrain int) bool {
+	v := float64(c)
+	if n := len(d.baseline); n > 0 {
+		phase := sinceTrain % n
+		if phase < 0 {
+			phase += n
+		}
+		v -= d.baseline[phase]
+	}
+	return d.det.Observe(v).Outlier && c > 0
 }
 
 // DetectOutliers runs the full filtering stage for one tick: every dense
-// detector observes its value, sparse events pass through, and the hit
-// set is sorted for deterministic matching. It is the only loop over the
+// detector observes its value — exactly once per tick, in tick order, so
+// its window state evolves — sparse events pass through, and the hit set
+// is sorted for deterministic matching. It is the only loop over the
 // dense detectors: the pipeline's filter stage and the benchmark's
 // layered driver both call it.
 func (e *Engine) DetectOutliers(t *Tick, tickStart time.Time) []Hit {
-	var hits []Hit
-	for _, d := range e.detectors {
-		if h, ok := e.observe(d, t, tickStart); ok {
-			hits = append(hits, h)
+	hits := e.scatter(t)
+	sinceTrain := int(tickStart.Sub(e.model.TrainStart) / e.cfg.Step)
+	for i := range e.detectors {
+		if d := &e.detectors[i]; d.observe(e.counts[i], sinceTrain) {
+			hits = append(hits, Hit{Event: d.id, Loc: t.FirstLoc[d.id]})
 		}
 	}
-	hits = e.sparseHits(t, hits)
 	sortHits(hits)
 	return hits
 }

@@ -84,11 +84,11 @@ func (e *Engine) Restore(st *EngineState) error {
 		byKey[e.chains[i].Key()] = &e.chains[i]
 	}
 	for id, ds := range st.Detectors {
-		det := e.detectors.find(id)
-		if det == nil {
+		i := e.detectors.index(id)
+		if i < 0 {
 			return fmt.Errorf("predict: snapshot has detector state for unknown event %d", id)
 		}
-		if err := det.Restore(ds); err != nil {
+		if err := e.detectors[i].det.Restore(ds); err != nil {
 			return fmt.Errorf("predict: event %d: %w", id, err)
 		}
 	}

@@ -74,9 +74,7 @@ func (mo *Monitor) Snapshot(w io.Writer) error {
 		env.Chains = mo.model.inner.Chains
 		env.Severity = mo.model.inner.Severity
 	}
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", " ")
-	if err := enc.Encode(env); err != nil {
+	if err := json.NewEncoder(w).Encode(env); err != nil {
 		return fmt.Errorf("elsa: snapshot monitor: %w", err)
 	}
 	return nil

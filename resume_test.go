@@ -2,6 +2,7 @@ package elsa
 
 import (
 	"bytes"
+	"encoding/json"
 	"errors"
 	"fmt"
 	"strings"
@@ -117,17 +118,51 @@ func TestResumeMonitorRejectsBadSnapshots(t *testing.T) {
 	// detector for an event the model never mined) must be refused, not
 	// resumed into silent corruption.
 	mon := model.NewMonitor(cut)
-	var snap strings.Builder
+	var snap bytes.Buffer
 	if err := mon.Snapshot(&snap); err != nil {
 		t.Fatal(err)
 	}
-	doctored := strings.Replace(snap.String(), `"detectors": {`, `"detectors": {"999999": {"raw": [1]},`, 1)
-	if doctored == snap.String() {
-		t.Fatal("could not doctor the snapshot; envelope layout changed?")
-	}
-	if _, err := model.ResumeMonitor(strings.NewReader(doctored)); err == nil {
+	doctored := forgeSnapshot(t, snap.Bytes(), func(env map[string]any) {
+		object(t, env, "session", "engine", "detectors")["999999"] = map[string]any{"raw": []int{1}}
+	})
+	if _, err := model.ResumeMonitor(bytes.NewReader(doctored)); err == nil {
 		t.Error("snapshot referencing an unknown detector accepted")
 	}
+}
+
+// forgeSnapshot decodes a snapshot, lets mutate edit the envelope and
+// encodes it again, so a forgery names the field it plants or rewrites
+// and does not depend on the encoder's whitespace or key order. Numbers
+// keep their literal text.
+func forgeSnapshot(t testing.TB, snap []byte, mutate func(env map[string]any)) []byte {
+	t.Helper()
+	dec := json.NewDecoder(bytes.NewReader(snap))
+	dec.UseNumber()
+	var env map[string]any
+	if err := dec.Decode(&env); err != nil {
+		t.Fatalf("the snapshot to forge does not decode: %v", err)
+	}
+	mutate(env)
+	forged, err := json.Marshal(env)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return forged
+}
+
+// object walks path down nested JSON objects and fails the test when the
+// envelope has no such object: a forgery that plants nothing proves
+// nothing.
+func object(t testing.TB, env map[string]any, path ...string) map[string]any {
+	t.Helper()
+	for i, key := range path {
+		next, ok := env[key].(map[string]any)
+		if !ok {
+			t.Fatalf("snapshot has no object at %s; envelope layout changed?", strings.Join(path[:i+1], "."))
+		}
+		env = next
+	}
+	return env
 }
 
 func TestMonitorCloseIdempotent(t *testing.T) {
@@ -185,16 +220,22 @@ func resumeSeed(t testing.TB) []byte {
 	if err := mon.Snapshot(&seed); err != nil {
 		t.Fatal(err)
 	}
-	if !bytes.Contains(seed.Bytes(), []byte(`"last_trim": 16`)) {
-		t.Fatalf("the seed snapshot carries no trim cursor:\n%s", seed.Bytes())
+	var env struct {
+		Session struct {
+			Accum struct {
+				LastTrim int `json:"last_trim"`
+			} `json:"accum"`
+		} `json:"session"`
+	}
+	if err := json.Unmarshal(seed.Bytes(), &env); err != nil || env.Session.Accum.LastTrim != 16 {
+		t.Fatalf("the seed snapshot carries trim cursor %d (%v), want 16:\n%s", env.Session.Accum.LastTrim, err, seed.Bytes())
 	}
 	return seed.Bytes()
 }
 
 // asVersion relabels a snapshot as format version v.
-func asVersion(snap []byte, v int) []byte {
-	cur := fmt.Sprintf(`"version": %d`, monitorFormatVersion)
-	return bytes.Replace(snap, []byte(cur), []byte(fmt.Sprintf(`"version": %d`, v)), 1)
+func asVersion(t testing.TB, snap []byte, v int) []byte {
+	return forgeSnapshot(t, snap, func(env map[string]any) { env["version"] = v })
 }
 
 // TestResumeMonitorRejectsVersion1: version 1 stage counters carried a
@@ -202,7 +243,7 @@ func asVersion(snap []byte, v int) []byte {
 // snapshot must fail as what it is — another format version, the signal
 // to start a fresh monitor — whatever else it holds.
 func TestResumeMonitorRejectsVersion1(t *testing.T) {
-	_, err := fuzzResumeModel(t).ResumeMonitor(bytes.NewReader(asVersion(resumeSeed(t), 1)))
+	_, err := fuzzResumeModel(t).ResumeMonitor(bytes.NewReader(asVersion(t, resumeSeed(t), 1)))
 	var vErr *ErrVersionMismatch
 	if !errors.As(err, &vErr) || vErr.Got != 1 || vErr.Want != monitorFormatVersion {
 		t.Fatalf("err = %v, want ErrVersionMismatch{Got: 1, Want: %d}", err, monitorFormatVersion)
@@ -214,7 +255,7 @@ func TestResumeMonitorRejectsVersion1(t *testing.T) {
 // envelope no longer has. Same contract: a typed version error, not a
 // decode error about whichever field the strict decoder meets first.
 func TestResumeMonitorRejectsVersion2(t *testing.T) {
-	_, err := fuzzResumeModel(t).ResumeMonitor(bytes.NewReader(asVersion(resumeSeed(t), 2)))
+	_, err := fuzzResumeModel(t).ResumeMonitor(bytes.NewReader(asVersion(t, resumeSeed(t), 2)))
 	var vErr *ErrVersionMismatch
 	if !errors.As(err, &vErr) || vErr.Got != 2 || vErr.Want != monitorFormatVersion {
 		t.Fatalf("err = %v, want ErrVersionMismatch{Got: 2, Want: %d}", err, monitorFormatVersion)
@@ -227,11 +268,11 @@ func TestResumeMonitorRejectsVersion2(t *testing.T) {
 // contract — the typed version error, before the strict decoder can
 // complain about "exact".
 func TestResumeMonitorRejectsVersion3(t *testing.T) {
-	seed := asVersion(resumeSeed(t), 3)
-	v3 := bytes.Replace(seed, []byte(`"max_lag": 360,`), []byte(`"max_lag": 360, "exact": true, "mass": 12,`), 1)
-	if bytes.Equal(v3, seed) {
-		t.Fatal("could not plant the version 3 fields; envelope layout changed?")
-	}
+	seed := asVersion(t, resumeSeed(t), 3)
+	v3 := forgeSnapshot(t, seed, func(env map[string]any) {
+		accum := object(t, env, "session", "accum")
+		accum["exact"], accum["mass"] = true, 12
+	})
 	for _, snap := range [][]byte{seed, v3} {
 		_, err := fuzzResumeModel(t).ResumeMonitor(bytes.NewReader(snap))
 		var vErr *ErrVersionMismatch
@@ -244,11 +285,13 @@ func TestResumeMonitorRejectsVersion3(t *testing.T) {
 // forgeThreshold rewrites the HELO merge threshold a snapshot carries.
 func forgeThreshold(t testing.TB, snap []byte, v string) []byte {
 	t.Helper()
-	forged := bytes.Replace(snap, []byte(`"threshold": 0.6`), []byte(`"threshold": `+v), 1)
-	if bytes.Equal(forged, snap) {
-		t.Fatal("could not forge the threshold; envelope layout changed?")
-	}
-	return forged
+	return forgeSnapshot(t, snap, func(env map[string]any) {
+		helo := object(t, env, "helo")
+		if _, ok := helo["threshold"]; !ok {
+			t.Fatal("could not forge the threshold; envelope layout changed?")
+		}
+		helo["threshold"] = json.Number(v)
+	})
 }
 
 // TestResumeMonitorRejectsForgedThreshold: the snapshot's organizer
@@ -267,6 +310,32 @@ func TestResumeMonitorRejectsForgedThreshold(t *testing.T) {
 	}
 }
 
+// TestResumeMonitorAcceptsIndentedSnapshot: snapshots were written
+// indented, one window sample a line, until the encoder went compact
+// under the same format version. A blob in the old layout must resume to
+// the same state.
+func TestResumeMonitorAcceptsIndentedSnapshot(t *testing.T) {
+	seed := resumeSeed(t)
+	var indented bytes.Buffer
+	if err := json.Indent(&indented, seed, "", " "); err != nil {
+		t.Fatal(err)
+	}
+	if indented.Len() <= len(seed) {
+		t.Fatalf("Snapshot still writes white space: %d bytes indented, %d as written", indented.Len(), len(seed))
+	}
+	mon, err := fuzzResumeModel(t).ResumeMonitor(&indented)
+	if err != nil {
+		t.Fatalf("an indented snapshot no longer resumes: %v", err)
+	}
+	var again bytes.Buffer
+	if err := mon.Snapshot(&again); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(again.Bytes(), seed) {
+		t.Errorf("resumed from the indented layout, the monitor snapshots differently:\n%s\nvs\n%s", again.Bytes(), seed)
+	}
+}
+
 // FuzzResumeMonitor: a monitor snapshot is bytes this process did not
 // necessarily write. Arbitrary input must come back as an error, never
 // a panic, and whatever ResumeMonitor accepts must be a fixed point of
@@ -275,9 +344,9 @@ func TestResumeMonitorRejectsForgedThreshold(t *testing.T) {
 func FuzzResumeMonitor(f *testing.F) {
 	seed := resumeSeed(f)
 	f.Add(seed)
-	f.Add(asVersion(seed, 1))
-	f.Add(asVersion(seed, 2))
-	f.Add(asVersion(seed, 3))
+	f.Add(asVersion(f, seed, 1))
+	f.Add(asVersion(f, seed, 2))
+	f.Add(asVersion(f, seed, 3))
 	f.Add([]byte(`{"version":3,"session":{"accum":{"max_lag":360,"exact":true,"mass":7,"last_tick":3,"last_trim":9}}}`))
 	f.Add([]byte(fmt.Sprintf(`{"version":%d,"session":{"accum":{"max_lag":360,"last_tick":3,"last_trim":9}}}`, monitorFormatVersion)))
 	f.Add(forgeThreshold(f, seed, "2"))
