@@ -16,12 +16,12 @@ package correlate
 
 import (
 	"sort"
-	"sync"
 	"time"
 
 	"github.com/elsa-hpc/elsa/internal/gradual"
 	"github.com/elsa-hpc/elsa/internal/logs"
 	"github.com/elsa-hpc/elsa/internal/outlier"
+	"github.com/elsa-hpc/elsa/internal/par"
 	"github.com/elsa-hpc/elsa/internal/sig"
 )
 
@@ -195,21 +195,35 @@ func Train(recs []logs.Record, start, end time.Time, mode Mode, cfg Config) *Mod
 	model.Stats.Seed = now().Sub(mark)
 
 	mark = now()
-	switch mode {
+	model.mine(trains, seeds, mining)
+	model.Stats.Mine = now().Sub(mark)
+	return model
+}
+
+// mine replaces the model's chains with the ones the mode extracts from
+// the seed pairs: Train runs it once, Refresh whenever the seed structure
+// changed.
+func (m *Model) mine(trains sig.SpikeTrains, seeds []sig.PairCorrelation, mining gradual.Config) {
+	var sets []gradual.Itemset
+	switch m.Mode {
 	case Hybrid, DataMiningOnly:
-		for _, s := range gradual.Mine(trains, seeds, mining) {
-			model.Chains = append(model.Chains, model.newChain(s))
-		}
+		sets = gradual.Mine(trains, seeds, mining)
 	case SignalOnly:
 		// Pure signal analysis: the cross-correlation pairs are the
 		// final sequences; no multi-event consolidation happens.
-		for _, s := range pairItemsets(trains, seeds, mining) {
-			model.Chains = append(model.Chains, model.newChain(s))
-		}
+		sets = pairItemsets(trains, seeds, mining)
 	}
-	model.Stats.Mine = now().Sub(mark)
-	sort.Slice(model.Chains, func(i, j int) bool { return model.Chains[i].Key() < model.Chains[j].Key() })
-	return model
+	m.setChains(sets)
+}
+
+// setChains replaces the model's chains with sets, wrapped with severity
+// metadata and sorted by key.
+func (m *Model) setChains(sets []gradual.Itemset) {
+	m.Chains = m.Chains[:0]
+	for _, s := range sets {
+		m.Chains = append(m.Chains, m.newChain(s))
+	}
+	sort.Slice(m.Chains, func(i, j int) bool { return m.Chains[i].Key() < m.Chains[j].Key() })
 }
 
 // characterize profiles every event type and produces its outlier spike
@@ -227,52 +241,44 @@ func characterize(occ map[int][]int, horizon int, mode Mode, cfg Config, model *
 		train   []int
 	}
 	results := make([]result, len(ids))
-	var wg sync.WaitGroup
-	sem := make(chan struct{}, 8)
-	for i, id := range ids {
-		wg.Add(1)
-		go func(i, id int) {
-			defer wg.Done()
-			sem <- struct{}{}
-			defer func() { <-sem }()
-			results[i] = result{id: id}
-			train := occ[id]
-			if mode == DataMiningOnly {
-				// The baseline mines raw occurrences: no behaviour model,
-				// no cleaning. Dense chatter floods its trains.
-				results[i].profile = sig.Profile{Event: id, Class: sig.Noise}
-				results[i].train = train
-				return
+	par.Each(len(ids), func(i int, _ *struct{}) {
+		id := ids[i]
+		results[i] = result{id: id}
+		train := occ[id]
+		if mode == DataMiningOnly {
+			// The baseline mines raw occurrences: no behaviour model,
+			// no cleaning. Dense chatter floods its trains.
+			results[i].profile = sig.Profile{Event: id, Class: sig.Noise}
+			results[i].train = train
+			return
+		}
+		occupancy := float64(len(train)) / float64(horizon+1)
+		if occupancy <= cfg.SilentOccupancy {
+			// Sparse silent path: every occurrence is an outlier.
+			results[i].profile = sig.Profile{Event: id, Class: sig.Silent}
+			results[i].train = train
+			return
+		}
+		// Dense path: materialise the signal, characterise, filter.
+		// Periodic signals are filtered on their phase residuals so
+		// normal beats pass and missed or extra beats flag.
+		samples := make([]float64, horizon)
+		for _, t := range train {
+			if t < horizon {
+				samples[t]++
 			}
-			occupancy := float64(len(train)) / float64(horizon+1)
-			if occupancy <= cfg.SilentOccupancy {
-				// Sparse silent path: every occurrence is an outlier.
-				results[i].profile = sig.Profile{Event: id, Class: sig.Silent}
-				results[i].train = train
-				return
-			}
-			// Dense path: materialise the signal, characterise, filter.
-			// Periodic signals are filtered on their phase residuals so
-			// normal beats pass and missed or extra beats flag.
-			samples := make([]float64, horizon)
-			for _, t := range train {
-				if t < horizon {
-					samples[t]++
-				}
-			}
-			s := &sig.Signal{Event: id, Step: cfg.Step, Samples: samples}
-			p := sig.Characterize(s, cfg.Classify)
-			values := samples
-			if p.Class == sig.Periodic && len(p.Baseline) > 0 {
-				values = sig.Residual(samples, p.Baseline)
-			}
-			th := outlier.Threshold(p, cfg.OutlierK, cfg.OutlierFloor)
-			outliers, _ := outlier.Filter(values, cfg.OutlierWindow, th)
-			results[i].profile = p
-			results[i].train = outliers
-		}(i, id)
-	}
-	wg.Wait()
+		}
+		s := &sig.Signal{Event: id, Step: cfg.Step, Samples: samples}
+		p := sig.Characterize(s, cfg.Classify)
+		values := samples
+		if p.Class == sig.Periodic && len(p.Baseline) > 0 {
+			values = sig.Residual(samples, p.Baseline)
+		}
+		th := outlier.Threshold(p, cfg.OutlierK, cfg.OutlierFloor)
+		outliers, _ := outlier.Filter(values, cfg.OutlierWindow, th)
+		results[i].profile = p
+		results[i].train = outliers
+	})
 
 	trains := make(sig.SpikeTrains, len(results))
 	for _, r := range results {
@@ -286,15 +292,9 @@ func characterize(occ map[int][]int, horizon int, mode Mode, cfg Config, model *
 }
 
 // pairItemsets scores seed pairs as standalone 2-item chains for the
-// signal-only mode.
+// signal-only mode, in seed order.
 func pairItemsets(trains sig.SpikeTrains, seeds []sig.PairCorrelation, cfg gradual.Config) []gradual.Itemset {
-	cands := make([][]gradual.Item, 0, len(seeds))
-	for _, p := range seeds {
-		cands = append(cands, []gradual.Item{{Event: p.A, Delay: 0}, {Event: p.B, Delay: p.Delay}})
-	}
-	sets := gradual.Evaluate(trains, cands, cfg)
-	sort.Slice(sets, func(i, j int) bool { return sets[i].Key() < sets[j].Key() })
-	return sets
+	return gradual.Evaluate(trains, gradual.SeedCandidates(seeds), cfg)
 }
 
 // newChain wraps an itemset with severity metadata. A chain is predictive

@@ -1,6 +1,9 @@
 package correlate
 
 import (
+	"bytes"
+	"encoding/json"
+	"runtime"
 	"testing"
 	"time"
 
@@ -177,6 +180,34 @@ func TestChainSeverityMetadata(t *testing.T) {
 		}
 		if c.MaxSeverity != want {
 			t.Errorf("chain %s severity %v, want %v", c.Key(), c.MaxSeverity, want)
+		}
+	}
+}
+
+// TestTrainIdenticalAcrossGOMAXPROCS: characterisation, pair scoring and
+// mining all fan out over par.Each, sized by GOMAXPROCS; the trained
+// model's bytes must not depend on it, in any mode.
+func TestTrainIdenticalAcrossGOMAXPROCS(t *testing.T) {
+	dur := 2 * 24 * time.Hour
+	res := gen.New(gen.BlueGeneL(), 109).Generate(t0, dur)
+	helo.New(0).Assign(res.Records)
+	for _, mode := range []Mode{Hybrid, SignalOnly, DataMiningOnly} {
+		var blobs [][]byte
+		for _, procs := range []int{1, 4} {
+			prev := runtime.GOMAXPROCS(procs)
+			blob, err := json.Marshal(Train(res.Records, t0, t0.Add(dur), mode, DefaultConfig()))
+			runtime.GOMAXPROCS(prev)
+			if err != nil {
+				t.Fatal(err)
+			}
+			blobs = append(blobs, blob)
+		}
+		if !bytes.Equal(blobs[0], blobs[1]) {
+			t.Fatalf("%v: model bytes differ between GOMAXPROCS 1 and 4", mode)
+		}
+		var m Model
+		if err := json.Unmarshal(blobs[0], &m); err != nil || len(m.Chains) == 0 {
+			t.Fatalf("%v: trained no chains (err %v): the comparison proves nothing", mode, err)
 		}
 	}
 }

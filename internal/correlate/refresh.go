@@ -57,7 +57,6 @@ type refresher struct {
 	// the remineEvery rate limit.
 	sinceMine int
 	tel       *sig.PairTelemetry
-	scratch   sig.Scratch
 }
 
 // tuneForMode derives the per-mode cross-correlation and mining
@@ -92,8 +91,9 @@ func AccumConfigFor(mode Mode, cfg Config) sig.AccumConfig {
 // is capped (the monitor caps it at the training span) the trains scored
 // here are a sliding window of the stream, which is what lets a chain
 // whose events stopped co-occurring fall out. Only pairs whose co-occurrence
-// counters moved since the last refresh are re-scored by the kernel;
-// when the surviving seed set is unchanged the existing chains are
+// counters moved since the last refresh are re-scored, by sig.ScorePairs,
+// the scorer training uses; when the surviving seed set is unchanged the
+// existing chains are
 // merely re-scored against the fresh trains (the fast path), otherwise
 // the miner re-runs over the new seeds — rate-limited to one full mine
 // per remineEvery rounds, so threshold-flapping pairs cannot pin every
@@ -125,28 +125,27 @@ func (m *Model) Refresh(acc *sig.Accumulator, cfg Config) RefreshStats {
 	}
 
 	dirty := acc.DrainDirty()
+	pairs := make([][2]int, len(dirty))
+	for i, d := range dirty {
+		pairs[i] = [2]int{d.A, d.B}
+	}
+	scored, kept := sig.ScorePairs(trains, pairs, cc)
 	st := RefreshStats{Dirty: len(dirty)}
-	for _, d := range dirty {
-		a, b := trains[d.A], trains[d.B]
-		if len(a) == 0 || len(b) == 0 {
-			delete(r.seeds, [2]int{d.A, d.B})
-			r.tel.NoteKept(d.A, d.B, false)
+	for i, p := range pairs {
+		if len(trains[p[0]]) == 0 || len(trains[p[1]]) == 0 {
+			// Horizon trimming emptied a train: the pair cannot score.
+			delete(r.seeds, p)
+			r.tel.NoteKept(p[0], p[1], false)
 			continue
 		}
 		st.Scored++
-		r.tel.NoteScored(d.A, d.B)
-		delay, count, score, ok := r.scratch.CrossCorrelate(a, b, cc)
-		if ok && delay == 0 && d.A > d.B {
-			ok = false // keep simultaneous pairs once, as the batch scan does
-		}
-		if ok {
-			r.seeds[[2]int{d.A, d.B}] = sig.PairCorrelation{
-				A: d.A, B: d.B, Delay: delay, Count: count, Score: score,
-			}
+		r.tel.NoteScored(p[0], p[1])
+		if kept[i] {
+			r.seeds[p] = scored[i]
 		} else {
-			delete(r.seeds, [2]int{d.A, d.B})
+			delete(r.seeds, p)
 		}
-		r.tel.NoteKept(d.A, d.B, ok)
+		r.tel.NoteKept(p[0], p[1], kept[i])
 	}
 
 	seeds := r.seedList()
@@ -154,17 +153,7 @@ func (m *Model) Refresh(acc *sig.Accumulator, cfg Config) RefreshStats {
 	r.sinceMine++
 	if signature != r.mined && (r.mined == "" || r.sinceMine >= remineEvery) {
 		st.Remined = true
-		m.Chains = m.Chains[:0]
-		switch m.Mode {
-		case Hybrid, DataMiningOnly:
-			for _, s := range gradual.Mine(trains, seeds, mining) {
-				m.Chains = append(m.Chains, m.newChain(s))
-			}
-		case SignalOnly:
-			for _, s := range pairItemsets(trains, seeds, mining) {
-				m.Chains = append(m.Chains, m.newChain(s))
-			}
-		}
+		m.mine(trains, seeds, mining)
 		r.mined = signature
 		r.sinceMine = 0
 	} else {
@@ -177,12 +166,8 @@ func (m *Model) Refresh(acc *sig.Accumulator, cfg Config) RefreshStats {
 		for _, c := range m.Chains {
 			sets = append(sets, c.Itemset)
 		}
-		m.Chains = m.Chains[:0]
-		for _, s := range gradual.Rescore(trains, sets, mining) {
-			m.Chains = append(m.Chains, m.newChain(s))
-		}
+		m.setChains(gradual.Rescore(trains, sets, mining))
 	}
-	sort.Slice(m.Chains, func(i, j int) bool { return m.Chains[i].Key() < m.Chains[j].Key() })
 
 	m.TrainEnd = m.TrainStart.Add(time.Duration(horizon) * cfg.Step)
 	st.Seeds = len(seeds)

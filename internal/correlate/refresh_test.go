@@ -1,6 +1,7 @@
 package correlate
 
 import (
+	"bytes"
 	"encoding/json"
 	"math/rand"
 	"reflect"
@@ -305,4 +306,229 @@ func BenchmarkRefreshSteadyState(b *testing.B) {
 	b.ReportMetric(float64(st.Seeds), "seeds")
 	b.ReportMetric(float64(st.Chains), "chains")
 	b.ReportMetric(trainMs, "train_ms") // one batch retrain of the same day, what a round replaces
+}
+
+// referenceRefresh is Refresh as it stood before sig.ScorePairs, frozen:
+// the dirty pairs are re-scored one by one on the calling goroutine
+// through the one-off kernel, the simultaneous-pair rule and the mode
+// switch from seeds to chains are inline. TestRefreshMatchesSerialReference
+// holds Refresh to it round for round; it is not to be optimised.
+func referenceRefresh(m *Model, acc *sig.Accumulator, cfg Config) RefreshStats {
+	if cfg.Step <= 0 {
+		cfg.Step = sig.DefaultStep
+	}
+	horizon := acc.LastTick() + 1
+	cc, mining := tuneForMode(m.Mode, horizon, cfg)
+
+	if m.ref == nil {
+		m.ref = &refresher{
+			seeds: make(map[[2]int]sig.PairCorrelation),
+			tel:   sig.NewPairTelemetry(),
+		}
+	}
+	r := m.ref
+	trains := acc.Trains()
+	r.tel.BeginRound(acc.Events())
+
+	for id, es := range acc.EventStats() {
+		if sev := logs.Severity(es.MaxSeverity); sev > m.Severity[id] {
+			m.Severity[id] = sev
+		}
+	}
+
+	dirty := acc.DrainDirty()
+	st := RefreshStats{Dirty: len(dirty)}
+	for _, d := range dirty {
+		a, b := trains[d.A], trains[d.B]
+		if len(a) == 0 || len(b) == 0 {
+			delete(r.seeds, [2]int{d.A, d.B})
+			r.tel.NoteKept(d.A, d.B, false)
+			continue
+		}
+		st.Scored++
+		r.tel.NoteScored(d.A, d.B)
+		delay, count, score, ok := sig.CrossCorrelate(a, b, cc)
+		if ok && delay == 0 && d.A > d.B {
+			ok = false // keep simultaneous pairs once, as the batch scan does
+		}
+		if ok {
+			r.seeds[[2]int{d.A, d.B}] = sig.PairCorrelation{
+				A: d.A, B: d.B, Delay: delay, Count: count, Score: score,
+			}
+		} else {
+			delete(r.seeds, [2]int{d.A, d.B})
+		}
+		r.tel.NoteKept(d.A, d.B, ok)
+	}
+
+	seeds := r.seedList()
+	signature := seedSignature(seeds)
+	r.sinceMine++
+	if signature != r.mined && (r.mined == "" || r.sinceMine >= remineEvery) {
+		st.Remined = true
+		m.Chains = m.Chains[:0]
+		switch m.Mode {
+		case Hybrid, DataMiningOnly:
+			for _, s := range gradual.Mine(trains, seeds, mining) {
+				m.Chains = append(m.Chains, m.newChain(s))
+			}
+		case SignalOnly:
+			for _, s := range pairItemsets(trains, seeds, mining) {
+				m.Chains = append(m.Chains, m.newChain(s))
+			}
+		}
+		r.mined = signature
+		r.sinceMine = 0
+	} else {
+		sets := make([]gradual.Itemset, 0, len(m.Chains))
+		for _, c := range m.Chains {
+			sets = append(sets, c.Itemset)
+		}
+		m.Chains = m.Chains[:0]
+		for _, s := range gradual.Rescore(trains, sets, mining) {
+			m.Chains = append(m.Chains, m.newChain(s))
+		}
+	}
+	sort.Slice(m.Chains, func(i, j int) bool { return m.Chains[i].Key() < m.Chains[j].Key() })
+
+	m.TrainEnd = m.TrainStart.Add(time.Duration(horizon) * cfg.Step)
+	st.Seeds = len(seeds)
+	st.Chains = len(m.Chains)
+	st.Pairs = r.tel.Stats()
+	m.Stats.Pairs = st.Pairs
+	return st
+}
+
+// outlierTicks returns, per tick of the first ticks after start, the ids
+// of the events with an outlier on it, ascending: the hit sets a monitor's
+// filter hands its accumulator, from the characterisation training runs.
+func outlierTicks(recs []logs.Record, start time.Time, cfg Config, ticks int) [][]int {
+	occ := make(map[int][]int)
+	for _, r := range recs {
+		t := int(r.Time.Sub(start) / cfg.Step)
+		if train := occ[r.EventID]; t >= 0 && t < ticks && (len(train) == 0 || train[len(train)-1] != t) {
+			occ[r.EventID] = append(train, t)
+		}
+	}
+	byTick := make([][]int, ticks)
+	for id, train := range characterize(occ, ticks, Hybrid, cfg, emptyModel(Hybrid, cfg)) {
+		for _, t := range train {
+			byTick[t] = append(byTick[t], id)
+		}
+	}
+	for _, ids := range byTick {
+		slices.Sort(ids)
+	}
+	return byTick
+}
+
+// TestRefreshMatchesSerialReference: a model trained on a bgl and on a
+// bgl200 horizon, then refreshed round after round over the stream that
+// follows, reads the same RefreshState bytes, the same model bytes (chain
+// keys included) and the same RefreshStats (Duration aside) as a clone
+// refreshed by the frozen serial reference over an identically fed
+// accumulator. Every round but the first re-scores the live chains, and
+// the bgl run is long enough for the rate-limited miner to re-run; its
+// window is shorter than the lag window, so rounds drain dirty pairs whose
+// train was trimmed to empty, and both runs end on a stream gap longer
+// than the window, which trims every train the last round dirtied.
+func TestRefreshMatchesSerialReference(t *testing.T) {
+	cases := []struct {
+		name          string
+		prof          gen.Profile
+		train         time.Duration
+		horizonCap    int // accumulator train window, ticks
+		every, rounds int // ticks between refreshes, refreshes
+	}{
+		{"bgl", gen.BlueGeneL(), 24 * time.Hour, 180, 432, 40},
+		{"bgl200", bench.ScaledBGL(200), 12 * time.Hour, 4320, 360, 6},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			cfg := DefaultConfig()
+			trainTicks := int(tc.train / cfg.Step)
+			ticks := trainTicks + tc.every*tc.rounds
+			res := gen.New(tc.prof, 1).Generate(t0, time.Duration(ticks)*cfg.Step)
+			helo.New(0).Assign(res.Records)
+			blob, err := json.Marshal(Train(res.Records, t0, t0.Add(tc.train), Hybrid, cfg))
+			if err != nil {
+				t.Fatal(err)
+			}
+			var got, want *Model
+			if err := json.Unmarshal(blob, &got); err != nil {
+				t.Fatal(err)
+			}
+			if err := json.Unmarshal(blob, &want); err != nil {
+				t.Fatal(err)
+			}
+
+			// The accumulators watch the training span too; a refresh then
+			// closes every round of the stream after it.
+			byTick := outlierTicks(res.Records, t0, cfg, ticks)
+			acfg := AccumConfigFor(Hybrid, cfg)
+			acfg.HorizonCap = tc.horizonCap
+			accGot, accWant := sig.NewAccumulator(acfg), sig.NewAccumulator(acfg)
+			feed := func(tick int, hits []int) {
+				counts := make(map[int]int, len(hits))
+				for _, id := range hits {
+					counts[id] = 1
+				}
+				accGot.ObserveTick(tick, counts, hits)
+				accWant.ObserveTick(tick, counts, hits)
+			}
+			for tick := 0; tick < trainTicks; tick++ {
+				feed(tick, byTick[tick])
+			}
+			trimmedDirty, laterRemine := false, false
+			for round := 0; round < tc.rounds; round++ {
+				from := trainTicks + round*tc.every
+				for tick := from; tick < from+tc.every; tick++ {
+					feed(tick, byTick[tick])
+				}
+				if round == tc.rounds-1 {
+					feed(from+tc.every+tc.horizonCap, byTick[from])
+				}
+				stGot, stWant := got.Refresh(accGot, cfg), referenceRefresh(want, accWant, cfg)
+				stGot.Duration = 0
+				if stGot != stWant {
+					t.Fatalf("round %d: stats %+v, serial reference %+v", round, stGot, stWant)
+				}
+				if !slices.Equal(chainKeys(got), chainKeys(want)) {
+					t.Fatalf("round %d: chains %v, serial reference %v", round, chainKeys(got), chainKeys(want))
+				}
+				for _, pair := range [][2]any{{got.RefreshState(), want.RefreshState()}, {got, want}} {
+					g, err := json.Marshal(pair[0])
+					if err != nil {
+						t.Fatal(err)
+					}
+					w, err := json.Marshal(pair[1])
+					if err != nil {
+						t.Fatal(err)
+					}
+					if !bytes.Equal(g, w) {
+						t.Fatalf("round %d: %T bytes diverge from the serial reference", round, pair[0])
+					}
+				}
+				trimmedDirty = trimmedDirty || stWant.Dirty > stWant.Scored
+				laterRemine = laterRemine || (round > 0 && stWant.Remined)
+				if round == 0 && (!stWant.Remined || stWant.Chains == 0) {
+					t.Fatalf("first round %+v: want a full mine to a non-empty chain set", stWant)
+				}
+			}
+			if !trimmedDirty {
+				t.Error("no round drained a dirty pair whose train was trimmed to empty")
+			}
+			if tc.rounds > remineEvery && !laterRemine {
+				t.Error("the miner never re-ran after the first round")
+			}
+		})
+	}
+}
+
+func chainKeys(m *Model) []string {
+	keys := make([]string, len(m.Chains))
+	for i := range m.Chains {
+		keys[i] = m.Chains[i].Key()
+	}
+	return keys
 }

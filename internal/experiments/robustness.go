@@ -35,6 +35,9 @@ func Robustness(sc Scale, n int) *RobustnessResult {
 		n = 1
 	}
 	res := &RobustnessResult{Seeds: n, PerSeed: make([]RobustnessPoint, n)}
+	// At most four campaigns run at once. The cap bounds memory, not CPU:
+	// each campaign holds a whole generated log, and training inside it
+	// already fans out over every core through par.Each.
 	var wg sync.WaitGroup
 	sem := make(chan struct{}, 4)
 	for i := 0; i < n; i++ {

@@ -13,82 +13,23 @@ func TestNextPow2(t *testing.T) {
 		{0, 1}, {1, 1}, {2, 2}, {3, 4}, {4, 4}, {5, 8}, {1000, 1024},
 	}
 	for _, c := range cases {
-		if got := NextPow2(c.in); got != c.want {
-			t.Errorf("NextPow2(%d) = %d, want %d", c.in, got, c.want)
+		if got := nextPow2(c.in); got != c.want {
+			t.Errorf("nextPow2(%d) = %d, want %d", c.in, got, c.want)
 		}
 	}
 }
 
-func TestIsPow2(t *testing.T) {
-	for _, n := range []int{1, 2, 4, 1024} {
-		if !IsPow2(n) {
-			t.Errorf("IsPow2(%d) = false", n)
-		}
-	}
-	for _, n := range []int{0, -2, 3, 12} {
-		if IsPow2(n) {
-			t.Errorf("IsPow2(%d) = true", n)
-		}
-	}
-}
-
-func TestGrowPow2(t *testing.T) {
-	buf := GrowPow2(nil, 5)
-	if len(buf) != 8 {
-		t.Fatalf("len = %d, want 8", len(buf))
-	}
-	// Reuse: a big dirty buffer shrinks in place and is zeroed.
-	for i := range buf {
-		buf[i] = complex(1, 1)
-	}
-	reused := GrowPow2(buf, 3)
-	if len(reused) != 4 || &reused[0] != &buf[0] {
-		t.Fatalf("expected in-place reuse to length 4, got len %d", len(reused))
-	}
-	for i, v := range reused {
-		if v != 0 {
-			t.Fatalf("reused[%d] = %v, want 0", i, v)
-		}
-	}
-	if got := len(GrowPow2(nil, 0)); got != 1 {
-		t.Fatalf("GrowPow2(nil, 0) len = %d, want 1", got)
-	}
-}
-
-func TestPackReal(t *testing.T) {
-	xs := []float64{1, 2, 3}
-	buf := PackReal(nil, xs, 0)
-	if len(buf) != 4 {
-		t.Fatalf("len = %d, want 4", len(buf))
-	}
-	for i, v := range xs {
-		if buf[i] != complex(v, 0) {
-			t.Fatalf("buf[%d] = %v, want %v", i, buf[i], v)
-		}
-	}
-	if buf[3] != 0 {
-		t.Fatalf("padding not zeroed: %v", buf[3])
-	}
-	// minSize reserves extra zero padding past len(xs).
-	if got := len(PackReal(nil, xs, 7)); got != 8 {
-		t.Fatalf("minSize-padded len = %d, want 8", got)
-	}
-	// Dirty scratch is reused and cleared.
-	scratch := []complex128{9i, 9i, 9i, 9i, 9i, 9i, 9i, 9i}
-	out := PackReal(scratch, xs, 0)
-	if &out[0] != &scratch[0] {
-		t.Fatal("expected scratch reuse")
-	}
-	if out[3] != 0 {
-		t.Fatalf("stale padding survived: %v", out[3])
-	}
-}
-
+// TestMustTransformRoundTrip: a real series zero-padded to a power of two,
+// the only buffer shape Autocorrelation builds, survives transform then
+// inverse.
 func TestMustTransformRoundTrip(t *testing.T) {
 	xs := []float64{1, -2, 3, 0.5, -7}
-	buf := PackReal(nil, xs, 0)
-	MustTransform(buf)
-	MustInverse(buf)
+	buf := make([]complex128, nextPow2(len(xs)))
+	for i, v := range xs {
+		buf[i] = complex(v, 0)
+	}
+	transform(buf)
+	inverse(buf)
 	for i, v := range xs {
 		if math.Abs(real(buf[i])-v) > 1e-9 || math.Abs(imag(buf[i])) > 1e-9 {
 			t.Fatalf("round trip bin %d = %v, want %v", i, buf[i], v)
@@ -96,28 +37,11 @@ func TestMustTransformRoundTrip(t *testing.T) {
 	}
 }
 
-func TestMustTransformPanicsOffContract(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("expected panic for non-power-of-two length")
-		}
-	}()
-	MustTransform(make([]complex128, 3))
-}
-
-func TestTransformRejectsNonPow2(t *testing.T) {
-	if err := Transform(make([]complex128, 3)); err == nil {
-		t.Error("expected error for non-power-of-two length")
-	}
-}
-
 func TestTransformKnownValues(t *testing.T) {
 	// FFT of an impulse is all ones.
 	x := make([]complex128, 8)
 	x[0] = 1
-	if err := Transform(x); err != nil {
-		t.Fatal(err)
-	}
+	transform(x)
 	for i, v := range x {
 		if cmplx.Abs(v-1) > 1e-12 {
 			t.Errorf("impulse FFT bin %d = %v, want 1", i, v)
@@ -125,7 +49,7 @@ func TestTransformKnownValues(t *testing.T) {
 	}
 	// FFT of a constant is an impulse at DC.
 	y := []complex128{1, 1, 1, 1}
-	_ = Transform(y)
+	transform(y)
 	if cmplx.Abs(y[0]-4) > 1e-12 {
 		t.Errorf("DC bin = %v, want 4", y[0])
 	}
@@ -147,12 +71,8 @@ func TestRoundTrip(t *testing.T) {
 			x[i] = complex(r.NormFloat64(), r.NormFloat64())
 			orig[i] = x[i]
 		}
-		if err := Transform(x); err != nil {
-			return false
-		}
-		if err := Inverse(x); err != nil {
-			return false
-		}
+		transform(x)
+		inverse(x)
 		for i := range x {
 			if cmplx.Abs(x[i]-orig[i]) > 1e-9 {
 				return false
@@ -175,7 +95,7 @@ func TestParseval(t *testing.T) {
 		x[i] = complex(v, 0)
 		timeEnergy += v * v
 	}
-	_ = Transform(x)
+	transform(x)
 	freqEnergy := 0.0
 	for _, v := range x {
 		freqEnergy += real(v)*real(v) + imag(v)*imag(v)
@@ -243,6 +163,6 @@ func BenchmarkTransform4096(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		copy(buf, x)
-		_ = Transform(buf)
+		transform(buf)
 	}
 }

@@ -9,12 +9,10 @@
 package gradual
 
 import (
-	"fmt"
-	"runtime"
 	"sort"
-	"strings"
-	"sync"
+	"strconv"
 
+	"github.com/elsa-hpc/elsa/internal/par"
 	"github.com/elsa-hpc/elsa/internal/sig"
 	"github.com/elsa-hpc/elsa/internal/stats"
 )
@@ -53,16 +51,23 @@ func (s *Itemset) First() int { return s.Items[0].Event }
 // Last returns the terminal item (the predicted event).
 func (s *Itemset) Last() Item { return s.Items[len(s.Items)-1] }
 
-// Key returns a canonical string identity for deduplication.
+// Key returns a canonical string identity for deduplication:
+// "event@delay" per item, joined by '|'.
 func (s *Itemset) Key() string {
-	var b strings.Builder
-	for i, it := range s.Items {
-		if i > 0 {
-			b.WriteByte('|')
-		}
-		fmt.Fprintf(&b, "%d@%d", it.Event, it.Delay)
+	b := appendItems(nil, s.Items)
+	return string(b[:max(len(b)-1, 0)])
+}
+
+// appendItems appends "event@delay|" for every item to b: the one item
+// encoder behind Key and the miner's sibling-group and dedup keys.
+func appendItems(b []byte, items []Item) []byte {
+	for _, it := range items {
+		b = strconv.AppendInt(b, int64(it.Event), 10)
+		b = append(b, '@')
+		b = strconv.AppendInt(b, int64(it.Delay), 10)
+		b = append(b, '|')
 	}
-	return b.String()
+	return b
 }
 
 // Config tunes the miner.
@@ -126,14 +131,14 @@ type evalScratch struct {
 // offset and re-scores it. The cross-correlation seeding is density-based
 // and biased low on skewed delay distributions; anchoring each item at the
 // empirical median recentres both the online match window and the forecast
-// failure time. Itemsets are independent, so they refine on parallel
+// failure time. Itemsets are independent, so they refine on par.Each
 // workers; results land in per-input slots and are merged in input order,
 // keeping the output bit-identical to a sequential pass.
 func refineAll(trains sig.SpikeTrains, sets []Itemset, cfg Config) []Itemset {
 	refined := make([]Itemset, len(sets))
 	keep := make([]bool, len(sets))
 	bits := sig.IndexTrains(trains)
-	parallelEach(len(sets), func(i int, sc *evalScratch) {
+	par.Each(len(sets), func(i int, sc *evalScratch) {
 		s := sets[i]
 		items := refineDelays(trains, s.Items, cfg.DelayTolerance, sc)
 		if r, ok := score(trains, bits, items, cfg); ok {
@@ -149,45 +154,19 @@ func refineAll(trains sig.SpikeTrains, sets []Itemset, cfg Config) []Itemset {
 			out = append(out, refined[i])
 		}
 	}
-	sort.Slice(out, func(i, j int) bool {
-		if out[i].Support != out[j].Support {
-			return out[i].Support > out[j].Support
-		}
-		return out[i].Key() < out[j].Key()
-	})
+	sortBySupport(out)
 	return out
 }
 
-// parallelEach runs fn(i) for i in [0, n) on NumCPU workers, each owning
-// one evalScratch for the duration.
-func parallelEach(n int, fn func(i int, sc *evalScratch)) {
-	if n == 0 {
-		return
-	}
-	workers := runtime.NumCPU()
-	if workers > n {
-		workers = n
-	}
-	if workers < 1 {
-		workers = 1
-	}
-	next := make(chan int, n)
-	for i := 0; i < n; i++ {
-		next <- i
-	}
-	close(next)
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			var sc evalScratch
-			for i := range next {
-				fn(i, &sc)
-			}
-		}()
-	}
-	wg.Wait()
+// sortBySupport puts sets in the miner's output order: decreasing
+// support, then key.
+func sortBySupport(sets []Itemset) {
+	sort.Slice(sets, func(i, j int) bool {
+		if sets[i].Support != sets[j].Support {
+			return sets[i].Support > sets[j].Support
+		}
+		return sets[i].Key() < sets[j].Key()
+	})
 }
 
 // refineDelays returns a copy of items with each delay replaced by the
@@ -226,27 +205,31 @@ func refineDelays(trains sig.SpikeTrains, items []Item, tol int, sc *evalScratch
 // attributes, only the pairs the fast signal-analysis pass found are
 // explored, which is what makes the mining tractable online.
 func seedLevel(trains sig.SpikeTrains, seeds []sig.PairCorrelation, cfg Config) []Itemset {
+	return Evaluate(trains, SeedCandidates(seeds), cfg)
+}
+
+// SeedCandidates turns each seed pair (A, B, Delay) into the 2-item
+// candidate {A@0, B@Delay}, in seed order: the miner's first level and,
+// scored as they are, the signal-only mode's chains.
+func SeedCandidates(seeds []sig.PairCorrelation) [][]Item {
 	cands := make([][]Item, 0, len(seeds))
 	for _, p := range seeds {
 		cands = append(cands, []Item{{Event: p.A, Delay: 0}, {Event: p.B, Delay: p.Delay}})
 	}
-	return Evaluate(trains, cands, cfg)
+	return cands
 }
 
 // join builds level-(L+1) candidates by merging sibling itemsets that
 // share their first L-1 items, mirroring GRITE's tree join. Sibling
-// groups are independent, so they join on parallel workers (the multicore
+// groups are independent, so they join on par.Each workers (the multicore
 // gradual mining of the paper's reference [3]); results are concatenated
 // in deterministic group order before global deduplication.
 func join(level []Itemset, cfg Config) [][]Item {
 	groups := make(map[string][]Itemset)
+	var buf []byte
 	for _, s := range level {
-		prefix := s.Items[:len(s.Items)-1]
-		var b strings.Builder
-		for _, it := range prefix {
-			fmt.Fprintf(&b, "%d@%d|", it.Event, it.Delay)
-		}
-		groups[b.String()] = append(groups[b.String()], s)
+		buf = appendItems(buf[:0], s.Items[:len(s.Items)-1])
+		groups[string(buf)] = append(groups[string(buf)], s)
 	}
 	keys := make([]string, 0, len(groups))
 	for k := range groups {
@@ -255,36 +238,26 @@ func join(level []Itemset, cfg Config) [][]Item {
 	sort.Strings(keys)
 
 	perGroup := make([][][]Item, len(keys))
-	var wg sync.WaitGroup
-	sem := make(chan struct{}, runtime.NumCPU())
-	for gi, k := range keys {
-		wg.Add(1)
-		go func(gi int, g []Itemset) {
-			defer wg.Done()
-			sem <- struct{}{}
-			defer func() { <-sem }()
-			var local [][]Item
-			for i := 0; i < len(g); i++ {
-				for j := i + 1; j < len(g); j++ {
-					if cand, ok := merge(g[i], g[j]); ok {
-						local = append(local, cand)
-					}
+	par.Each(len(keys), func(gi int, _ *struct{}) {
+		g := groups[keys[gi]]
+		for i := 0; i < len(g); i++ {
+			for j := i + 1; j < len(g); j++ {
+				if cand, ok := merge(g[i], g[j]); ok {
+					perGroup[gi] = append(perGroup[gi], cand)
 				}
 			}
-			perGroup[gi] = local
-		}(gi, groups[k])
-	}
-	wg.Wait()
+		}
+	})
 
 	seen := make(map[string]bool)
 	var out [][]Item
 	for _, local := range perGroup {
 		for _, cand := range local {
-			key := itemsKey(cand)
-			if seen[key] {
+			buf = appendItems(buf[:0], cand)
+			if seen[string(buf)] {
 				continue
 			}
-			seen[key] = true
+			seen[string(buf)] = true
 			out = append(out, cand)
 			if cfg.MaxCandidates > 0 && len(out) >= cfg.MaxCandidates {
 				return out
@@ -320,14 +293,6 @@ func merge(a, b Itemset) ([]Item, bool) {
 	return items, true
 }
 
-func itemsKey(items []Item) string {
-	var b strings.Builder
-	for _, it := range items {
-		fmt.Fprintf(&b, "%d@%d|", it.Event, it.Delay)
-	}
-	return b.String()
-}
-
 // Evaluate counts support for each candidate pattern in parallel and keeps
 // the frequent, confident, significant ones. Besides being the miner's
 // inner step it is exported for the signal-only baseline, which scores its
@@ -339,7 +304,7 @@ func Evaluate(trains sig.SpikeTrains, cands [][]Item, cfg Config) []Itemset {
 	out := make([]Itemset, len(cands))
 	keep := make([]bool, len(cands))
 	bits := sig.IndexTrains(trains)
-	parallelEach(len(cands), func(i int, _ *evalScratch) {
+	par.Each(len(cands), func(i int, _ *struct{}) {
 		if s, ok := score(trains, bits, cands[i], cfg); ok {
 			out[i] = s
 			keep[i] = true
@@ -365,12 +330,7 @@ func Rescore(trains sig.SpikeTrains, sets []Itemset, cfg Config) []Itemset {
 		cands[i] = sets[i].Items
 	}
 	out := Evaluate(trains, cands, cfg)
-	sort.Slice(out, func(i, j int) bool {
-		if out[i].Support != out[j].Support {
-			return out[i].Support > out[j].Support
-		}
-		return out[i].Key() < out[j].Key()
-	})
+	sortBySupport(out)
 	return out
 }
 
@@ -525,12 +485,7 @@ func maximal(in []Itemset, tol int) []Itemset {
 			kept = append(kept, s)
 		}
 	}
-	sort.Slice(kept, func(i, j int) bool {
-		if kept[i].Support != kept[j].Support {
-			return kept[i].Support > kept[j].Support
-		}
-		return kept[i].Key() < kept[j].Key()
-	})
+	sortBySupport(kept)
 	return kept
 }
 

@@ -1,9 +1,9 @@
 package sig
 
 import (
-	"runtime"
 	"sort"
-	"sync"
+
+	"github.com/elsa-hpc/elsa/internal/par"
 )
 
 // PairCorrelation records that outliers on event A tend to be followed,
@@ -67,12 +67,11 @@ func DelayTolerance(delay, base int) int {
 
 // CrossCorrelate finds the best delay in [0, MaxLag] from spike train a to
 // spike train b (sorted sample indices). It returns false when no delay
-// meets the thresholds. It is a convenience wrapper over the
-// zero-allocation Scratch kernel; callers scoring many pairs should hold
-// a Scratch and call its method directly.
+// meets the thresholds. It is the one-off form of the kernel; callers
+// scoring many pairs go through ScorePairs, which recycles its buffers.
 func CrossCorrelate(a, b []int, cfg CrossCorrConfig) (delay, count int, score float64, ok bool) {
-	var s Scratch
-	return s.CrossCorrelate(a, b, cfg)
+	var s scratch
+	return s.crossCorrelate(a, b, cfg, kernelAuto)
 }
 
 // liftOK checks the confidence path's enrichment requirement.
@@ -114,9 +113,9 @@ func AllPairsStats(trains SpikeTrains, cfg CrossCorrConfig) ([]PairCorrelation, 
 	return allPairsStats(trains, cfg, kernelAuto, exactSweepBudget)
 }
 
-// allPairsStats is AllPairsStats with every worker's histogram kernel
-// forced unless force is kernelAuto, and the prefilter's sweep picked
-// against budget; only the in-package tests pass anything else.
+// allPairsStats is AllPairsStats with the histogram kernel forced unless
+// force is kernelAuto, and the prefilter's sweep picked against budget;
+// only the in-package tests pass anything else.
 func allPairsStats(trains SpikeTrains, cfg CrossCorrConfig, force kernelKind, budget int) ([]PairCorrelation, PairStats) {
 	ids := make([]int, 0, len(trains))
 	for id := range trains {
@@ -127,54 +126,46 @@ func allPairsStats(trains SpikeTrains, cfg CrossCorrConfig, force kernelKind, bu
 	stats := PairStats{Events: len(ids), Candidates: len(ids) * (len(ids) - 1)}
 	cands := prefilterPairs(trains, ids, cfg, budget)
 	stats.Scored = len(cands)
-	if len(cands) == 0 {
-		return nil, stats
+	// The prefilter emits dense indices in (a, b) order and ids is sorted,
+	// so the pairs, and the kept ones in input order, are in (A, B) order.
+	pairs := make([][2]int, len(cands))
+	for i, c := range cands {
+		pairs[i] = [2]int{ids[c[0]], ids[c[1]]}
 	}
-
-	jobs := make(chan [2]int32, 256)
-	var mu sync.Mutex
+	scored, kept := scorePairs(trains, pairs, cfg, force)
 	var out []PairCorrelation
-	var wg sync.WaitGroup
-	workers := runtime.NumCPU()
-	if workers > len(cands) {
-		workers = len(cands)
-	}
-	if workers < 1 {
-		workers = 1
-	}
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			var scratch Scratch
-			local := make([]PairCorrelation, 0, 64)
-			for j := range jobs {
-				a, b := ids[j[0]], ids[j[1]]
-				delay, count, score, ok := scratch.crossCorrelate(trains[a], trains[b], cfg, force)
-				if !ok {
-					continue
-				}
-				if delay == 0 && a > b {
-					continue // keep simultaneous pairs once
-				}
-				local = append(local, PairCorrelation{A: a, B: b, Delay: delay, Count: count, Score: score})
-			}
-			mu.Lock()
-			out = append(out, local...)
-			mu.Unlock()
-		}()
-	}
-	for _, c := range cands {
-		jobs <- c
-	}
-	close(jobs)
-	wg.Wait()
-	sort.Slice(out, func(i, j int) bool {
-		if out[i].A != out[j].A {
-			return out[i].A < out[j].A
+	for i, p := range scored {
+		if kept[i] {
+			out = append(out, p)
 		}
-		return out[i].B < out[j].B
-	})
+	}
 	stats.Kept = len(out)
 	return out, stats
+}
+
+// ScorePairs cross-correlates each ordered event-id pair (A, B) of pairs,
+// train A against train B, and returns for every pair, in input order,
+// its PairCorrelation and whether it passed the thresholds. A
+// simultaneous pair (delay 0) is kept once, smaller event id first. It is
+// the one pair scorer: training runs it over the prefilter's candidates
+// and a refresh round over the accumulator's dirty pairs. The pairs are
+// spread over par.Each workers, each recycling one kernel scratch, and
+// every result lands in its input slot, so the output does not depend on
+// how many workers ran.
+func ScorePairs(trains SpikeTrains, pairs [][2]int, cfg CrossCorrConfig) ([]PairCorrelation, []bool) {
+	return scorePairs(trains, pairs, cfg, kernelAuto)
+}
+
+// scorePairs is ScorePairs with the histogram kernel forced unless force
+// is kernelAuto.
+func scorePairs(trains SpikeTrains, pairs [][2]int, cfg CrossCorrConfig, force kernelKind) ([]PairCorrelation, []bool) {
+	out := make([]PairCorrelation, len(pairs))
+	kept := make([]bool, len(pairs))
+	par.Each(len(pairs), func(i int, s *scratch) {
+		a, b := pairs[i][0], pairs[i][1]
+		delay, count, score, ok := s.crossCorrelate(trains[a], trains[b], cfg, force)
+		out[i] = PairCorrelation{A: a, B: b, Delay: delay, Count: count, Score: score}
+		kept[i] = ok && !(delay == 0 && a > b)
+	})
+	return out, kept
 }

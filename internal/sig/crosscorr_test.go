@@ -134,6 +134,9 @@ func TestAllPairsSimultaneousKeptOnce(t *testing.T) {
 	}
 }
 
+// TestAllPairsDeterministicOrder: AllPairs has no final sort; its output
+// is in strictly increasing (A, B) order because the prefilter emits its
+// candidates that way and ScorePairs keeps input order.
 func TestAllPairsDeterministicOrder(t *testing.T) {
 	cfg := DefaultCrossCorrConfig()
 	trains := SpikeTrains{}
@@ -153,6 +156,12 @@ func TestAllPairsDeterministicOrder(t *testing.T) {
 		if p1[i] != p2[i] {
 			t.Fatalf("pair %d differs: %+v vs %+v", i, p1[i], p2[i])
 		}
+		if i > 0 && (p1[i-1].A > p1[i].A || p1[i-1].A == p1[i].A && p1[i-1].B >= p1[i].B) {
+			t.Fatalf("pairs %d and %d out of (A, B) order: %+v then %+v", i-1, i, p1[i-1], p1[i])
+		}
+	}
+	if len(p1) < 2 {
+		t.Fatalf("%d pairs kept: the order check proves nothing", len(p1))
 	}
 }
 
@@ -161,5 +170,73 @@ func sortInts(xs []int) {
 		for j := i; j > 0 && xs[j] < xs[j-1]; j-- {
 			xs[j], xs[j-1] = xs[j-1], xs[j]
 		}
+	}
+}
+
+// TestScorePairsMatchesCrossCorrelate holds the pooled scorer to the
+// one-off kernel pair by pair, in input order: random pairs over sparse,
+// dense and bursty trains (so both histogram kernels run), both directions
+// of a simultaneous pair (only the smaller-id-first one is kept), pairs
+// naming an empty or absent train, and pairs repeated in the input.
+func TestScorePairsMatchesCrossCorrelate(t *testing.T) {
+	rng := rand.New(rand.NewSource(6060))
+	used := map[kernelKind]int{}
+	simultaneous := map[bool]int{} // kept -> count of delay-0 acceptances
+	for trial := 0; trial < 60; trial++ {
+		trains := randomTrains(rng, trainDensity(trial%3))
+		cfg := DefaultCrossCorrConfig()
+		if trial%4 == 1 {
+			cfg.MaxLag = 6
+			cfg.SymmetricOnly = true
+		}
+		// A twin of train 1 under a larger and a smaller id makes a
+		// simultaneous pair in both directions; 0 is empty, 99 absent.
+		trains[50] = append([]int(nil), trains[1]...)
+		trains[0] = []int{}
+		ids := []int{0, 1, 50, 99}
+		for id := range trains {
+			ids = append(ids, id)
+		}
+		var pairs [][2]int
+		for k := 0; k < 40; k++ {
+			a, b := ids[rng.Intn(len(ids))], ids[rng.Intn(len(ids))]
+			if a == b {
+				continue
+			}
+			pairs = append(pairs, [2]int{a, b})
+			if k%5 == 0 {
+				pairs = append(pairs, [2]int{b, a}, [2]int{a, b})
+			}
+		}
+		pairs = append(pairs, [2]int{1, 50}, [2]int{50, 1})
+
+		got, kept := ScorePairs(trains, pairs, cfg)
+		if len(got) != len(pairs) || len(kept) != len(pairs) {
+			t.Fatalf("trial %d: %d pairs in, %d/%d results out", trial, len(pairs), len(got), len(kept))
+		}
+		var sc scratch
+		for i, p := range pairs {
+			a, b := p[0], p[1]
+			delay, count, score, ok := CrossCorrelate(trains[a], trains[b], cfg)
+			want := PairCorrelation{A: a, B: b, Delay: delay, Count: count, Score: score}
+			wantKept := ok && !(delay == 0 && a > b)
+			if got[i] != want || kept[i] != wantKept {
+				t.Fatalf("trial %d pair %d (%d,%d): got %+v kept=%v, want %+v kept=%v",
+					trial, i, a, b, got[i], kept[i], want, wantKept)
+			}
+			if ok && delay == 0 {
+				simultaneous[wantKept]++
+			}
+			if len(trains[a]) > 0 && len(trains[b]) > 0 {
+				sc.crossCorrelate(trains[a], trains[b], cfg, kernelAuto)
+				used[sc.lastKernel]++
+			}
+		}
+	}
+	if used[kernelSliding] == 0 || used[kernelBitpack] == 0 {
+		t.Fatalf("kernels exercised %v: want both the sliding and the bit-packed kernel", used)
+	}
+	if simultaneous[true] == 0 || simultaneous[false] == 0 {
+		t.Fatalf("simultaneous acceptances %v: want both a kept and a dropped direction", simultaneous)
 	}
 }

@@ -93,7 +93,7 @@ func strictlyIncreasing(xs []int) bool {
 // kernels, and records the choice in s.lastKernel. hist arrives zeroed.
 //
 //elsa:hotpath
-func (s *Scratch) buildHist(a, b []int, maxLag int, force kernelKind, hist []int) {
+func (s *scratch) buildHist(a, b []int, maxLag int, force kernelKind, hist []int) {
 	base := a[0]
 	top := a[len(a)-1] + maxLag
 	bw := clipHi(clipLo(b, base), top)
@@ -121,7 +121,7 @@ func (s *Scratch) buildHist(a, b []int, maxLag int, force kernelKind, hist []int
 // increment per actual co-occurrence.
 //
 //elsa:hotpath
-func (s *Scratch) slidingHist(a, b []int, maxLag int, hist []int) {
+func (s *scratch) slidingHist(a, b []int, maxLag int, hist []int) {
 	lo := 0
 	for _, t := range a {
 		for lo < len(b) && b[lo] < t {
@@ -145,7 +145,7 @@ func (s *Scratch) slidingHist(a, b []int, maxLag int, hist []int) {
 // shifted reads never branch on the tail.
 //
 //elsa:hotpath
-func (s *Scratch) bitpackHist(a, bw []int, base, span, maxLag int, hist []int) {
+func (s *scratch) bitpackHist(a, bw []int, base, span, maxLag int, hist []int) {
 	words := span>>6 + 1
 	wa, wb := s.growBits(words, words+(maxLag>>6)+1)
 	for _, t := range a {

@@ -25,7 +25,7 @@ func TestKernelsMatchReference(t *testing.T) {
 	for _, kind := range []kernelKind{kernelSliding, kernelBitpack} {
 		t.Run(kind.String(), func(t *testing.T) {
 			used := 0
-			var scratch Scratch
+			var sc scratch
 			rng := rand.New(rand.NewSource(4000 + int64(kind)))
 			for trial := 0; trial < 300; trial++ {
 				trains := randomTrains(rng, trainDensity(trial%3))
@@ -46,13 +46,13 @@ func TestKernelsMatchReference(t *testing.T) {
 						break
 					}
 				}
-				d1, c1, s1, ok1 := scratch.crossCorrelate(a, b, cfg, kind)
+				d1, c1, s1, ok1 := sc.crossCorrelate(a, b, cfg, kind)
 				d2, c2, s2, ok2 := referenceCrossCorrelate(a, b, cfg)
 				if d1 != d2 || c1 != c2 || s1 != s2 || ok1 != ok2 {
 					t.Fatalf("trial %d: %s kernel diverged: (%d,%d,%v,%v) vs (%d,%d,%v,%v)",
 						trial, kind, d1, c1, s1, ok1, d2, c2, s2, ok2)
 				}
-				if scratch.lastKernel == kind {
+				if sc.lastKernel == kind {
 					used++
 				}
 			}
@@ -93,10 +93,10 @@ func TestKernelDuplicateFallback(t *testing.T) {
 	cfg.MaxLag = 20
 	cfg.MinCount = 1
 	cfg.MinScore = 0.01
-	var scratch Scratch
-	d1, c1, s1, ok1 := scratch.crossCorrelate(a, b, cfg, kind)
-	if scratch.lastKernel != kernelSliding {
-		t.Fatalf("forced %s on duplicate trains ran %s, want sliding fallback", kind, scratch.lastKernel)
+	var sc scratch
+	d1, c1, s1, ok1 := sc.crossCorrelate(a, b, cfg, kind)
+	if sc.lastKernel != kernelSliding {
+		t.Fatalf("forced %s on duplicate trains ran %s, want sliding fallback", kind, sc.lastKernel)
 	}
 	d2, c2, s2, ok2 := referenceCrossCorrelate(a, b, cfg)
 	if d1 != d2 || c1 != c2 || s1 != s2 || ok1 != ok2 {
@@ -114,13 +114,13 @@ func TestKernelsZeroAlloc(t *testing.T) {
 	}
 	const kind = kernelBitpack
 	cfg := DefaultCrossCorrConfig()
-	var scratch Scratch
-	scratch.crossCorrelate(a, b, cfg, kind) // warm the buffers
-	if scratch.lastKernel != kind {
-		t.Fatalf("forced %s ran %s", kind, scratch.lastKernel)
+	var sc scratch
+	sc.crossCorrelate(a, b, cfg, kind) // warm the buffers
+	if sc.lastKernel != kind {
+		t.Fatalf("forced %s ran %s", kind, sc.lastKernel)
 	}
 	allocs := testing.AllocsPerRun(100, func() {
-		scratch.crossCorrelate(a, b, cfg, kind)
+		sc.crossCorrelate(a, b, cfg, kind)
 	})
 	if allocs != 0 {
 		t.Errorf("warm %s kernel allocates %.1f objects per run, want 0", kind, allocs)
@@ -156,10 +156,10 @@ func BenchmarkKernels(b *testing.B) {
 	for _, kind := range []kernelKind{kernelSliding, kernelBitpack} {
 		b.Run(kind.String(), func(b *testing.B) {
 			cfg := DefaultCrossCorrConfig()
-			var scratch Scratch
+			var sc scratch
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				scratch.crossCorrelate(a, bb, cfg, kind)
+				sc.crossCorrelate(a, bb, cfg, kind)
 			}
 		})
 	}

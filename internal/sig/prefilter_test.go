@@ -295,11 +295,11 @@ func TestWindowSweepMatchesFrozenExactSweep(t *testing.T) {
 }
 
 // TestScratchKernelMatchesReference compares the zero-alloc kernel against
-// the frozen reference on random pairs, reusing one Scratch throughout so
+// the frozen reference on random pairs, reusing one scratch throughout so
 // stale buffer contents would be caught.
 func TestScratchKernelMatchesReference(t *testing.T) {
 	rng := rand.New(rand.NewSource(99))
-	var scratch Scratch
+	var sc scratch
 	for trial := 0; trial < 300; trial++ {
 		trains := randomTrains(rng, trainDensity(trial%3))
 		cfg := DefaultCrossCorrConfig()
@@ -315,7 +315,7 @@ func TestScratchKernelMatchesReference(t *testing.T) {
 				break
 			}
 		}
-		d1, c1, s1, ok1 := scratch.CrossCorrelate(a, b, cfg)
+		d1, c1, s1, ok1 := sc.crossCorrelate(a, b, cfg, kernelAuto)
 		d2, c2, s2, ok2 := referenceCrossCorrelate(a, b, cfg)
 		if d1 != d2 || c1 != c2 || s1 != s2 || ok1 != ok2 {
 			t.Fatalf("trial %d: scratch kernel diverged: (%d,%d,%v,%v) vs (%d,%d,%v,%v)",
@@ -333,10 +333,10 @@ func TestCrossCorrelateZeroAlloc(t *testing.T) {
 		a = append(a, i*100)
 		b = append(b, i*100+7)
 	}
-	var scratch Scratch
-	scratch.CrossCorrelate(a, b, cfg) // warm the buffers
+	var sc scratch
+	sc.crossCorrelate(a, b, cfg, kernelAuto) // warm the buffers
 	allocs := testing.AllocsPerRun(100, func() {
-		scratch.CrossCorrelate(a, b, cfg)
+		sc.crossCorrelate(a, b, cfg, kernelAuto)
 	})
 	if allocs != 0 {
 		t.Errorf("warm scratch kernel allocates %.1f objects per run, want 0", allocs)

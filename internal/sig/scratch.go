@@ -2,14 +2,14 @@ package sig
 
 import "math"
 
-// Scratch holds the reusable buffers one cross-correlation worker needs.
+// scratch holds the reusable buffers one cross-correlation worker needs.
 // The kernel's histogram and prefix-sum arrays are sized by MaxLag, not by
 // the trains, so a worker that scores thousands of pairs can recycle the
 // same two allocations for all of them; the bit-packed kernel adds
-// span-sized word buffers, grown once and recycled the same way. A Scratch
-// is not safe for concurrent use; give each goroutine its own. The zero
-// value is ready to use.
-type Scratch struct {
+// span-sized word buffers, grown once and recycled the same way. A scratch
+// is not safe for concurrent use: ScorePairs gives each worker its own.
+// The zero value is ready to use.
+type scratch struct {
 	hist   []int
 	prefix []int
 
@@ -23,7 +23,7 @@ type Scratch struct {
 // growBits resizes the zeroed bitset buffers for the bit-packed kernel.
 //
 //elsa:hotpath
-func (s *Scratch) growBits(na, nb int) (wa, wb []uint64) {
+func (s *scratch) growBits(na, nb int) (wa, wb []uint64) {
 	if cap(s.bitsA) < na {
 		s.bitsA = make([]uint64, na) //nolint:elsahotpath // amortized: grows to the largest span once, then reused for every pair
 	} else {
@@ -48,7 +48,7 @@ func (s *Scratch) growBits(na, nb int) (wa, wb []uint64) {
 // resized.
 //
 //elsa:hotpath
-func (s *Scratch) grow(n int) (hist, prefix []int) {
+func (s *scratch) grow(n int) (hist, prefix []int) {
 	if cap(s.hist) < n {
 		s.hist = make([]int, n) //nolint:elsahotpath // amortized: grows to MaxLag+1 once, then reused for every pair
 	} else {
@@ -65,21 +65,15 @@ func (s *Scratch) grow(n int) (hist, prefix []int) {
 	return s.hist, s.prefix
 }
 
-// CrossCorrelate finds the best delay in [0, MaxLag] from spike train a to
-// spike train b (sorted sample indices), reusing the scratch buffers. It
-// returns false when no delay meets the thresholds. This is the
-// zero-allocation kernel behind the package-level CrossCorrelate.
+// crossCorrelate finds the best delay in [0, MaxLag] from spike train a
+// to spike train b (sorted sample indices), reusing the scratch buffers.
+// It returns false when no delay meets the thresholds. This is the
+// zero-allocation kernel behind ScorePairs and the package-level
+// CrossCorrelate. The histogram kernel is dispatched per pair unless
+// force names one; only the in-package tests force one.
 //
 //elsa:hotpath
-func (s *Scratch) CrossCorrelate(a, b []int, cfg CrossCorrConfig) (delay, count int, score float64, ok bool) {
-	return s.crossCorrelate(a, b, cfg, kernelAuto)
-}
-
-// crossCorrelate is CrossCorrelate with the histogram kernel forced
-// unless force is kernelAuto; only the in-package tests force one.
-//
-//elsa:hotpath
-func (s *Scratch) crossCorrelate(a, b []int, cfg CrossCorrConfig, force kernelKind) (delay, count int, score float64, ok bool) {
+func (s *scratch) crossCorrelate(a, b []int, cfg CrossCorrConfig, force kernelKind) (delay, count int, score float64, ok bool) {
 	if len(a) == 0 || len(b) == 0 || cfg.MaxLag < 0 {
 		return 0, 0, 0, false
 	}
