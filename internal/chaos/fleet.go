@@ -43,8 +43,9 @@ type FleetConfig struct {
 	// RestoreFail is the probability a random shard's next recovery is
 	// armed to fail RestoreFailMax times before succeeding, exercising
 	// the retry/backoff path. RestoreFailMax <= 0 selects 1; keep it
-	// below the coordinator's handoff MaxAttempts or recovery legitimately
-	// leaves the shard down for the round.
+	// below the coordinator's restore attempts per recovery round (the
+	// fleet's handoffTries constant, 3) or recovery legitimately leaves
+	// the shard down for the round.
 	RestoreFail    float64
 	RestoreFailMax int
 

@@ -9,6 +9,7 @@ import (
 	"github.com/elsa-hpc/elsa/internal/logs"
 	"github.com/elsa-hpc/elsa/internal/predict"
 	"github.com/elsa-hpc/elsa/internal/resilience"
+	"github.com/elsa-hpc/elsa/internal/topology"
 )
 
 // Coordinator routes records to shard slots, journals deliveries,
@@ -22,7 +23,9 @@ type Coordinator struct {
 	ring   *Ring
 	slots  []*slot
 	byName map[string]*slot
-	owners map[string]*slot // scope key -> owning slot (route cache)
+	owners map[topology.Location]*slot // truncated location -> owning slot (route cache)
+
+	stopWatch chan struct{} // closed by Close to end the watchdog
 
 	records   int64
 	misrouted int64
@@ -49,12 +52,13 @@ func New(model *elsa.Model, start time.Time, cfg Config) (*Coordinator, error) {
 		return nil, fmt.Errorf("fleet: serialise model: %w", err)
 	}
 	c := &Coordinator{
-		cfg:    cfg,
-		start:  start,
-		blob:   blob.Bytes(),
-		ring:   NewRing(DefaultReplicas),
-		byName: make(map[string]*slot),
-		owners: make(map[string]*slot),
+		cfg:       cfg,
+		start:     start,
+		blob:      blob.Bytes(),
+		ring:      NewRing(DefaultReplicas),
+		byName:    make(map[string]*slot),
+		owners:    make(map[topology.Location]*slot),
+		stopWatch: make(chan struct{}),
 	}
 	for i := 0; i < cfg.Shards; i++ {
 		name := fmt.Sprintf("shard%d", i)
@@ -76,6 +80,7 @@ func New(model *elsa.Model, start time.Time, cfg Config) (*Coordinator, error) {
 		sl.spawn(mon)
 		sl.state = slotActive
 	}
+	go watch(c.slots, max(cfg.FeedTimeout/4, 1), c.stopWatch) // last: New's error paths leave none behind
 	return c, nil
 }
 
@@ -92,13 +97,15 @@ func (c *Coordinator) newMonitor(snap []byte) (*elsa.Monitor, error) {
 	return m.ResumeMonitor(bytes.NewReader(snap))
 }
 
-// ownerOf maps a record to the slot owning its scope key.
+// ownerOf maps a record to the slot owning its scope key. The cache is
+// keyed by the truncated location itself, so a hit allocates nothing; a
+// miss hashes its String() on the ring.
 func (c *Coordinator) ownerOf(rec logs.Record) *slot {
-	key := rec.Location.Truncate(c.cfg.Scope).String()
+	key := rec.Location.Truncate(c.cfg.Scope)
 	if sl, ok := c.owners[key]; ok {
 		return sl
 	}
-	sl := c.byName[c.ring.Owner(key)]
+	sl := c.byName[c.ring.Owner(key.String())]
 	c.owners[key] = sl
 	return sl
 }
@@ -110,19 +117,20 @@ func (c *Coordinator) Feed(rec logs.Record) []Merged {
 		return nil
 	}
 	c.records++
-	sl := c.ownerOf(rec)
+	owner := c.ownerOf(rec)
+	sl := owner
 	if c.misrouteNext > 0 && len(c.slots) > 1 {
 		// Split-scope fault: offer the record to the ring-adjacent wrong
 		// slot; deliver's ownership check must self-heal.
 		c.misrouteNext--
 		for i, s := range c.slots {
-			if s == sl {
+			if s == owner {
 				sl = c.slots[(i+1)%len(c.slots)]
 				break
 			}
 		}
 	}
-	out := c.deliver(sl, entry{kind: reqFeed, rec: rec})
+	out := c.deliver(sl, owner, entry{kind: reqFeed, rec: rec})
 	c.noteWindow(out)
 	return out
 }
@@ -135,25 +143,23 @@ func (c *Coordinator) AdvanceTo(now time.Time) []Merged {
 	}
 	var out []Merged
 	for _, sl := range c.slots {
-		out = append(out, c.deliver(sl, entry{kind: reqAdvance, t: now})...)
+		out = append(out, c.deliver(sl, sl, entry{kind: reqAdvance, t: now})...)
 	}
 	c.noteWindow(out)
 	return out
 }
 
-// deliver journals one entry at its owning slot and drives it through
-// the live incarnation, triggering recovery when the slot is down or the
-// incarnation fails the liveness probe.
-func (c *Coordinator) deliver(sl *slot, e entry) []Merged {
-	if e.kind == reqFeed {
-		if owner := c.ownerOf(e.rec); owner != sl {
-			// Ownership self-check: a routing flap offered the record to a
-			// shard that does not own its scope. Count it and re-route to
-			// the true owner; the record is never journaled here.
-			sl.misrouted++
-			c.misrouted++
-			sl = owner
-		}
+// deliver journals one entry offered to sl at its owning slot and drives
+// it through the live incarnation, triggering recovery when the slot is
+// down or the incarnation fails the liveness probe.
+func (c *Coordinator) deliver(sl, owner *slot, e entry) []Merged {
+	if sl != owner {
+		// Ownership self-check: a routing flap offered the record to a
+		// shard that does not own its scope. Count it and re-route to the
+		// true owner; the record is never journaled here.
+		sl.misrouted++
+		c.misrouted++
+		sl = owner
 	}
 	sl.journal = append(sl.journal, e)
 	sl.seq++
@@ -174,7 +180,7 @@ func (c *Coordinator) deliver(sl *slot, e entry) []Merged {
 	resp, ok := sl.call(req, c.cfg.FeedTimeout)
 	switch {
 	case !ok:
-		// Liveness probe missed: wedged or died without answering.
+		// Liveness probe missed: the watchdog expired the call.
 		c.abandon(sl, "liveness probe timed out")
 		sl.gapEntries++
 		sl.gapOpen++
@@ -182,8 +188,7 @@ func (c *Coordinator) deliver(sl *slot, e entry) []Merged {
 	case resp.panicked:
 		// The worker replied through the panic barrier and exited; the
 		// supervisor already charged the panic.
-		sl.w = nil
-		sl.state = slotDown
+		sl.retire()
 		sl.gapEntries++
 		sl.gapOpen++
 		return c.recoverSlot(sl, false, false)
@@ -191,12 +196,12 @@ func (c *Coordinator) deliver(sl *slot, e entry) []Merged {
 	out := sl.merge(resp.preds, false)
 	sl.served = sl.seq
 	if c.cfg.SnapshotEvery > 0 && sl.seq-sl.snapSeq >= int64(c.cfg.SnapshotEvery) {
-		c.takeSnapshot(sl)
+		out = append(out, c.takeSnapshot(sl)...)
 	}
 	return out
 }
 
-// abandon retires a live incarnation as failed: the stop channel ends
+// abandon retires a live incarnation as failed: closing in and stop ends
 // the (possibly wedged) worker goroutine whenever it next looks, and the
 // failure is charged to the shard's breaker budget.
 func (c *Coordinator) abandon(sl *slot, reason string) {
@@ -308,8 +313,7 @@ func (c *Coordinator) takeSnapshot(sl *slot) []Merged {
 		c.abandon(sl, "snapshot liveness probe timed out")
 		return c.recoverSlot(sl, false, false)
 	case resp.panicked:
-		sl.w = nil
-		sl.state = slotDown
+		sl.retire()
 		return c.recoverSlot(sl, false, false)
 	case resp.err != nil:
 		sl.snapFailures++
@@ -340,8 +344,7 @@ func (c *Coordinator) Handoff(name string) error {
 		c.abandon(sl, "handoff drain timed out")
 		return fmt.Errorf("fleet: shard %s wedged during handoff drain; failing over", name)
 	case resp.panicked:
-		sl.w = nil
-		sl.state = slotDown
+		sl.retire()
 		return fmt.Errorf("fleet: shard %s panicked during handoff drain; failing over", name)
 	case resp.err != nil:
 		return fmt.Errorf("fleet: shard %s handoff snapshot: %w", name, resp.err)
@@ -362,7 +365,9 @@ func (c *Coordinator) Handoff(name string) error {
 
 // Close force-recovers any down shards, flushes every shard's open
 // ticks, and returns the merged tail plus per-shard results and final
-// stats. Idempotent.
+// stats, then stops the watchdog. Idempotent.
+//
+//elsa:chanowner stopWatch
 func (c *Coordinator) Close() *Result {
 	if c.closed {
 		return c.result
@@ -399,6 +404,7 @@ func (c *Coordinator) Close() *Result {
 			tail = append(tail, sl.merge(resp.res.Predictions[sl.preds:], false)...)
 		}
 	}
+	close(c.stopWatch)
 	c.noteWindow(tail)
 	c.result = &Result{Tail: tail, PerShard: perShard, Stats: c.Stats()}
 	return c.result

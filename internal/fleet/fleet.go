@@ -19,6 +19,11 @@
 // A planned handoff (Rebalance) drains the live worker through a fresh
 // snapshot first, so succession is byte-identical with no degraded span.
 //
+// A call into a shard is one send and one receive on the incarnation's
+// two channels; a watchdog answers an overdue call on the same reply
+// channel, and a compare-and-swap decides whether it or the worker
+// sends, so every call gets exactly one message.
+//
 // Semantics note: partitioning changes what each shard's statistics see
 // (per-scope streams instead of the global stream), so an N-shard fleet
 // is a partitioned view, not a bit-replica of a single monitor — except
@@ -75,8 +80,8 @@ type Config struct {
 	// DefaultSnapshotEvery; negative disables automatic snapshots.
 	SnapshotEvery int
 	// FeedTimeout bounds every synchronous worker call; a miss is a
-	// failed liveness probe and the incarnation is abandoned. <= 0
-	// selects DefaultFeedTimeout.
+	// failed liveness probe, detected within 1.25×FeedTimeout, and the
+	// incarnation is abandoned. <= 0 selects DefaultFeedTimeout.
 	FeedTimeout time.Duration
 	// Handoff seeds and fakes the restore retry loop's delays.
 	Handoff HandoffPolicy

@@ -35,7 +35,7 @@ var (
 	fixEnd   time.Time
 )
 
-func fixture(t *testing.T) (*elsa.Model, []logs.Record, time.Time, time.Time) {
+func fixture(t testing.TB) (*elsa.Model, []logs.Record, time.Time, time.Time) {
 	t.Helper()
 	fixOnce.Do(func() {
 		start := time.Date(2006, 7, 1, 0, 0, 0, 0, time.UTC)

@@ -2,6 +2,7 @@ package fleet
 
 import (
 	"bytes"
+	"sync/atomic"
 	"time"
 
 	elsa "github.com/elsa-hpc/elsa"
@@ -31,39 +32,90 @@ const (
 	reqClose
 )
 
-// request is one synchronous call into a shard worker. The reply channel
-// is buffered so a worker that answers after the coordinator's liveness
-// timeout fired does not block forever on an abandoned call.
+// request is one synchronous call into a shard worker. It carries no
+// channel: the incarnation's one reply channel answers every call.
 type request struct {
 	kind  reqKind
 	rec   logs.Record
 	t     time.Time
 	seq   int64         // journal seq recorded into a snapshot's ingest offset
 	stall time.Duration // chaos: sleep this long before serving (liveness-probe stall)
-	reply chan response
 }
 
-// response carries a worker's answer. panicked means the monitor call
-// blew through the panic barrier: the incarnation is dead and the
-// supervisor has already charged the failure.
+// response is the one message a call receives. panicked means the
+// monitor call blew through the panic barrier: the incarnation is dead
+// and the supervisor has already charged the failure. expired is the
+// watchdog's answer to a call past its deadline (a failed liveness probe).
 type response struct {
 	preds    []predict.Prediction
 	snap     []byte
 	res      *predict.Result
 	err      error
 	panicked bool
+	expired  bool
 }
+
+// Call states of worker.due. A positive value is busy: the deadline of
+// the call in flight, on the nanotime clock.
+const (
+	callIdle    int64 = 0
+	callExpired int64 = -1
+)
+
+var epoch = time.Now() // anchors nanotime, the monotonic deadline clock
+
+func nanotime() int64 { return int64(time.Since(epoch)) }
 
 // worker is one shard incarnation: a goroutine owning one Monitor (and
 // its private Model instance — ResumeMonitor mutates the model's
-// organizer, so incarnations never share models). The coordinator talks
-// to it with synchronous request/response calls bounded by FeedTimeout;
-// a missed deadline is a failed liveness probe and the incarnation is
-// abandoned.
+// organizer, so incarnations never share models). The coordinator sends
+// one request at a time on in and receives exactly one message on reply.
 type worker struct {
-	in   chan request
-	stop chan struct{} // closed by the coordinator to retire/abandon the incarnation
-	dead chan struct{} // closed by the worker on exit
+	in    chan request  // buffered 1; closed by retire
+	reply chan response // buffered 1; one message per call
+	stop  chan struct{} // closed by retire; only a chaos stall waits on it
+	// due is the call state: idle → busy (call) → idle (answer) or
+	// expired (expire). The CAS off busy decides which side replies.
+	due atomic.Int64
+}
+
+// answer replies to the call in flight unless the watchdog expired it
+// first. Only expire moves due off busy meanwhile, so a failed CAS means
+// the call has had its one message.
+func (w *worker) answer(resp response) {
+	if d := w.due.Load(); d > callIdle && w.due.CompareAndSwap(d, callIdle) {
+		w.reply <- resp
+	}
+}
+
+// expire answers the call in flight expired if its deadline is before
+// now. The CAS compares the deadline itself, so it can only succeed on a
+// call whose deadline has passed: a late expiry never hits a later call.
+func (w *worker) expire(now int64) {
+	if d := w.due.Load(); d > callIdle && d < now && w.due.CompareAndSwap(d, callExpired) {
+		w.reply <- response{expired: true}
+	}
+}
+
+// watch is a Coordinator's watchdog: every period until stop closes, it
+// expires each incarnation's overdue call — at period FeedTimeout/4,
+// within [FeedTimeout, 1.25×FeedTimeout] of its send.
+func watch(slots []*slot, period time.Duration, stop <-chan struct{}) {
+	t := time.NewTicker(period)
+	defer t.Stop()
+	for {
+		select {
+		case <-stop:
+			return
+		case <-t.C:
+			now := nanotime()
+			for _, sl := range slots {
+				if w := sl.w.Load(); w != nil {
+					w.expire(now)
+				}
+			}
+		}
+	}
 }
 
 // slotState is a shard slot's lifecycle state.
@@ -91,7 +143,7 @@ type slot struct {
 	sup  *resilience.Supervisor
 	bo   *resilience.Backoff
 
-	w     *worker // nil while down
+	w     atomic.Pointer[worker] // the live incarnation, nil while down; the watchdog reads it too
 	state slotState
 
 	// Journal of entries delivered to this slot since the last snapshot
@@ -146,109 +198,91 @@ type slot struct {
 //elsa:transition down->live
 func (sl *slot) spawn(mon *elsa.Monitor) {
 	w := &worker{
-		in:   make(chan request),
-		stop: make(chan struct{}),
-		dead: make(chan struct{}),
+		in:    make(chan request, 1),
+		reply: make(chan response, 1),
+		stop:  make(chan struct{}),
 	}
-	sl.w = w
+	sl.w.Store(w)
 	go sl.serve(w, mon)
 }
 
-// serve is the incarnation loop. Every monitor call runs behind the
-// slot supervisor's panic barrier; a panic answers the in-flight request
-// with panicked=true and ends the incarnation, leaving recovery to the
+// serve is the incarnation loop: a plain receive on in until retire
+// closes it. Every monitor call runs behind the slot supervisor's panic
+// barrier, bound once per incarnation; a panic answers the call with
+// panicked=true and ends the incarnation, leaving recovery to the
 // coordinator.
-//
-//elsa:chanowner w.dead
 func (sl *slot) serve(w *worker, mon *elsa.Monitor) {
-	defer close(w.dead)
-	for {
-		select {
-		case <-w.stop:
-			return
-		case req := <-w.in:
-			if req.stall > 0 {
-				// Chaos stall: go unresponsive long enough for the
-				// coordinator's liveness probe to time out. Exit early if
-				// retired meanwhile — the reply would be dropped anyway.
-				t := time.NewTimer(req.stall)
-				select {
-				case <-t.C:
-				case <-w.stop:
-					t.Stop()
-					return
-				}
-			}
-			var resp response
-			ok := sl.sup.Do(func() {
-				switch req.kind {
-				case reqFeed:
-					resp.preds, resp.err = mon.Feed(req.rec)
-				case reqAdvance:
-					resp.preds = mon.AdvanceTo(req.t)
-				case reqSnapshot:
-					mon.SetIngestOffset(ingest.Offset{Records: req.seq})
-					var buf bytes.Buffer
-					if err := mon.Snapshot(&buf); err != nil {
-						resp.err = err
-						return
-					}
-					resp.snap = buf.Bytes()
-				case reqClose:
-					resp.res = mon.Close()
-				}
-			})
-			resp.panicked = !ok
-			req.reply <- resp
-			if !ok || req.kind == reqClose {
+	var req request
+	var resp response
+	run := func() {
+		switch req.kind {
+		case reqFeed:
+			resp.preds, resp.err = mon.Feed(req.rec)
+		case reqAdvance:
+			resp.preds = mon.AdvanceTo(req.t)
+		case reqSnapshot:
+			mon.SetIngestOffset(ingest.Offset{Records: req.seq})
+			var buf bytes.Buffer
+			if err := mon.Snapshot(&buf); err != nil {
+				resp.err = err
 				return
 			}
+			resp.snap = buf.Bytes()
+		case reqClose:
+			resp.res = mon.Close()
+		}
+	}
+	for req = range w.in {
+		if req.stall > 0 {
+			// Chaos stall: go unresponsive long enough for the watchdog
+			// to expire the call. Exit early once retired — the answer
+			// would be dropped anyway.
+			t := time.NewTimer(req.stall)
+			select {
+			case <-t.C:
+			case <-w.stop:
+				t.Stop()
+				return
+			}
+		}
+		resp = response{}
+		ok := sl.sup.Do(run)
+		resp.panicked = !ok
+		w.answer(resp)
+		if !ok || req.kind == reqClose {
+			return
 		}
 	}
 }
 
 // call performs one synchronous request against the live incarnation,
-// bounded by timeout (the liveness probe). ok=false means the worker is
-// wedged or died without answering: the caller must abandon it.
+// bounded by timeout (the liveness probe): it arms the deadline, sends,
+// and receives the call's one message. The send never blocks: in holds
+// one request, and the previous call's was consumed before its reply
+// arrived. ok=false means the watchdog expired the call: the worker is
+// wedged and the caller must abandon it.
+//
+//elsa:requires live
 func (sl *slot) call(req request, timeout time.Duration) (response, bool) {
-	w := sl.w
-	req.reply = make(chan response, 1)
-	t := time.NewTimer(timeout)
-	defer t.Stop()
-	select {
-	case w.in <- req:
-	case <-w.dead:
-		return response{}, false
-	case <-t.C:
-		return response{}, false
-	}
-	select {
-	case resp := <-req.reply:
-		return resp, true
-	case <-w.dead:
-		// The worker exited after accepting. A panicking worker replies
-		// (buffered) before closing dead, so prefer the reply if present.
-		select {
-		case resp := <-req.reply:
-			return resp, true
-		default:
-			return response{}, false
-		}
-	case <-t.C:
-		return response{}, false
-	}
+	w := sl.w.Load()
+	w.due.Store(nanotime() + int64(timeout))
+	w.in <- req
+	resp := <-w.reply
+	return resp, !resp.expired
 }
 
 // retire ends the live incarnation without charging a failure (planned
-// handoff, Close). The coordinator's slot is the single owner of every
-// incarnation's stop channel: workers only ever receive on it.
+// handoff, Close, or a worker that already exited through the panic
+// barrier). The coordinator's slot is the single owner of every
+// incarnation's in and stop channels: it is in's only sender, and
+// workers only ever receive on stop.
 //
-//elsa:chanowner sl.w.stop
+//elsa:chanowner w.in w.stop
 //elsa:transition live->down down->down
 func (sl *slot) retire() {
-	if sl.w != nil {
-		close(sl.w.stop)
-		sl.w = nil
+	if w := sl.w.Swap(nil); w != nil {
+		close(w.in)
+		close(w.stop)
 	}
 	sl.state = slotDown
 }
