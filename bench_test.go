@@ -7,6 +7,7 @@ package elsa
 // doubles as the reproduction harness.
 
 import (
+	"context"
 	"testing"
 	"time"
 
@@ -16,7 +17,9 @@ import (
 	"github.com/elsa-hpc/elsa/internal/gradual"
 	"github.com/elsa-hpc/elsa/internal/helo"
 	"github.com/elsa-hpc/elsa/internal/location"
+	"github.com/elsa-hpc/elsa/internal/logs"
 	"github.com/elsa-hpc/elsa/internal/outlier"
+	"github.com/elsa-hpc/elsa/internal/pipeline"
 	"github.com/elsa-hpc/elsa/internal/predict"
 	"github.com/elsa-hpc/elsa/internal/sig"
 )
@@ -177,6 +180,15 @@ func benchLog() *gen.Result {
 	return benchLogCache
 }
 
+// replay runs pre-stamped records through engine over [start, end) with
+// the product's replay driver. A slice source cannot fail and the
+// background context never cancels, so the replay always completes.
+func replay(engine *predict.Engine, recs []Record, start, end time.Time) *predict.Result {
+	res, _ := pipeline.New(engine, nil, pipeline.DefaultConfig()).
+		Run(context.Background(), logs.NewSliceSource(recs), start, end)
+	return res
+}
+
 func BenchmarkHELOAssign(b *testing.B) {
 	recs := benchLog().Records
 	b.ReportAllocs()
@@ -211,7 +223,7 @@ func BenchmarkOnlineEngine(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		engine := predict.NewEngine(model, profiles, predict.DefaultConfig())
-		engine.Run(recs, log.Start, log.End)
+		replay(engine, recs, log.Start, log.End)
 	}
 	b.ReportMetric(float64(len(recs)), "records")
 }
@@ -302,7 +314,7 @@ func BenchmarkAblationLocation(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				cfg := predict.DefaultConfig()
 				cfg.UseLocation = useLoc
-				res := predict.NewEngine(model, profiles, cfg).Run(test, c.Cut(), c.Log().End)
+				res := replay(predict.NewEngine(model, profiles, cfg), test, c.Cut(), c.Log().End)
 				mcfg := DefaultMatchConfig()
 				mcfg.RequireLocation = useLoc
 				precision = Evaluate(res, failures, mcfg).Precision

@@ -1,7 +1,7 @@
 // Command elsafleet runs the sharded monitor fleet: it loads a trained
 // model, partitions the record stream by topology scope across N
 // supervised shards (package internal/fleet), and prints the merged
-// cluster-level prediction stream.
+// prediction stream.
 //
 // Usage:
 //
@@ -9,8 +9,8 @@
 //	elsafleet -model model.json -shards 4 -scope rack < stream
 //
 // Each shard owns the records of a set of scope keys (racks by default)
-// chosen by consistent hashing, so adding or removing shards moves only
-// the minimal fraction of keys. Shards run under internal/resilience
+// chosen by consistent hashing, so a fleet built with one more shard
+// moves only the minimal fraction of keys. Shards run under internal/resilience
 // supervision: a panicking or wedged shard is restored from its last
 // snapshot and the journaled suffix is replayed, with the catch-up
 // predictions flagged degraded. Records keep flowing to the surviving
@@ -164,8 +164,8 @@ func run(args []string, stdin io.Reader, stdout, stderr io.Writer) error {
 	}
 	out.Flush()
 	st := res.Stats
-	fmt.Fprintf(stderr, "elsafleet: %d records over %d scope keys, %d predictions (%d degraded), %d misroutes self-healed, %d entries lost\n",
-		st.Records, st.Scopes, st.Predictions, st.Degraded, st.Misrouted, st.Lost)
+	fmt.Fprintf(stderr, "elsafleet: %d records over %d scope keys, %d predictions (%d degraded), %d entries lost\n",
+		st.Records, st.Scopes, st.Predictions, st.Degraded, st.Lost)
 	printStatus(stderr, st)
 	return nil
 }
@@ -177,8 +177,8 @@ func printStatus(stderr io.Writer, st fleet.Stats) {
 	for _, sh := range st.Shards {
 		fmt.Fprintf(stderr, "elsafleet: shard %-8s state=%-6s scopes=%-4d entries=%-8d preds=%-6d degraded=%-4d",
 			sh.Name, sh.State, sh.Scopes, sh.Entries, sh.Predictions, sh.Degraded)
-		fmt.Fprintf(stderr, " gaps=%d/%d misrouted=%d snapshots=%d handoffs=%d failovers=%d lost=%d",
-			sh.Gaps, sh.GapEntries, sh.Misrouted, sh.Snapshots, sh.Handoffs, sh.Failovers, sh.LostEntries)
+		fmt.Fprintf(stderr, " gaps=%d/%d snapshots=%d handoffs=%d failovers=%d lost=%d",
+			sh.Gaps, sh.GapEntries, sh.Snapshots, sh.Handoffs, sh.Failovers, sh.LostEntries)
 		sup := sh.Supervisor
 		fmt.Fprintf(stderr, " panics=%d trips=%d probes=%d denied=%d health=%s\n",
 			sup.Panics, sup.Trips, sup.Probes, sh.RecoveryDenied, sup.Health)

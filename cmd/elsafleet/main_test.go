@@ -94,7 +94,7 @@ func TestRunShardsStream(t *testing.T) {
 		}
 	}
 	es := errw.String()
-	if !strings.Contains(es, "misroutes self-healed") {
+	if !strings.Contains(es, "entries lost") {
 		t.Errorf("summary line missing from stderr:\n%s", es)
 	}
 	for _, name := range []string{"shard0", "shard1", "shard2", "shard3"} {

@@ -19,10 +19,8 @@ type FleetTarget interface {
 	// FailRestores arms the shard's next recoveries to fail up to n
 	// times (bounded: re-arming does not stack beyond n).
 	FailRestores(name string, n int)
-	// Misroute arms a split-scope routing flap for the next n records.
-	Misroute(n int)
-	// Rebalance performs a planned snapshot-handoff succession.
-	Rebalance(name string) error
+	// Handoff performs a planned snapshot-handoff succession.
+	Handoff(name string) error
 }
 
 // FleetConfig tunes the fleet injector. Probabilities are per routed
@@ -49,11 +47,6 @@ type FleetConfig struct {
 	RestoreFail    float64
 	RestoreFailMax int
 
-	// Misroute is the probability the next record is offered to the
-	// wrong shard (split-scope fault); the coordinator's ownership check
-	// must self-heal it.
-	Misroute float64
-
 	// Rebalance is the probability a planned snapshot-handoff succession
 	// is requested on a random shard.
 	Rebalance float64
@@ -65,16 +58,14 @@ type FleetStats struct {
 	KillMisses   int64 // kills aimed at an already-down shard
 	Stalls       int64
 	RestoresArmd int64 // injected restore failures armed
-	Misroutes    int64 // records armed to misroute
 	Rebalances   int64
 	RebalanceErr int64 // rebalance requests the coordinator refused
 }
 
 // FleetInjector drives seeded fleet-level faults — shard kills, handoff
-// stalls, restore failures, split-scope misroutes, planned rebalances —
-// against a FleetTarget, one Step per routed record. Like the stream
-// injector it is exactly reproducible from its seed and is not safe for
-// concurrent use.
+// stalls, restore failures, planned rebalances — against a FleetTarget,
+// one Step per routed record. Like the stream injector it is exactly
+// reproducible from its seed and is not safe for concurrent use.
 type FleetInjector struct {
 	target FleetTarget
 	cfg    FleetConfig
@@ -96,8 +87,8 @@ func NewFleet(target FleetTarget, cfg FleetConfig) *FleetInjector {
 
 // Step draws this record's faults and applies them to the target; call
 // it immediately before feeding each record. Draw order is fixed (kill,
-// stall, restore-fail, misroute, rebalance) so a seed maps to one exact
-// fault schedule regardless of which classes are enabled.
+// stall, restore-fail, rebalance) so a seed maps to one exact fault
+// schedule regardless of which classes are enabled.
 func (fi *FleetInjector) Step() {
 	names := fi.target.ShardNames()
 	if len(names) == 0 {
@@ -127,12 +118,8 @@ func (fi *FleetInjector) Step() {
 	} else if fi.cfg.RestoreFail > 0 {
 		pick()
 	}
-	if p := fi.rng.Float64(); fi.cfg.Misroute > 0 && p < fi.cfg.Misroute {
-		fi.target.Misroute(1)
-		fi.stats.Misroutes++
-	}
 	if p := fi.rng.Float64(); fi.cfg.Rebalance > 0 && p < fi.cfg.Rebalance {
-		if err := fi.target.Rebalance(pick()); err != nil {
+		if err := fi.target.Handoff(pick()); err != nil {
 			fi.stats.RebalanceErr++
 		} else {
 			fi.stats.Rebalances++

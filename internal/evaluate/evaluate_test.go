@@ -1,6 +1,7 @@
 package evaluate
 
 import (
+	"context"
 	"strings"
 	"testing"
 	"time"
@@ -9,6 +10,8 @@ import (
 	"github.com/elsa-hpc/elsa/internal/gen"
 	"github.com/elsa-hpc/elsa/internal/helo"
 	"github.com/elsa-hpc/elsa/internal/location"
+	"github.com/elsa-hpc/elsa/internal/logs"
+	"github.com/elsa-hpc/elsa/internal/pipeline"
 	"github.com/elsa-hpc/elsa/internal/predict"
 	"github.com/elsa-hpc/elsa/internal/topology"
 )
@@ -243,7 +246,11 @@ func TestTableIIIShape(t *testing.T) {
 		model := correlate.Train(train, t0, cut, mode, correlate.DefaultConfig())
 		profiles := location.Extract(train, model.Chains, t0, model.Step, 1)
 		engine := predict.NewEngine(model, profiles, predict.DefaultConfig())
-		result := engine.Run(test, cut, res.End)
+		result, err := pipeline.New(engine, nil, pipeline.DefaultConfig()).
+			Run(context.Background(), logs.NewSliceSource(test), cut, res.End)
+		if err != nil {
+			t.Fatalf("%s: replay: %v", mode, err)
+		}
 		outcomes[mode] = Score(result, testFailures, DefaultMatchConfig())
 		t.Logf("%s: %s", mode, outcomes[mode])
 	}

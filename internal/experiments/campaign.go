@@ -6,6 +6,7 @@
 package experiments
 
 import (
+	"context"
 	"sync"
 	"time"
 
@@ -15,6 +16,7 @@ import (
 	"github.com/elsa-hpc/elsa/internal/helo"
 	"github.com/elsa-hpc/elsa/internal/location"
 	"github.com/elsa-hpc/elsa/internal/logs"
+	"github.com/elsa-hpc/elsa/internal/pipeline"
 	"github.com/elsa-hpc/elsa/internal/predict"
 )
 
@@ -155,7 +157,8 @@ func (c *Campaign) LocationProfiles(mode correlate.Mode) map[string]*location.Pr
 	return p
 }
 
-// Run executes the online phase for a mode (once) and returns the result.
+// Run executes the online phase for a mode (once) through the product's
+// replay driver, pipeline.Run, and returns the result.
 func (c *Campaign) Run(mode correlate.Mode) *predict.Result {
 	m := c.Model(mode)
 	profiles := c.LocationProfiles(mode)
@@ -165,7 +168,10 @@ func (c *Campaign) Run(mode correlate.Mode) *predict.Result {
 		return r
 	}
 	engine := predict.NewEngine(m, profiles, predict.DefaultConfig())
-	r := engine.Run(c.test, c.cut, c.result.End)
+	// A slice source cannot fail and the background context never
+	// cancels, so the replay always completes.
+	r, _ := pipeline.New(engine, nil, pipeline.DefaultConfig()).
+		Run(context.Background(), logs.NewSliceSource(c.test), c.cut, c.result.End)
 	c.runs[mode] = r
 	return r
 }

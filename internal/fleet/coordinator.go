@@ -13,8 +13,8 @@ import (
 )
 
 // Coordinator routes records to shard slots, journals deliveries,
-// supervises incarnations, and merges per-shard predictions into one
-// cluster-level stream. Not safe for concurrent use.
+// supervises incarnations, and stamps each shard's predictions into one
+// merged stream. Not safe for concurrent use.
 type Coordinator struct {
 	cfg   Config
 	start time.Time
@@ -27,15 +27,7 @@ type Coordinator struct {
 
 	stopWatch chan struct{} // closed by Close to end the watchdog
 
-	records   int64
-	misrouted int64
-
-	// misrouteNext arms the split-scope chaos fault: the next n routed
-	// records are offered to a ring-adjacent wrong slot, exercising the
-	// coordinator's ownership self-check.
-	misrouteNext int
-
-	window []Merged // recent merged predictions, for the cluster view
+	records int64
 
 	closed bool
 	result *Result
@@ -64,7 +56,7 @@ func New(model *elsa.Model, start time.Time, cfg Config) (*Coordinator, error) {
 		name := fmt.Sprintf("shard%d", i)
 		sl := &slot{
 			name: name,
-			sup:  resilience.New("fleet/"+name, cfg.Supervision),
+			sup:  resilience.New(cfg.Supervision),
 			bo: resilience.NewBackoff(resilience.DefaultBaseBackoff, resilience.DefaultMaxBackoff,
 				resilience.DefaultJitter, cfg.Handoff.Seed+int64(i)),
 		}
@@ -117,22 +109,7 @@ func (c *Coordinator) Feed(rec logs.Record) []Merged {
 		return nil
 	}
 	c.records++
-	owner := c.ownerOf(rec)
-	sl := owner
-	if c.misrouteNext > 0 && len(c.slots) > 1 {
-		// Split-scope fault: offer the record to the ring-adjacent wrong
-		// slot; deliver's ownership check must self-heal.
-		c.misrouteNext--
-		for i, s := range c.slots {
-			if s == owner {
-				sl = c.slots[(i+1)%len(c.slots)]
-				break
-			}
-		}
-	}
-	out := c.deliver(sl, owner, entry{kind: reqFeed, rec: rec})
-	c.noteWindow(out)
-	return out
+	return c.deliver(c.ownerOf(rec), entry{kind: reqFeed, rec: rec})
 }
 
 // AdvanceTo closes sampling ticks up to now on every shard (the
@@ -143,24 +120,15 @@ func (c *Coordinator) AdvanceTo(now time.Time) []Merged {
 	}
 	var out []Merged
 	for _, sl := range c.slots {
-		out = append(out, c.deliver(sl, sl, entry{kind: reqAdvance, t: now})...)
+		out = append(out, c.deliver(sl, entry{kind: reqAdvance, t: now})...)
 	}
-	c.noteWindow(out)
 	return out
 }
 
-// deliver journals one entry offered to sl at its owning slot and drives
-// it through the live incarnation, triggering recovery when the slot is
+// deliver journals one entry at the slot that owns it and drives it
+// through the live incarnation, triggering recovery when the slot is
 // down or the incarnation fails the liveness probe.
-func (c *Coordinator) deliver(sl, owner *slot, e entry) []Merged {
-	if sl != owner {
-		// Ownership self-check: a routing flap offered the record to a
-		// shard that does not own its scope. Count it and re-route to the
-		// true owner; the record is never journaled here.
-		sl.misrouted++
-		c.misrouted++
-		sl = owner
-	}
+func (c *Coordinator) deliver(sl *slot, e entry) []Merged {
 	sl.journal = append(sl.journal, e)
 	sl.seq++
 	if e.kind == reqFeed {
@@ -351,12 +319,9 @@ func (c *Coordinator) Handoff(name string) error {
 	}
 	sl.commitSnapshot(resp.snap)
 	sl.retire()
-	if out := c.recoverSlot(sl, true, false); out != nil {
-		// Empty replay window: any output would be an accounting bug
-		// surfaced via ReplayShort/Degraded counters; still merge it into
-		// the window so nothing is silently dropped.
-		c.noteWindow(out)
-	}
+	// The replay window is empty, so recovery regenerates nothing; were it
+	// to, the Degraded counter would show it.
+	c.recoverSlot(sl, true, false)
 	if sl.state != slotActive {
 		return fmt.Errorf("fleet: shard %s successor failed to start; will fail over on next delivery", name)
 	}
@@ -395,7 +360,6 @@ func (c *Coordinator) Close() *Result {
 		}
 		sl.retire()
 		sl.state = slotClosed
-		sl.result = resp.res
 		perShard[sl.name] = resp.res
 		// The incarnation's accumulated result carries the shard's full
 		// lineage history (resume preserves it), so the flush tail is
@@ -405,7 +369,6 @@ func (c *Coordinator) Close() *Result {
 		}
 	}
 	close(c.stopWatch)
-	c.noteWindow(tail)
 	c.result = &Result{Tail: tail, PerShard: perShard, Stats: c.Stats()}
 	return c.result
 }
@@ -416,7 +379,7 @@ func (c *Coordinator) Stats() Stats {
 	for _, sl := range c.owners {
 		scopesPer[sl.name]++
 	}
-	st := Stats{Scopes: len(c.owners), Records: c.records, Misrouted: c.misrouted}
+	st := Stats{Scopes: len(c.owners), Records: c.records}
 	for _, sl := range c.slots {
 		var state string
 		switch sl.state {
@@ -438,7 +401,6 @@ func (c *Coordinator) Stats() Stats {
 			Degraded:        sl.degraded,
 			Gaps:            sl.gaps,
 			GapEntries:      sl.gapEntries,
-			Misrouted:       sl.misrouted,
 			Snapshots:       sl.snapshots,
 			SnapshotFails:   sl.snapFailures,
 			JournalLen:      len(sl.journal),
@@ -498,29 +460,5 @@ func (c *Coordinator) Stall(name string) bool {
 func (c *Coordinator) FailRestores(name string, n int) {
 	if sl, ok := c.byName[name]; ok && n > sl.failRestores {
 		sl.failRestores = n
-	}
-}
-
-// Misroute arms the split-scope fault for the next n routed records.
-func (c *Coordinator) Misroute(n int) {
-	if n > 0 {
-		c.misrouteNext += n
-	}
-}
-
-// Rebalance performs a planned snapshot-handoff succession on the named
-// shard (the chaos-facing alias of Handoff).
-func (c *Coordinator) Rebalance(name string) error { return c.Handoff(name) }
-
-// noteWindow retains recent merged predictions for the cluster view.
-const windowCap = 4096
-
-func (c *Coordinator) noteWindow(out []Merged) {
-	if len(out) == 0 {
-		return
-	}
-	c.window = append(c.window, out...)
-	if n := len(c.window); n > windowCap {
-		c.window = append(c.window[:0:0], c.window[n-windowCap:]...)
 	}
 }

@@ -5,8 +5,9 @@
 // consistent-hash ring — so one shard owns all the evidence for a
 // physical neighbourhood and its chain matching sees the same local
 // stream a dedicated monitor would. A coordinator routes records,
-// journals every delivery, merges the per-shard prediction streams into
-// one cluster-level stream, and supervises the shards' lifecycles.
+// journals every delivery, stamps each shard's predictions with the shard
+// and its per-shard sequence number, and supervises the shards'
+// lifecycles.
 //
 // The headline property is fault tolerance of the fleet itself. Every
 // shard incarnation runs under an internal/resilience supervisor with a
@@ -16,8 +17,8 @@
 // with jittered-exponential retry backoff and breaker gating — so the
 // merged prediction stream is exactly the clean run's stream, with the
 // catch-up predictions flagged Degraded and every gap entry accounted.
-// A planned handoff (Rebalance) drains the live worker through a fresh
-// snapshot first, so succession is byte-identical with no degraded span.
+// A planned Handoff drains the live worker through a fresh snapshot
+// first, so succession is byte-identical with no degraded span.
 //
 // A call into a shard is one send and one receive on the incarnation's
 // two channels; a watchdog answers an overdue call on the same reply
@@ -27,8 +28,9 @@
 // Semantics note: partitioning changes what each shard's statistics see
 // (per-scope streams instead of the global stream), so an N-shard fleet
 // is a partitioned view, not a bit-replica of a single monitor — except
-// for N=1, which is proven byte-identical, failover included. See
-// DESIGN.md §15.
+// for N=1, which is proven byte-identical, failover included. Nothing
+// recombines a chain whose events land on two shards: it matches on
+// neither. See DESIGN.md §15.
 //
 // The Coordinator is not safe for concurrent use: one goroutine feeds
 // it, mirroring pipeline.Session's synchronous driver contract.
@@ -107,7 +109,7 @@ func (cfg Config) normalised() Config {
 	return cfg
 }
 
-// Merged is one prediction in the cluster-level stream: the shard that
+// Merged is one prediction in the fleet's merged stream: the shard that
 // produced it and its position in that shard's prediction sequence.
 // Within one shard Seq is gapless and strictly increasing — the exactly-
 // once guarantee the failover replay's duplicate-skip preserves.
@@ -127,12 +129,11 @@ type ShardStats struct {
 	Records  int64
 	Advances int64
 
-	Predictions int64 // predictions merged into the cluster stream
+	Predictions int64 // predictions merged into the fleet's stream
 	Degraded    int64 // of those, catch-up predictions flagged Degraded
 
 	Gaps       int64 // outage windows closed by failover
 	GapEntries int64 // entries that arrived while no incarnation was live
-	Misrouted  int64 // records offered here that another shard owned
 
 	Snapshots       int64
 	SnapshotFails   int64
@@ -153,7 +154,6 @@ type Stats struct {
 	Shards      []ShardStats
 	Scopes      int   // distinct scope keys routed so far
 	Records     int64 // records fed
-	Misrouted   int64 // total misrouted deliveries self-healed
 	Predictions int64
 	Degraded    int64
 	Lost        int64

@@ -188,7 +188,7 @@ func TestSingleShardFleetMatchesMonitor(t *testing.T) {
 			t.Fatalf("prediction %d differs:\nfleet   %+v\nmonitor %+v", i, merged[i].Prediction, want[i])
 		}
 	}
-	if stats.Degraded != 0 || stats.Misrouted != 0 || stats.Lost != 0 {
+	if stats.Degraded != 0 || stats.Lost != 0 {
 		t.Fatalf("clean run accounting not clean: %+v", stats)
 	}
 	if stats.Shards[0].Snapshots == 0 {
@@ -327,32 +327,6 @@ func TestPlannedHandoffByteIdentical(t *testing.T) {
 	}
 }
 
-// TestMisrouteSelfHeals proves the split-scope fault: records offered to
-// the wrong shard are detected by the ownership check, re-routed, and
-// exactly counted — the merged stream does not change at all.
-func TestMisrouteSelfHeals(t *testing.T) {
-	_, test, _, end := fixture(t)
-	cfg := testConfig(3)
-	wantByShard := byShard(t, cleanRun(t, 3))
-
-	injected := int64(0)
-	merged, stats := runFleet(t, cfg, test, end, func(i int, c *Coordinator) {
-		if i%97 == 0 {
-			c.Misroute(1)
-			injected++
-		}
-	})
-	gotByShard := byShard(t, merged)
-	for name, want := range wantByShard {
-		if flagged := sameModuloDegraded(t, name, gotByShard[name], want); flagged != 0 {
-			t.Fatalf("shard %s: misroutes degraded %d predictions", name, flagged)
-		}
-	}
-	if stats.Misrouted != injected {
-		t.Fatalf("misrouted = %d, injected = %d: not exactly accounted", stats.Misrouted, injected)
-	}
-}
-
 // TestStallFailoverStreamEqual proves the liveness probe: a shard that
 // wedges past FeedTimeout is abandoned and failed over, and the merged
 // stream still matches the clean run modulo Degraded.
@@ -391,10 +365,7 @@ func TestStallFailoverStreamEqual(t *testing.T) {
 func TestBreakerHoldsShardDownAndAccountsLoss(t *testing.T) {
 	_, test, _, end := fixture(t)
 	cfg := testConfig(2)
-	cfg.Supervision = resilience.Policy{
-		MaxFailures: 3,
-		Cooldown:    time.Hour, // never half-opens within the test
-	}
+	cfg.Supervision = resilience.Policy{MaxFailures: 3}
 	kill := len(test) / 2
 	merged, stats := runFleet(t, cfg, test, end, func(i int, c *Coordinator) {
 		if i == kill {
@@ -459,7 +430,6 @@ func chaosRun(t *testing.T, seed int64) ([]Merged, Stats, chaos.FleetStats) {
 		Kill:        0.0015,
 		Stall:       0.0005,
 		RestoreFail: 0.001,
-		Misroute:    0.002,
 		Rebalance:   0.0005,
 	})
 	var merged []Merged
@@ -475,24 +445,49 @@ func chaosRun(t *testing.T, seed int64) ([]Merged, Stats, chaos.FleetStats) {
 	return merged, res.Stats, inj.FleetStats()
 }
 
+// checkChaosAccounting asserts that the coordinator accounted every
+// injected fault exactly: each kill and each stall cost one failover,
+// each accepted rebalance one handoff, and the shard supervisors were
+// charged once per crash and once per failed restore — never more
+// restore failures than the injector armed.
+func checkChaosAccounting(t *testing.T, stats Stats, faults chaos.FleetStats) {
+	t.Helper()
+	var failovers, handoffs, restoreFails, charged int64
+	for _, sh := range stats.Shards {
+		failovers += sh.Failovers
+		handoffs += sh.Handoffs
+		restoreFails += sh.RestoreFailures
+		charged += sh.Supervisor.Panics
+	}
+	if crashes := faults.Kills + faults.Stalls; failovers != crashes {
+		t.Fatalf("failovers = %d, injected kills+stalls = %d+%d", failovers, faults.Kills, faults.Stalls)
+	}
+	if handoffs != faults.Rebalances {
+		t.Fatalf("handoffs = %d, accepted rebalances = %d", handoffs, faults.Rebalances)
+	}
+	if restoreFails > faults.RestoresArmd {
+		t.Fatalf("restore failures = %d, only %d armed", restoreFails, faults.RestoresArmd)
+	}
+	if want := faults.Kills + faults.Stalls + restoreFails; charged != want {
+		t.Fatalf("supervisors charged %d failures, want kills+stalls+restore failures = %d", charged, want)
+	}
+}
+
 // TestChaosFleetSuite is the acceptance chaos run: a seeded mix of shard
-// kills, stalls, restore failures, split-scope misroutes and planned
-// rebalances over the stream, with a clean tail. No panic, no wedge
-// (the run completes), exact accounting, and full recovery by Close.
+// kills, stalls, restore failures and planned rebalances over the
+// stream, with a clean tail. No panic, no wedge (the run completes),
+// exact accounting, and full recovery by Close.
 func TestChaosFleetSuite(t *testing.T) {
 	merged, stats, faults := chaosRun(t, 42)
 	byShard(t, merged)
 
-	if faults.Kills == 0 || faults.Misroutes == 0 || faults.RestoresArmd == 0 {
+	if faults.Kills == 0 || faults.Stalls == 0 || faults.RestoresArmd == 0 || faults.Rebalances == 0 {
 		t.Fatalf("chaos schedule too quiet to prove anything: %+v", faults)
 	}
-	if stats.Misrouted != faults.Misroutes {
-		t.Fatalf("misroute accounting: coordinator %d, injected %d", stats.Misrouted, faults.Misroutes)
-	}
+	checkChaosAccounting(t, stats, faults)
 	if stats.Lost != 0 {
 		t.Fatalf("entries lost despite clean tail and force-recovery: %d (stats %+v)", stats.Lost, stats)
 	}
-	var failovers int64
 	for _, sh := range stats.Shards {
 		if sh.ReplayShort != 0 {
 			t.Fatalf("shard %s: replay accounting violated (%d)", sh.Name, sh.ReplayShort)
@@ -508,10 +503,6 @@ func TestChaosFleetSuite(t *testing.T) {
 		if sh.FlushFailures != 0 {
 			t.Fatalf("shard %s failed its close flush", sh.Name)
 		}
-		failovers += sh.Failovers
-	}
-	if failovers == 0 {
-		t.Fatal("chaos run recorded no failovers")
 	}
 	if stats.Predictions == 0 {
 		t.Fatal("chaos run emitted no predictions")
@@ -520,10 +511,11 @@ func TestChaosFleetSuite(t *testing.T) {
 
 // TestChaosFleetDeterminism re-runs the identical seeded schedule and
 // demands an identical merged stream and identical accounting: every
-// failover, replay and misroute decision is reproducible.
+// failover, replay and handoff decision is reproducible.
 func TestChaosFleetDeterminism(t *testing.T) {
 	m1, s1, f1 := chaosRun(t, 99)
 	m2, s2, f2 := chaosRun(t, 99)
+	checkChaosAccounting(t, s1, f1)
 	if f1 != f2 {
 		t.Fatalf("fault schedules diverged:\nrun1 %+v\nrun2 %+v", f1, f2)
 	}
@@ -536,49 +528,7 @@ func TestChaosFleetDeterminism(t *testing.T) {
 		}
 	}
 	if s1.Predictions != s2.Predictions || s1.Degraded != s2.Degraded ||
-		s1.Misrouted != s2.Misrouted || s1.Lost != s2.Lost {
+		s1.Lost != s2.Lost {
 		t.Fatalf("stats diverged:\nrun1 %+v\nrun2 %+v", s1, s2)
-	}
-}
-
-// TestClustersGroupAcrossShards exercises the cluster-level merge view:
-// forecasts for one event from two shards collapse into one incident
-// with the spanning scope; closed windows drop out.
-func TestClustersGroupAcrossShards(t *testing.T) {
-	now := time.Date(2006, 7, 3, 12, 0, 0, 0, time.UTC)
-	mk := func(shard string, event int, loc string, latest time.Time, degraded bool) Merged {
-		return Merged{Shard: shard, Prediction: predict.Prediction{
-			Event:            event,
-			Trigger:          topology.MustParse(loc),
-			ExpectedEarliest: latest.Add(-10 * time.Minute),
-			ExpectedLatest:   latest,
-			Degraded:         degraded,
-		}}
-	}
-	c := &Coordinator{window: []Merged{
-		mk("shard0", 7, "R00-M0", now.Add(5*time.Minute), false),
-		mk("shard1", 7, "R01-M1", now.Add(8*time.Minute), true),
-		mk("shard0", 9, "R02", now.Add(-time.Minute), false), // window closed
-		mk("shard2", 11, "R03", now.Add(time.Minute), false),
-	}}
-	cls := c.Clusters(now)
-	if len(cls) != 2 {
-		t.Fatalf("clusters = %d, want 2 (event 9's window is closed): %+v", len(cls), cls)
-	}
-	ev7 := cls[0]
-	if ev7.Event != 7 || ev7.Count != 2 || len(ev7.Shards) != 2 {
-		t.Fatalf("event-7 cluster malformed: %+v", ev7)
-	}
-	if ev7.Span != topology.ScopeSystem {
-		t.Fatalf("event-7 span = %v, want system (triggers in two racks)", ev7.Span)
-	}
-	if !ev7.Degraded {
-		t.Fatal("event-7 cluster must inherit the degraded flag")
-	}
-	if ev7.Latest != now.Add(8*time.Minute) {
-		t.Fatalf("event-7 window union wrong: %+v", ev7)
-	}
-	if cls[1].Event != 11 || cls[1].Degraded {
-		t.Fatalf("event-11 cluster malformed: %+v", cls[1])
 	}
 }

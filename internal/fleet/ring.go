@@ -10,13 +10,13 @@ import (
 // virtual points; a key is owned by the first point clockwise of its
 // hash. The construction is fully deterministic — FNV-1a over explicit
 // strings, sorted point order, no map iteration — so the same member
-// set always yields the same scope→shard map, and adding or removing
-// one member moves only the keys whose arc the change touches (≈ 1/n of
-// the key space).
+// set always yields the same scope→shard map, and adding one member
+// moves only the keys whose arc its points take over (≈ 1/(n+1) of the
+// key space), all of them to the new member. Members are only ever
+// added: a fleet's shards are fixed when it is built.
 type Ring struct {
 	replicas int
 	points   []ringPoint // sorted by (hash, owner)
-	members  []string    // sorted
 }
 
 type ringPoint struct {
@@ -26,7 +26,7 @@ type ringPoint struct {
 
 // DefaultReplicas is the virtual-point count per member: enough to keep
 // the per-member load imbalance in the few-percent range for small
-// fleets without making Add/Remove quadratic.
+// fleets without making Add quadratic.
 const DefaultReplicas = 128
 
 // NewRing returns an empty ring; replicas <= 0 selects DefaultReplicas.
@@ -37,15 +37,9 @@ func NewRing(replicas int) *Ring {
 	return &Ring{replicas: replicas}
 }
 
-// Add inserts a member. Adding an existing member is a no-op.
+// Add inserts a member's points. Adding a member twice only duplicates
+// its points, so no key changes owner.
 func (r *Ring) Add(name string) {
-	for _, m := range r.members {
-		if m == name {
-			return
-		}
-	}
-	r.members = append(r.members, name)
-	sort.Strings(r.members)
 	for i := 0; i < r.replicas; i++ {
 		r.points = append(r.points, ringPoint{hash: fnv64a(name + "#" + strconv.Itoa(i)), owner: name})
 	}
@@ -55,28 +49,6 @@ func (r *Ring) Add(name string) {
 		}
 		return r.points[i].owner < r.points[j].owner
 	})
-}
-
-// Remove deletes a member and its points. Unknown members are a no-op.
-func (r *Ring) Remove(name string) {
-	keep := r.points[:0]
-	for _, p := range r.points {
-		if p.owner != name {
-			keep = append(keep, p)
-		}
-	}
-	r.points = keep
-	for i, m := range r.members {
-		if m == name {
-			r.members = append(r.members[:i], r.members[i+1:]...)
-			return
-		}
-	}
-}
-
-// Members returns the member names, sorted.
-func (r *Ring) Members() []string {
-	return append([]string(nil), r.members...)
 }
 
 // Owner maps a scope key to its owning member ("" on an empty ring).

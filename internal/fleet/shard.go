@@ -154,7 +154,7 @@ type slot struct {
 	seq      int64
 
 	// Merge cursor and snapshot state. preds counts predictions merged
-	// into the cluster stream across the slot's whole lineage; snapPreds
+	// into the fleet's stream across the slot's whole lineage; snapPreds
 	// and snapSeq pin where the latest snapshot sits in that lineage, so
 	// failover replay knows how many regenerated predictions are
 	// duplicates of already-merged ones.
@@ -175,7 +175,6 @@ type slot struct {
 	gaps         int64 // distinct outage windows closed by a failover
 	gapEntries   int64 // entries journaled while no incarnation was live (cumulative)
 	gapOpen      int64 // gap entries in the outage in progress
-	misrouted    int64 // records offered to this slot that it did not own
 	snapshots    int64
 	snapFailures int64
 	handoffs     int64 // planned snapshot-handoff successions
@@ -189,8 +188,6 @@ type slot struct {
 	// Chaos hooks armed by the injector through the coordinator.
 	stallNext    time.Duration
 	failRestores int
-
-	result *predict.Result // final per-shard result captured at Close
 }
 
 // spawn starts a new incarnation serving mon.

@@ -136,7 +136,7 @@ func New(eng *predict.Engine, org TemplateLearner, cfg Config) *Pipeline {
 		p.accum = sig.NewAccumulator(*cfg.Accumulate)
 	}
 	for _, st := range supervisedStages {
-		p.sups[st] = resilience.New(stageNames[st], resilience.Policy{})
+		p.sups[st] = resilience.New(resilience.Policy{})
 	}
 	return p
 }

@@ -57,6 +57,29 @@ func trained(t testing.TB, seed int64) (*correlate.Model, map[string]*location.P
 	return f.model, f.profiles, append([]logs.Record(nil), f.test...), f.cut, f.end
 }
 
+// engineRun is the frozen tick-loop reference the replay driver is held
+// to: it streams the time-sorted records through e over [start, end) one
+// sampling tick at a time — sample (skipping stragglers from before the
+// tick), filter, match, account — with no channels, supervision or
+// hardening in the way.
+func engineRun(e *predict.Engine, recs []logs.Record, start, end time.Time) *predict.Result {
+	res := e.NewResult()
+	ri := 0
+	for tick := 0; tick < int(end.Sub(start)/e.Step()); tick++ {
+		tickStart := start.Add(time.Duration(tick) * e.Step())
+		tickEnd := tickStart.Add(e.Step())
+		t := predict.NewTick()
+		for ; ri < len(recs) && recs[ri].Time.Before(tickEnd); ri++ {
+			if !recs[ri].Time.Before(tickStart) {
+				t.Add(recs[ri])
+			}
+		}
+		hits := e.DetectOutliers(t, tickStart)
+		e.FinishTick(t, e.MatchChains(hits, tick), tick, tickEnd, res)
+	}
+	return res
+}
+
 func samePredictions(t *testing.T, got, want []predict.Prediction, gotName, wantName string) {
 	t.Helper()
 	if len(got) != len(want) {
@@ -72,7 +95,7 @@ func samePredictions(t *testing.T, got, want []predict.Prediction, gotName, want
 func TestRunMatchesEngineRun(t *testing.T) {
 	model, profiles, test, cut, end := trained(t, 501)
 
-	ref := predict.NewEngine(model, profiles, predict.DefaultConfig()).Run(test, cut, end)
+	ref := engineRun(predict.NewEngine(model, profiles, predict.DefaultConfig()), test, cut, end)
 
 	p := New(predict.NewEngine(model, profiles, predict.DefaultConfig()), nil, DefaultConfig())
 	got, err := p.Run(context.Background(), logs.NewSliceSource(test), cut, end)
@@ -216,7 +239,7 @@ func TestRunDropsRecordsOutsideWindow(t *testing.T) {
 	outside := append([]logs.Record{{Time: cut.Add(-time.Hour), EventID: 0}}, test...)
 	outside = append(outside, logs.Record{Time: end.Add(time.Hour), EventID: 0})
 
-	ref := predict.NewEngine(model, profiles, predict.DefaultConfig()).Run(test, cut, end)
+	ref := engineRun(predict.NewEngine(model, profiles, predict.DefaultConfig()), test, cut, end)
 	p := New(predict.NewEngine(model, profiles, predict.DefaultConfig()), nil, DefaultConfig())
 	got, err := p.Run(context.Background(), logs.NewSliceSource(outside), cut, end)
 	if err != nil {

@@ -26,7 +26,7 @@ func emptyModel() *correlate.Model {
 func TestEngineEmptyModel(t *testing.T) {
 	e := NewEngine(emptyModel(), nil, DefaultConfig())
 	recs := []logs.Record{{Time: t0.Add(time.Second), EventID: 0, Location: topology.System}}
-	res := e.Run(recs, t0, t0.Add(time.Minute))
+	res := run(e, recs, t0, t0.Add(time.Minute))
 	if len(res.Predictions) != 0 {
 		t.Error("empty model emitted predictions")
 	}
@@ -51,7 +51,7 @@ func TestEngineUnknownEventIDs(t *testing.T) {
 			Location: topology.System,
 		})
 	}
-	res := e.Run(recs, t0, t0.Add(time.Hour))
+	res := run(e, recs, t0, t0.Add(time.Hour))
 	if len(res.Predictions) != 0 {
 		t.Error("unknown events emitted predictions")
 	}
@@ -61,7 +61,7 @@ func TestEngineIgnoresUnstampedRecords(t *testing.T) {
 	model := emptyModel()
 	e := NewEngine(model, nil, DefaultConfig())
 	recs := []logs.Record{{Time: t0.Add(time.Second), EventID: -1, Location: topology.System}}
-	res := e.Run(recs, t0, t0.Add(time.Minute))
+	res := run(e, recs, t0, t0.Add(time.Minute))
 	if res.Stats.Messages != 0 {
 		t.Errorf("unstamped record counted: %d", res.Stats.Messages)
 	}
@@ -89,7 +89,7 @@ func TestEngineMissingLocationProfileDefaultsToNode(t *testing.T) {
 	recs := []logs.Record{
 		{Time: t0.Add(time.Second), EventID: 1, Location: node},
 	}
-	res := e.Run(recs, t0, t0.Add(10*time.Minute))
+	res := run(e, recs, t0, t0.Add(10*time.Minute))
 	if len(res.Predictions) != 1 {
 		t.Fatalf("predictions = %d", len(res.Predictions))
 	}

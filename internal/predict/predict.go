@@ -116,8 +116,7 @@ type Stats struct {
 	LatePreds    int
 	LateRecords  int // stream stragglers older than their tick, dropped
 
-	// Input-hardening and resilience accounting (internal/pipeline runs;
-	// zero for direct Engine.Run calls).
+	// Input-hardening and resilience accounting (internal/pipeline runs).
 	QuarantinedRecords int // malformed records diverted, never fatal
 	ShedRecords        int // records dropped by overload shedding
 	DegradedTicks      int // ticks processed while shedding or bypassing
@@ -130,7 +129,7 @@ type Stats struct {
 	DedupedRecords int `json:"-"`
 
 	// Stages holds per-stage pipeline counters when the run was driven
-	// through internal/pipeline (nil for direct Engine.Run calls).
+	// through internal/pipeline.
 	Stages []StageStats
 }
 
@@ -207,19 +206,6 @@ func (t *Tick) Add(r logs.Record) {
 	if _, ok := t.FirstLoc[r.EventID]; !ok {
 		t.FirstLoc[r.EventID] = r.Location
 	}
-}
-
-// SampleTick aggregates the records of one tick, skipping records that
-// precede tickStart (stragglers from before the run window).
-func SampleTick(recs []logs.Record, tickStart time.Time) *Tick {
-	t := NewTick()
-	for _, r := range recs {
-		if r.Time.Before(tickStart) {
-			continue
-		}
-		t.Add(r)
-	}
-	return t
 }
 
 // instance is a partially matched chain occurrence.
@@ -408,35 +394,6 @@ func (e *Engine) NewResult() *Result {
 		ChainsLoaded: len(e.chains),
 		ChainsUsed:   make(map[string]int),
 	}}
-}
-
-// Run streams the time-sorted, event-stamped records through the engine
-// tick by tick over [start, end). It is the in-process reference driver:
-// internal/pipeline's Session composes exactly the same stage steps
-// (Tick.Add, DetectOutliers, MatchChains, FinishTick) record by record.
-func (e *Engine) Run(recs []logs.Record, start, end time.Time) *Result {
-	res := e.NewResult()
-	nTicks := int(end.Sub(start) / e.cfg.Step)
-	ri := 0
-	for tick := 0; tick < nTicks; tick++ {
-		tickStart := start.Add(time.Duration(tick) * e.cfg.Step)
-		tickEnd := tickStart.Add(e.cfg.Step)
-		lo := ri
-		for ri < len(recs) && recs[ri].Time.Before(tickEnd) {
-			ri++
-		}
-		e.processTick(recs[lo:ri], tick, tickStart, tickEnd, res)
-	}
-	return res
-}
-
-// processTick runs one sampling tick end to end: sample, filter, match,
-// account analysis time, fire and expire.
-func (e *Engine) processTick(cur []logs.Record, tick int, tickStart, tickEnd time.Time, res *Result) {
-	t := SampleTick(cur, tickStart)
-	hits := e.DetectOutliers(t, tickStart)
-	checks := e.MatchChains(hits, tick)
-	e.FinishTick(t, checks, tick, tickEnd, res)
 }
 
 // DetectorIDs returns the event ids that carry a dense online filter, in

@@ -16,6 +16,28 @@ import (
 
 var t0 = time.Date(2006, 7, 1, 0, 0, 0, 0, time.UTC)
 
+// run is the tests' reference driver: it streams the time-sorted records
+// through e over [start, end) one sampling tick at a time, composing the
+// same stage steps internal/pipeline's Session drives record by record.
+// Records before a tick's start are stragglers and are skipped.
+func run(e *Engine, recs []logs.Record, start, end time.Time) *Result {
+	res := e.NewResult()
+	ri := 0
+	for tick := 0; tick < int(end.Sub(start)/e.Step()); tick++ {
+		tickStart := start.Add(time.Duration(tick) * e.Step())
+		tickEnd := tickStart.Add(e.Step())
+		t := NewTick()
+		for ; ri < len(recs) && recs[ri].Time.Before(tickEnd); ri++ {
+			if !recs[ri].Time.Before(tickStart) {
+				t.Add(recs[ri])
+			}
+		}
+		hits := e.DetectOutliers(t, tickStart)
+		e.FinishTick(t, e.MatchChains(hits, tick), tick, tickEnd, res)
+	}
+	return res
+}
+
 // pipeline runs generate -> HELO -> split -> train -> profiles -> online.
 type pipeline struct {
 	model    *correlate.Model
@@ -36,7 +58,7 @@ func runPipeline(t *testing.T, mode correlate.Mode, trainDays, testDays int, see
 	model := correlate.Train(train, t0, cut, mode, correlate.DefaultConfig())
 	profiles := location.Extract(train, model.Chains, t0, model.Step, 1)
 	engine := NewEngine(model, profiles, DefaultConfig())
-	result := engine.Run(test, cut, res.End)
+	result := run(engine, test, cut, res.End)
 	return &pipeline{model: model, profiles: profiles, result: result,
 		failures: testFailures, test: test}
 }
@@ -121,7 +143,7 @@ func TestLocationDisabledNarrowsScope(t *testing.T) {
 
 	cfg := DefaultConfig()
 	cfg.UseLocation = false
-	noLoc := NewEngine(model, profiles, cfg).Run(test, cut, res.End)
+	noLoc := run(NewEngine(model, profiles, cfg), test, cut, res.End)
 	for _, pred := range noLoc.Predictions {
 		if pred.Scope != topology.ScopeNode {
 			t.Fatalf("location-blind prediction with scope %v", pred.Scope)
@@ -166,7 +188,7 @@ func TestEngineOnSyntheticChain(t *testing.T) {
 	}
 	recs := []logs.Record{mkRec(5, 1), mkRec(11, 2), mkRec(17, 3)}
 	engine := NewEngine(model, nil, DefaultConfig())
-	res := engine.Run(recs, t0, t0.Add(time.Hour))
+	res := run(engine, recs, t0, t0.Add(time.Hour))
 	if len(res.Predictions) != 1 {
 		t.Fatalf("predictions = %d, want 1", len(res.Predictions))
 	}
@@ -210,7 +232,7 @@ func TestEngineNoDuplicateInstanceSameTick(t *testing.T) {
 		{Time: t0.Add(2 * time.Second), EventID: 1, Location: node},
 		{Time: t0.Add(3 * time.Second), EventID: 1, Location: node},
 	}
-	res := NewEngine(model, nil, DefaultConfig()).Run(recs, t0, t0.Add(10*time.Minute))
+	res := run(NewEngine(model, nil, DefaultConfig()), recs, t0, t0.Add(10*time.Minute))
 	if len(res.Predictions) != 1 {
 		t.Fatalf("predictions = %d, want 1 (deduplicated)", len(res.Predictions))
 	}
@@ -245,7 +267,7 @@ func TestAdaptiveWindowsTightenWithConfirmations(t *testing.T) {
 		base := i * 100
 		recs = append(recs, mk(base, 1), mk(base+12, 2))
 	}
-	res := NewEngine(model, nil, DefaultConfig()).Run(recs, t0, t0.Add(3*time.Hour))
+	res := run(NewEngine(model, nil, DefaultConfig()), recs, t0, t0.Add(3*time.Hour))
 	if len(res.Predictions) != 8 {
 		t.Fatalf("predictions = %d, want 8", len(res.Predictions))
 	}
@@ -289,7 +311,7 @@ func TestCIODBChainPredictsLate(t *testing.T) {
 		{Time: t0.Add(time.Second), EventID: 1, Location: topology.System},
 		{Time: t0.Add(time.Second), EventID: 2, Location: topology.System},
 	}
-	res := NewEngine(model, nil, DefaultConfig()).Run(recs, t0, t0.Add(time.Minute))
+	res := run(NewEngine(model, nil, DefaultConfig()), recs, t0, t0.Add(time.Minute))
 	if len(res.Predictions) != 1 {
 		t.Fatalf("predictions = %d, want 1", len(res.Predictions))
 	}

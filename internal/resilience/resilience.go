@@ -5,9 +5,9 @@
 //   - a panic barrier (Do / Recover) that converts a stage-body panic
 //     into an accounted failure while the stream keeps flowing;
 //   - a circuit breaker that trips the stage into degraded/bypass mode
-//     after MaxFailures panics inside Window, half-opening again after
-//     Cooldown so a healed stage can close the breaker with one clean
-//     invocation.
+//     after MaxFailures panics inside one minute, half-opening again
+//     30 seconds later so a healed stage can close the breaker with one
+//     clean invocation.
 //
 // The supervisor is deliberately clock-injectable: chaos tests drive it
 // with a virtual clock, so every breaker trip in the suite is
@@ -48,16 +48,9 @@ func (h Health) String() string {
 
 // Policy tunes one stage's supervision.
 type Policy struct {
-	// MaxFailures is how many panics within Window trip the breaker.
-	// <= 0 selects DefaultMaxFailures.
+	// MaxFailures is how many panics within the failure window (one
+	// minute) trip the breaker. <= 0 selects DefaultMaxFailures.
 	MaxFailures int
-	// Window is the sliding window the failure budget covers. <= 0
-	// selects DefaultWindow.
-	Window time.Duration
-	// Cooldown is how long an open breaker waits before half-opening to
-	// probe the stage with one real invocation. <= 0 selects
-	// DefaultCooldown.
-	Cooldown time.Duration
 	// Clock injects the time source consulted by the failure window and
 	// cooldown logic. nil selects the wall clock.
 	Clock func() time.Time
@@ -67,23 +60,23 @@ type Policy struct {
 // to.
 const (
 	DefaultMaxFailures = 5
-	DefaultWindow      = time.Minute
-	DefaultCooldown    = 30 * time.Second
 	DefaultBaseBackoff = 5 * time.Millisecond
 	DefaultMaxBackoff  = 2 * time.Second
 	DefaultJitter      = 0.5
+)
+
+// The breaker's timing: failureWindow is the sliding window the failure
+// budget covers, and cooldown is how long an open breaker waits before
+// half-opening to probe the stage with one real invocation.
+const (
+	failureWindow = time.Minute
+	cooldown      = 30 * time.Second
 )
 
 // normalised fills policy defaults in place.
 func (p Policy) normalised() Policy {
 	if p.MaxFailures <= 0 {
 		p.MaxFailures = DefaultMaxFailures
-	}
-	if p.Window <= 0 {
-		p.Window = DefaultWindow
-	}
-	if p.Cooldown <= 0 {
-		p.Cooldown = DefaultCooldown
 	}
 	if p.Clock == nil {
 		p.Clock = time.Now
@@ -111,8 +104,7 @@ type Stats struct {
 //
 //elsa:state ready probing
 type Supervisor struct {
-	name string
-	pol  Policy
+	pol Policy
 
 	mu        sync.Mutex
 	failures  []time.Time // panic times inside the current window
@@ -127,13 +119,10 @@ type Supervisor struct {
 	lastPanic atomic.Value // string
 }
 
-// New returns a supervisor for the named stage.
-func New(name string, pol Policy) *Supervisor {
-	return &Supervisor{name: name, pol: pol.normalised()}
+// New returns a supervisor running under pol.
+func New(pol Policy) *Supervisor {
+	return &Supervisor{pol: pol.normalised()}
 }
-
-// Name returns the supervised stage's name.
-func (s *Supervisor) Name() string { return s.name }
 
 // Health returns the current supervision state.
 func (s *Supervisor) Health() Health { return Health(s.health.Load()) }
@@ -157,7 +146,7 @@ func (s *Supervisor) Stats() Stats {
 }
 
 // Allow reports whether the stage body should run now. With the breaker
-// closed it always allows; with it open it denies until Cooldown has
+// closed it always allows; with it open it denies until the cooldown has
 // elapsed, then admits exactly one half-open probe at a time. Callers
 // that are denied must apply the stage's bypass semantics (and should
 // count the bypass via the return path they own).
@@ -172,7 +161,7 @@ func (s *Supervisor) Allow() bool {
 	if Health(s.health.Load()) != Degraded {
 		return true
 	}
-	if s.probing || s.pol.Clock().Sub(s.trippedAt) < s.pol.Cooldown {
+	if s.probing || s.pol.Clock().Sub(s.trippedAt) < cooldown {
 		s.bypassed.Add(1)
 		return false
 	}
@@ -252,7 +241,7 @@ func (s *Supervisor) recordPanic(r interface{}) {
 	}
 	keep := s.failures[:0]
 	for _, t := range s.failures {
-		if now.Sub(t) <= s.pol.Window {
+		if now.Sub(t) <= failureWindow {
 			keep = append(keep, t)
 		}
 	}

@@ -28,15 +28,13 @@ func (c *virtualClock) advance(d time.Duration) {
 func testPolicy(clk *virtualClock) Policy {
 	return Policy{
 		MaxFailures: 3,
-		Window:      time.Minute,
-		Cooldown:    30 * time.Second,
 		Clock:       clk.now,
 	}
 }
 
 func TestDoRecoversPanics(t *testing.T) {
 	clk := &virtualClock{t: time.Unix(0, 0)}
-	s := New("stage", testPolicy(clk))
+	s := New(testPolicy(clk))
 	if ok := s.Do(func() { panic("boom") }); ok {
 		t.Fatal("Do reported a panicking body as ok")
 	}
@@ -57,7 +55,7 @@ func TestDoRecoversPanics(t *testing.T) {
 
 func TestBreakerTripsAfterBudgetExhausted(t *testing.T) {
 	clk := &virtualClock{t: time.Unix(0, 0)}
-	s := New("stage", testPolicy(clk))
+	s := New(testPolicy(clk))
 	for i := 0; i < 3; i++ {
 		if !s.Allow() {
 			t.Fatalf("Allow denied before trip (failure %d)", i)
@@ -78,7 +76,7 @@ func TestBreakerTripsAfterBudgetExhausted(t *testing.T) {
 
 func TestBreakerStaysClosedWhenFailuresSpreadPastWindow(t *testing.T) {
 	clk := &virtualClock{t: time.Unix(0, 0)}
-	s := New("stage", testPolicy(clk))
+	s := New(testPolicy(clk))
 	for i := 0; i < 6; i++ {
 		s.Do(func() { panic(i) })
 		clk.advance(40 * time.Second) // only ~1.5 failures per window
@@ -90,7 +88,7 @@ func TestBreakerStaysClosedWhenFailuresSpreadPastWindow(t *testing.T) {
 
 func TestHalfOpenProbeClosesBreakerOnSuccess(t *testing.T) {
 	clk := &virtualClock{t: time.Unix(0, 0)}
-	s := New("stage", testPolicy(clk))
+	s := New(testPolicy(clk))
 	for i := 0; i < 3; i++ {
 		s.Do(func() { panic(i) })
 	}
@@ -112,7 +110,7 @@ func TestHalfOpenProbeClosesBreakerOnSuccess(t *testing.T) {
 
 func TestHalfOpenProbeReopensOnFailure(t *testing.T) {
 	clk := &virtualClock{t: time.Unix(0, 0)}
-	s := New("stage", testPolicy(clk))
+	s := New(testPolicy(clk))
 	for i := 0; i < 3; i++ {
 		s.Do(func() { panic(i) })
 	}
@@ -158,7 +156,7 @@ func TestBackoffIsJitteredCappedAndDeterministic(t *testing.T) {
 
 func TestRecoverDeferredForm(t *testing.T) {
 	clk := &virtualClock{t: time.Unix(0, 0)}
-	s := New("stage", testPolicy(clk))
+	s := New(testPolicy(clk))
 	func() {
 		defer s.Recover()
 		panic("deferred barrier")
@@ -198,7 +196,7 @@ func TestBackoffHelperCappedJitteredDeterministic(t *testing.T) {
 
 func TestFailCountsTowardBreakerWithTripsAndProbes(t *testing.T) {
 	clk := &virtualClock{t: time.Unix(0, 0)}
-	s := New("shard", testPolicy(clk))
+	s := New(testPolicy(clk))
 	// Three external failures inside the window trip the breaker.
 	for i := 0; i < 3; i++ {
 		s.Fail("incarnation died")
