@@ -67,6 +67,13 @@ type Detector struct {
 	raw ring
 	cor ring
 	med medianWindow
+
+	// nz[nzHead:] are the ring slots whose raw or corrected sample is not
+	// +0, oldest first: the raw and corrected rings move in lockstep, so
+	// one slot index names both samples, and the front slot is the next
+	// non-zero one to leave (NonzeroEvictionIn).
+	nz     []int32
+	nzHead int
 }
 
 // NewDetector returns a detector with the given window length (samples)
@@ -99,6 +106,7 @@ func (d *Detector) Window() int { return d.window }
 // the last N raw values and the current sample itself. Samples must be
 // finite: the window orders them, and NaN has no place in an order.
 func (d *Detector) Observe(y float64) Observation {
+	slot := d.raw.head
 	d.push(&d.raw, y)
 	med := d.med.median()
 	out := Observation{Value: y, Median: med, Corrected: y}
@@ -109,7 +117,24 @@ func (d *Detector) Observe(y float64) Observation {
 		}
 	}
 	d.push(&d.cor, out.Corrected)
+	d.track(slot, y, out.Corrected)
 	return out
+}
+
+// track keeps nz in step with a push into slot: the samples the slot
+// held have left, and raw and cor are its new ones.
+func (d *Detector) track(slot int, raw, cor float64) {
+	if d.nzHead < len(d.nz) && int(d.nz[d.nzHead]) == slot {
+		d.nzHead++
+	}
+	if math.Float64bits(raw)|math.Float64bits(cor) == 0 {
+		return
+	}
+	if d.nzHead > len(d.nz)/2 {
+		n := copy(d.nz, d.nz[d.nzHead:])
+		d.nz, d.nzHead = d.nz[:n], 0
+	}
+	d.nz = append(d.nz, int32(slot))
 }
 
 // push appends v to one of the rings and mirrors the change in the median
@@ -127,6 +152,58 @@ func (d *Detector) push(r *ring, v float64) {
 	d.med.insert(v)
 }
 
+// Skip advances the detector over n zero samples without observing them.
+// It is exact — the state afterwards is the one n calls of Observe(0)
+// leave — when the caller guarantees two things: every sample those n
+// pushes evict is a +0 (NonzeroEvictionIn is -1 or more than n), and 0 is
+// not an outlier now (ZeroIsOutlier is false). Then no skipped Observe
+// flags anything, so each pushes +0 into both rings. In a full ring that
+// replaces a zero with a zero and the multiset does not change. While
+// the rings fill it adds zeros, and adding a zero moves the median toward
+// 0, never past it, so 0 stays within the threshold. Skip therefore moves
+// the ring heads over the skipped slots without writing them (they hold
+// +0 already: a full ring's by the guarantee, a filling ring's because
+// they were never written) and inserts the zeros the filling rings take
+// in all at once.
+func (d *Detector) Skip(n int) {
+	if n <= 0 {
+		return
+	}
+	fill := min(n, len(d.raw.buf)-d.raw.n)
+	if n >= len(d.raw.buf) {
+		n %= len(d.raw.buf) // a whole turn puts the head back
+	}
+	d.raw.skip(n, fill)
+	d.cor.skip(n, fill)
+	if fill > 0 {
+		d.med.insertN(0, 2*fill)
+	}
+}
+
+// NonzeroEvictionIn returns after how many further pushes the oldest
+// sample that is not +0 leaves the window, or -1 when both rings hold
+// only +0. A slot's raw and corrected samples leave together.
+func (d *Detector) NonzeroEvictionIn() int {
+	if d.nzHead == len(d.nz) {
+		return -1
+	}
+	w, n := len(d.raw.buf), d.raw.n
+	rank := int(d.nz[d.nzHead]) - (d.raw.head - n) // among the n held, oldest 0
+	if rank >= w {
+		rank -= w
+	} else if rank < 0 {
+		rank += w
+	}
+	return w - n + rank + 1
+}
+
+// ZeroIsOutlier reports whether a zero sample would be flagged against
+// the window as it stands: whether the median lies beyond the threshold.
+func (d *Detector) ZeroIsOutlier() bool {
+	m := d.med.median()
+	return m > d.threshold || m < -d.threshold
+}
+
 // DetectorState is the serialisable window state of a Detector: the raw
 // and corrected sample windows, oldest first. It is what a monitor
 // snapshot persists per dense signal so a restarted process resumes
@@ -141,15 +218,30 @@ func (d *Detector) State() DetectorState {
 	return DetectorState{Raw: d.raw.values(), Cor: d.cor.values()}
 }
 
+// WindowShapeError rejects a DetectorState that State cannot have
+// written: more samples than the window holds, or raw and corrected
+// windows of different lengths (Observe pushes both rings, so they fill
+// together).
+type WindowShapeError struct {
+	Raw, Cor, Window int
+}
+
+func (e *WindowShapeError) Error() string {
+	if e.Raw != e.Cor {
+		return fmt.Sprintf("outlier: snapshot windows differ in length (%d raw, %d cor)", e.Raw, e.Cor)
+	}
+	return fmt.Sprintf("outlier: snapshot windows (%d raw, %d cor) exceed detector window %d", e.Raw, e.Cor, e.Window)
+}
+
 // Restore replaces the detector's windows with a snapshot taken by
 // State. Configuration (window length, threshold, replacement mode) is
 // not part of the state: it comes from the model the detector was built
-// from. A snapshot holding more samples than the window fits, or a sample
-// that is not finite, is rejected and leaves the detector as it was.
+// from. A snapshot of a shape State never writes (a *WindowShapeError),
+// or holding a sample that is not finite, is rejected and leaves the
+// detector as it was.
 func (d *Detector) Restore(st DetectorState) error {
-	if len(st.Raw) > d.window || len(st.Cor) > d.window {
-		return fmt.Errorf("outlier: snapshot windows (%d raw, %d cor) exceed detector window %d",
-			len(st.Raw), len(st.Cor), d.window)
+	if len(st.Raw) > d.window || len(st.Cor) > d.window || len(st.Raw) != len(st.Cor) {
+		return &WindowShapeError{Raw: len(st.Raw), Cor: len(st.Cor), Window: d.window}
 	}
 	for _, w := range [][]float64{st.Raw, st.Cor} {
 		for i, v := range w {
@@ -161,11 +253,13 @@ func (d *Detector) Restore(st DetectorState) error {
 	d.raw = newRing(d.window)
 	d.cor = newRing(d.window)
 	d.med = medianWindow{}
-	for _, v := range st.Raw {
+	d.nz, d.nzHead = d.nz[:0], 0
+	for i, v := range st.Raw {
 		d.push(&d.raw, v)
-	}
-	for _, v := range st.Cor {
-		d.push(&d.cor, v)
+		d.push(&d.cor, st.Cor[i])
+		if math.Float64bits(v)|math.Float64bits(st.Cor[i]) != 0 {
+			d.nz = append(d.nz, int32(i))
+		}
 	}
 	return nil
 }
@@ -224,6 +318,16 @@ func (r *ring) push(v float64) (evicted float64, wasFull bool) {
 	return evicted, wasFull
 }
 
+// skip accounts pushes of slots that already hold the value pushed, fill
+// of them into free slots: the head moves n (< len) slots, nothing is
+// written.
+func (r *ring) skip(n, fill int) {
+	r.n += fill
+	if r.head += n; r.head >= len(r.buf) {
+		r.head -= len(r.buf)
+	}
+}
+
 // medianWindow is the multiset of samples in a Detector's two rings: the
 // distinct values in ascending order, each with its multiplicity, and a
 // cursor on the lower median (rank (n-1)/2 of the sorted samples). The
@@ -266,7 +370,10 @@ func (m *medianWindow) search(v float64) int {
 	return lo
 }
 
-func (m *medianWindow) insert(v float64) {
+func (m *medianWindow) insert(v float64) { m.insertN(v, 1) }
+
+// insertN adds k copies of v.
+func (m *medianWindow) insertN(v float64, k int) {
 	i := m.search(v)
 	if i == len(m.vals) || m.vals[i] != v {
 		m.vals = append(m.vals, 0)
@@ -278,10 +385,10 @@ func (m *medianWindow) insert(v float64) {
 			m.idx++
 		}
 	}
-	m.cnt[i]++
-	m.n++
+	m.cnt[i] += int32(k)
+	m.n += k
 	if i < m.idx {
-		m.below++
+		m.below += k
 	}
 	m.settle()
 }
@@ -304,7 +411,8 @@ func (m *medianWindow) remove(v float64) {
 }
 
 // settle walks the cursor back onto rank (n-1)/2 after one sample came
-// or went: at most one slot either way, or off a deleted last slot.
+// or went — at most one slot either way, or off a deleted last slot — or
+// after insertN added a run, which may carry it over several.
 func (m *medianWindow) settle() {
 	if m.n == 0 {
 		m.idx, m.below = 0, 0

@@ -1,6 +1,7 @@
 package outlier
 
 import (
+	"errors"
 	"math"
 	"math/rand"
 	"reflect"
@@ -629,6 +630,139 @@ func TestDetectorRestoreRejectsNonFiniteSnapshot(t *testing.T) {
 			}
 			if obs := d.Observe(3); obs.Median != 3 {
 				t.Fatalf("detector unusable after a rejected snapshot: %+v", obs)
+			}
+		}
+	}
+}
+
+// TestDetectorRestoreRejectsUnevenWindows: Observe pushes both rings, so
+// State never writes raw and corrected windows of different lengths, and
+// the skipping filter relies on their slots leaving together. Restore
+// refuses such a snapshot with a *WindowShapeError and keeps what it had.
+func TestDetectorRestoreRejectsUnevenWindows(t *testing.T) {
+	for _, st := range []DetectorState{
+		{Raw: []float64{1, 0}, Cor: []float64{1}},
+		{Raw: nil, Cor: []float64{0}},
+		{Raw: []float64{1, 2, 3, 4, 5}, Cor: []float64{1, 2, 3, 4, 5}},
+	} {
+		d := NewDetector(4, 1)
+		d.Observe(3)
+		before := d.State()
+		err := d.Restore(st)
+		var shape *WindowShapeError
+		if !errors.As(err, &shape) || shape.Raw != len(st.Raw) || shape.Cor != len(st.Cor) || shape.Window != 4 {
+			t.Fatalf("Restore(%+v) = %v, want a *WindowShapeError", st, err)
+		}
+		if after := d.State(); !reflect.DeepEqual(after, before) {
+			t.Fatalf("rejected snapshot changed the detector: %+v -> %+v", before, after)
+		}
+	}
+}
+
+// TestInsertingZeroNeverGrowsMedian is the property Detector.Skip rests
+// on while the rings fill: adding a 0 to any multiset moves its median
+// toward 0 and never past it, so |median| does not grow. It is checked
+// on the frozen sortedSet over random multisets of mixed-sign quarter
+// integers, and medianWindow.insertN(0, k) must read the same medians as
+// k single inserts into the reference.
+func TestInsertingZeroNeverGrowsMedian(t *testing.T) {
+	rng := rand.New(rand.NewSource(3))
+	for trial := 0; trial < 2000; trial++ {
+		var ref sortedSet
+		var m medianWindow
+		for n := rng.Intn(40); n > 0; n-- {
+			v := float64(rng.Intn(41)-20) / 4
+			ref.insert(v)
+			m.insert(v)
+		}
+		k := 1 + rng.Intn(12)
+		before := math.Abs(ref.median())
+		for i := 0; i < k; i++ {
+			ref.insert(0)
+			if after := math.Abs(ref.median()); after > before {
+				t.Fatalf("trial %d: inserting 0 grew |median| from %v to %v", trial, before, after)
+			} else {
+				before = after
+			}
+		}
+		m.insertN(0, k)
+		checkWindow(t, &m)
+		if got, want := m.median(), ref.median(); m.n != ref.len() || math.Float64bits(got) != math.Float64bits(want) {
+			t.Fatalf("trial %d: insertN(0, %d) median %v of %d vs reference %v of %d", trial, k, got, m.n, want, ref.len())
+		}
+	}
+}
+
+// nonzeroEvictionRef is NonzeroEvictionIn by brute force: push zeros
+// into a copy of the rings until a sample that is not +0 leaves.
+func nonzeroEvictionRef(d *Detector) int {
+	raw, cor := d.raw, d.cor
+	raw.buf = append([]float64(nil), raw.buf...)
+	cor.buf = append([]float64(nil), cor.buf...)
+	for k := 1; k <= 2*len(raw.buf); k++ {
+		a, full := raw.push(0)
+		b, _ := cor.push(0)
+		if full && (math.Float64bits(a) != 0 || math.Float64bits(b) != 0) {
+			return k
+		}
+	}
+	return -1
+}
+
+// TestSkipMatchesObservingZeros drives two detectors through the served
+// series, with runs of zeros spliced in, at every served window length:
+// one observes every zero, the other Skips the run whenever Skip's
+// preconditions hold (no non-+0 sample leaves during the run and 0 is
+// not an outlier) and observes it otherwise. Their windows, medians and
+// verdicts must stay bit-identical, and NonzeroEvictionIn must agree
+// with a brute-force scan (after every step; every 17th on the default
+// window).
+func TestSkipMatchesObservingZeros(t *testing.T) {
+	// A residual that sits below its baseline — a periodic daemon gone
+	// quiet — puts the median below -threshold, where 0 is an outlier.
+	quiet := struct {
+		name string
+		gen  func(rng *rand.Rand, i int) float64
+	}{"quiet-daemon", func(rng *rand.Rand, _ int) float64 { return -3 - float64(rng.Intn(2))/2 }}
+	for _, s := range append(servedSeries, quiet) {
+		for _, window := range servedWindows {
+			rng := rand.New(rand.NewSource(200 + int64(window)))
+			eager, lazy := NewDetector(window, 2), NewDetector(window, 2)
+			skipped := 0
+			for i := 0; i < 3*window+40; i++ {
+				if rng.Intn(3) == 0 {
+					run := 1 + rng.Intn(2*window+2)
+					if ev := lazy.NonzeroEvictionIn(); (ev < 0 || ev > run) && !lazy.ZeroIsOutlier() {
+						lazy.Skip(run)
+						skipped++
+					} else {
+						for j := 0; j < run; j++ {
+							lazy.Observe(0)
+						}
+					}
+					for j := 0; j < run; j++ {
+						eager.Observe(0)
+					}
+				} else {
+					v := s.gen(rng, i)
+					if got, want := lazy.Observe(v), eager.Observe(v); !sameObservation(got, want) {
+						t.Fatalf("%s window %d sample %d: %+v vs every-zero detector %+v", s.name, window, i, got, want)
+					}
+				}
+				checkWindow(t, &lazy.med)
+				if window == DefaultWindow && i%17 != 0 {
+					continue // the full comparison is O(window)
+				}
+				if !reflect.DeepEqual(lazy.State(), eager.State()) ||
+					math.Float64bits(lazy.med.median()) != math.Float64bits(eager.med.median()) {
+					t.Fatalf("%s window %d step %d: skipping detector diverged", s.name, window, i)
+				}
+				if got, want := lazy.NonzeroEvictionIn(), nonzeroEvictionRef(lazy); got != want {
+					t.Fatalf("%s window %d step %d: NonzeroEvictionIn = %d, brute force %d", s.name, window, i, got, want)
+				}
+			}
+			if skipped == 0 && s.name != "gaussian" {
+				t.Errorf("%s window %d: no run was skipped", s.name, window)
 			}
 		}
 	}

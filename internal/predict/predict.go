@@ -9,6 +9,7 @@
 package predict
 
 import (
+	"slices"
 	"sort"
 	"time"
 
@@ -240,34 +241,13 @@ type Engine struct {
 	//elsa:ephemeral model-derived wiring rebuilt by NewEngine
 	firstEvents map[int][]*correlate.Chain
 
-	detectors denseFilters // dense events only
-	//elsa:ephemeral per-tick scratch, rewritten by every DetectOutliers call
-	counts []int // this tick's count per detector, parallel to detectors
+	detectors []denseFilter // dense events only, ascending event id
+	//elsa:ephemeral model-derived wiring rebuilt by NewEngine
+	position []int32 // event id -> index into detectors, -1 for the sparse path
+	//elsa:ephemeral filter clock and due table; NewEngine and Restore rebuild them from the windows
+	scan   filterScan
 	active []*instance
 	spans  map[string]*spanTracker // chain key -> confirmed-delay stats
-}
-
-// denseFilter is one dense event's online outlier filter. A periodic
-// signal is scored on its residual against baseline, the per-phase
-// profile learned in training; baseline is nil for every other class.
-type denseFilter struct {
-	id       int
-	det      *outlier.Detector
-	baseline []float64
-}
-
-// denseFilters is a model's dense filter set in filtering order:
-// ascending event id.
-type denseFilters []denseFilter
-
-// index returns the position of event id's filter, or -1 when the event
-// takes the sparse path.
-func (fs denseFilters) index(id int) int {
-	i := sort.Search(len(fs), func(i int) bool { return fs[i].id >= id })
-	if i < len(fs) && fs[i].id == id {
-		return i
-	}
-	return -1
 }
 
 // spanTracker accumulates the observed trigger-to-terminal spans of one
@@ -301,19 +281,49 @@ func NewEngine(model *correlate.Model, profiles map[string]*location.Profile, cf
 	e.rebuildChains()
 	// Dense signals get a real online filter; silent signals use the
 	// fast path (any occurrence is an outlier). The set never changes
-	// after construction, so it is put in filtering order here, once.
+	// after construction, so it is put in order and indexed here, once.
+	maxID := -1
 	for id, p := range model.Profiles {
 		if p.Class != sig.Silent && model.Mode != correlate.DataMiningOnly {
-			d := denseFilter{id: id, det: outlier.NewDetector(cfg.OutlierWindow, model.Thresholds[id])}
+			d := denseFilter{id: id, det: *outlier.NewDetector(cfg.OutlierWindow, model.Thresholds[id])}
 			if p.Class == sig.Periodic {
 				d.baseline = p.Baseline
 			}
 			e.detectors = append(e.detectors, d)
+			maxID = max(maxID, id)
 		}
 	}
 	sort.Slice(e.detectors, func(i, j int) bool { return e.detectors[i].id < e.detectors[j].id })
-	e.counts = make([]int, len(e.detectors))
+	// Event ids are dense template ids (LoadModel rejects a profile that
+	// names no template), so a table indexed by id finds a count's
+	// detector in one load.
+	e.position = make([]int32, maxID+1)
+	for i := range e.position {
+		e.position[i] = -1
+	}
+	e.scan.due = make([]int, len(e.detectors))
+	e.scan.counts = make([]int, len(e.detectors))
+	for i := range e.detectors {
+		d := &e.detectors[i]
+		if d.id >= 0 {
+			e.position[d.id] = int32(i)
+		}
+		if !slices.ContainsFunc(d.baseline, func(b float64) bool { return b != 0 }) {
+			d.baseline = nil // c − 0 is c: an all-zero baseline scores like none
+		}
+		d.last, d.evictAt = -1, never
+		e.scan.due[i] = d.due()
+	}
 	return e
+}
+
+// detector returns the position of event id's filter, or -1 when the
+// event takes the sparse path.
+func (e *Engine) detector(id int) int {
+	if uint(id) < uint(len(e.position)) {
+		return int(e.position[id])
+	}
+	return -1
 }
 
 // rebuildChains derives the engine's chain wiring from the model's
@@ -404,68 +414,6 @@ func (e *Engine) DetectorIDs() []int {
 		ids[i] = d.id
 	}
 	return ids
-}
-
-// scatter deals the tick's counts out to their consumers: a dense event's
-// count lands in e.counts at its detector's position, and every other
-// event (silent signals and event types never seen in training, where any
-// occurrence is an outlier) becomes a sparse hit. A tick names a handful
-// of events against a model's hundreds of detectors, so the map is walked
-// once rather than probed once per detector. The sparse hits are sorted
-// here so the function's output is deterministic on its own — the ids
-// come out of a map — rather than relying on the caller to canonicalise
-// the merged hit set (it does, but elsavet rightly refuses to take that
-// on faith); the e.counts stores land on distinct positions, so their
-// order does not matter. Clearing first, not after use, keeps a tick that
-// panicked half-way from leaking counts into the next.
-func (e *Engine) scatter(t *Tick) (sparse []Hit) {
-	clear(e.counts)
-	for id, c := range t.Counts {
-		if i := e.detectors.index(id); i >= 0 {
-			e.counts[i] = c
-			continue
-		}
-		sparse = append(sparse, Hit{Event: id, Loc: t.FirstLoc[id]})
-	}
-	sortHits(sparse)
-	return sparse
-}
-
-// observe feeds the tick's count c of the filter's event to its detector
-// and reports whether the tick is an outlier occurrence. Periodic signals
-// are scored on their phase residual, anchored to the training epoch
-// (sinceTrain is the tick's distance from it in steps), so scheduled
-// beats pass.
-//
-//elsa:hotpath
-func (d *denseFilter) observe(c, sinceTrain int) bool {
-	v := float64(c)
-	if n := len(d.baseline); n > 0 {
-		phase := sinceTrain % n
-		if phase < 0 {
-			phase += n
-		}
-		v -= d.baseline[phase]
-	}
-	return d.det.Observe(v).Outlier && c > 0
-}
-
-// DetectOutliers runs the full filtering stage for one tick: every dense
-// detector observes its value — exactly once per tick, in tick order, so
-// its window state evolves — sparse events pass through, and the hit set
-// is sorted for deterministic matching. It is the only loop over the
-// dense detectors: the pipeline's filter stage and the benchmark's
-// layered driver both call it.
-func (e *Engine) DetectOutliers(t *Tick, tickStart time.Time) []Hit {
-	hits := e.scatter(t)
-	sinceTrain := int(tickStart.Sub(e.model.TrainStart) / e.cfg.Step)
-	for i := range e.detectors {
-		if d := &e.detectors[i]; d.observe(e.counts[i], sinceTrain) {
-			hits = append(hits, Hit{Event: d.id, Loc: t.FirstLoc[d.id]})
-		}
-	}
-	sortHits(hits)
-	return hits
 }
 
 // MatchChains advances the chain-matching stage by one tick's sorted hit
@@ -660,17 +608,4 @@ func abs(x int) int {
 		return -x
 	}
 	return x
-}
-
-// sortHits orders outlier hits by event id (insertion sort; outlier sets
-// per tick are tiny). Hits within one tick never share an event id, so
-// the order is total and matching is deterministic.
-//
-//elsa:hotpath
-func sortHits(hits []Hit) {
-	for i := 1; i < len(hits); i++ {
-		for j := i; j > 0 && hits[j].Event < hits[j-1].Event; j-- {
-			hits[j], hits[j-1] = hits[j-1], hits[j]
-		}
-	}
 }

@@ -41,7 +41,9 @@ type SpanState struct {
 
 // State snapshots the engine's online state. The active-instance order
 // is preserved exactly: prediction emission order depends on it, and the
-// resume contract is bit-identical continuation.
+// resume contract is bit-identical continuation. Detectors the filter
+// stage has not visited lately are caught up first, so the windows on
+// the wire are the ones a detector that observed every tick holds.
 //
 //elsa:snapshotter encode
 func (e *Engine) State() *EngineState {
@@ -50,7 +52,9 @@ func (e *Engine) State() *EngineState {
 		Active:    make([]InstanceState, 0, len(e.active)),
 		Spans:     make(map[string]SpanState, len(e.spans)),
 	}
-	for _, d := range e.detectors {
+	for i := range e.detectors {
+		d := &e.detectors[i]
+		e.catchUp(d)
 		st.Detectors[d.id] = d.det.State()
 	}
 	for _, in := range e.active {
@@ -84,13 +88,14 @@ func (e *Engine) Restore(st *EngineState) error {
 		byKey[e.chains[i].Key()] = &e.chains[i]
 	}
 	for id, ds := range st.Detectors {
-		i := e.detectors.index(id)
+		i := e.detector(id)
 		if i < 0 {
 			return fmt.Errorf("predict: snapshot has detector state for unknown event %d", id)
 		}
 		if err := e.detectors[i].det.Restore(ds); err != nil {
 			return fmt.Errorf("predict: event %d: %w", id, err)
 		}
+		e.restored(i)
 	}
 	e.active = e.active[:0]
 	for i, is := range st.Active {

@@ -110,6 +110,13 @@ func LoadModel(r io.Reader) (*Model, error) {
 	if err != nil {
 		return nil, fmt.Errorf("elsa: load model: %w", err)
 	}
+	// Event ids are template ids; the online engine indexes its filters
+	// by them, so an id no template carries is refused here.
+	for id := range env.Model.Profiles {
+		if id < 0 || id >= len(env.HELO.Templates) {
+			return nil, fmt.Errorf("elsa: load model: profile for event %d, which none of the %d templates carries", id, len(env.HELO.Templates))
+		}
+	}
 	cfg := DefaultTrainConfig()
 	cfg.Mode = env.Model.Mode
 	if env.Model.Step > 0 {

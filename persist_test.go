@@ -74,6 +74,16 @@ func TestLoadModelRejectsBadInput(t *testing.T) {
 	if _, err := LoadModel(strings.NewReader(`{"version":1,"model":{}}`)); err == nil {
 		t.Error("incomplete model accepted")
 	}
+	// The engine indexes its filters by event id, so a profile for an
+	// id no template carries (here 1 << 40, with two templates) is
+	// refused rather than sizing that index.
+	forged := strings.Replace(smallModelJSON, `"Profiles":{"0":`, `"Profiles":{"1099511627776":{"Class":0},"0":`, 1)
+	if forged == smallModelJSON {
+		t.Fatal("could not forge a profile; model layout changed?")
+	}
+	if _, err := LoadModel(strings.NewReader(forged)); err == nil || !strings.Contains(err.Error(), "templates") {
+		t.Errorf("profile for an event no template carries: err = %v", err)
+	}
 }
 
 func TestLoadModelVersionMismatchIsTyped(t *testing.T) {

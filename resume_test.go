@@ -8,6 +8,8 @@ import (
 	"strings"
 	"testing"
 	"time"
+
+	"github.com/elsa-hpc/elsa/internal/outlier"
 )
 
 // TestResumedMonitorMatchesUninterrupted is the crash-resume acceptance
@@ -336,6 +338,32 @@ func TestResumeMonitorAcceptsIndentedSnapshot(t *testing.T) {
 	}
 }
 
+// forgeUnevenWindows cuts event 0's corrected window in a snapshot to
+// one sample, leaving its raw window longer.
+func forgeUnevenWindows(t testing.TB, snap []byte) []byte {
+	t.Helper()
+	return forgeSnapshot(t, snap, func(env map[string]any) {
+		det := object(t, env, "session", "engine", "detectors", "0")
+		raw, ok := det["raw"].([]any)
+		if !ok || len(raw) < 2 {
+			t.Fatalf("event 0's raw window is %v; the seed no longer fills it", det["raw"])
+		}
+		det["cor"] = raw[:1]
+	})
+}
+
+// TestResumeMonitorRejectsUnevenDetectorWindows: State never writes a
+// detector whose raw and corrected windows differ in length, so a
+// snapshot that holds one is refused with the typed
+// *outlier.WindowShapeError, not resumed and not a panic.
+func TestResumeMonitorRejectsUnevenDetectorWindows(t *testing.T) {
+	_, err := fuzzResumeModel(t).ResumeMonitor(bytes.NewReader(forgeUnevenWindows(t, resumeSeed(t))))
+	var shape *outlier.WindowShapeError
+	if !errors.As(err, &shape) || shape.Cor != 1 || shape.Raw < 2 {
+		t.Fatalf("err = %v, want an *outlier.WindowShapeError", err)
+	}
+}
+
 // FuzzResumeMonitor: a monitor snapshot is bytes this process did not
 // necessarily write. Arbitrary input must come back as an error, never
 // a panic, and whatever ResumeMonitor accepts must be a fixed point of
@@ -350,6 +378,7 @@ func FuzzResumeMonitor(f *testing.F) {
 	f.Add([]byte(`{"version":3,"session":{"accum":{"max_lag":360,"exact":true,"mass":7,"last_tick":3,"last_trim":9}}}`))
 	f.Add([]byte(fmt.Sprintf(`{"version":%d,"session":{"accum":{"max_lag":360,"last_tick":3,"last_trim":9}}}`, monitorFormatVersion)))
 	f.Add(forgeThreshold(f, seed, "2"))
+	f.Add(forgeUnevenWindows(f, seed))
 	f.Fuzz(func(t *testing.T, data []byte) {
 		mon, err := fuzzResumeModel(t).ResumeMonitor(bytes.NewReader(data))
 		if err != nil {
