@@ -55,7 +55,7 @@ func feedAccum(ac *sig.Accumulator, trains sig.SpikeTrains, from int) {
 				outliers = append(outliers, id)
 			}
 		}
-		ac.ObserveTick(t, nil, outliers)
+		ac.ObserveTick(t, sig.Counts{}, outliers)
 	}
 }
 
@@ -277,9 +277,11 @@ func BenchmarkRefreshSteadyState(b *testing.B) {
 	next := 0
 	observe := func() {
 		evs := byTick[next%horizon]
-		counts := make(map[int]int, len(evs))
+		var counts sig.Counts
 		for _, id := range evs {
-			counts[id] = 1
+			if counts.Slot(id) < 0 {
+				counts.Add(id, 1)
+			}
 		}
 		acc.ObserveTick(next, counts, evs)
 		next++
@@ -469,9 +471,11 @@ func TestRefreshMatchesSerialReference(t *testing.T) {
 			acfg.HorizonCap = tc.horizonCap
 			accGot, accWant := sig.NewAccumulator(acfg), sig.NewAccumulator(acfg)
 			feed := func(tick int, hits []int) {
-				counts := make(map[int]int, len(hits))
+				var counts sig.Counts
 				for _, id := range hits {
-					counts[id] = 1
+					if counts.Slot(id) < 0 {
+						counts.Add(id, 1)
+					}
 				}
 				accGot.ObserveTick(tick, counts, hits)
 				accWant.ObserveTick(tick, counts, hits)

@@ -115,29 +115,50 @@ func TestSessionDropsFarFutureTimestamp(t *testing.T) {
 func TestSamplerForwardJumpBound(t *testing.T) {
 	const day = 24 * time.Hour
 	s := newSampler(t0, day, -1)
-	if _, ok := s.add(logs.Record{Time: t0.Add(367 * day), EventID: 1}); ok {
+	if _, ok := sampleRecord(s, logs.Record{Time: t0.Add(367 * day), EventID: 1}); ok {
 		t.Error("record 367 days past the origin accepted")
 	}
 	if s.late != 1 {
 		t.Errorf("late = %d, want 1", s.late)
 	}
-	if ready := s.bump(t0.Add(367 * day)); len(ready) != 0 || !s.hw.IsZero() {
-		t.Errorf("shed timestamp 367 days ahead closed %d ticks, moved the mark to %v", len(ready), s.hw)
+	if s.bump(t0.Add(367 * day)); s.closeDue() > s.next || !s.hw.IsZero() {
+		t.Errorf("shed timestamp 367 days ahead made %d ticks due, moved the mark to %v", s.closeDue()-s.next, s.hw)
 	}
-	if _, ok := s.add(logs.Record{Time: t0.Add(365 * day), EventID: 1}); !ok {
+	if _, ok := sampleRecord(s, logs.Record{Time: t0.Add(365 * day), EventID: 1}); !ok {
 		t.Error("record 365 days past the origin dropped: a year-long outage must be survivable")
 	}
 	// The wall clock is authoritative: after it moved the cursor two more
 	// years on, a record there is current, not ahead of the stale mark.
-	s.advanceTo(t0.Add(3 * 365 * day))
-	if _, ok := s.add(logs.Record{Time: t0.Add(3*365*day + time.Hour), EventID: 1}); !ok {
+	closeTicks(s, s.closeBy(t0.Add(3*365*day)))
+	if _, ok := sampleRecord(s, logs.Record{Time: t0.Add(3*365*day + time.Hour), EventID: 1}); !ok {
 		t.Error("record just past an advanceTo cursor dropped as too far ahead")
 	}
 	// A bounded (replay) session keeps its own rule: in-window is in.
 	b := newSampler(t0, day, 800)
-	if _, ok := b.add(logs.Record{Time: t0.Add(700 * day), EventID: 1}); !ok {
+	if _, ok := sampleRecord(b, logs.Record{Time: t0.Add(700 * day), EventID: 1}); !ok {
 		t.Error("bounded session dropped an in-window record")
 	}
+}
+
+// sampleRecord is the sampler's half of Session.sample: admit, close the
+// ticks that made due (returning how many), insert.
+func sampleRecord(s *sampler, rec logs.Record) (closed int, ok bool) {
+	idx, ok := s.admit(rec)
+	closed = closeTicks(s, s.closeDue())
+	if ok {
+		s.insert(idx, rec)
+	}
+	return closed, ok
+}
+
+// closeTicks closes every tick before target without running them
+// anywhere, and returns how many it closed.
+func closeTicks(s *sampler, target int) int {
+	n := 0
+	for ; s.next < target; n++ {
+		s.closeNext()
+	}
+	return n
 }
 
 func TestSessionShedsUnderOverloadAndRecovers(t *testing.T) {

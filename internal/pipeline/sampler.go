@@ -8,11 +8,25 @@ import (
 )
 
 // tickBatch is one closed sampling tick flowing from the Sample stage to
-// the OutlierFilter stage.
+// the OutlierFilter stage. Its sample is the sampler's slot: valid until
+// the next tick closes.
 type tickBatch struct {
 	idx        int
 	start, end time.Time
 	sample     *predict.Tick
+}
+
+// slotCount is how many ticks can be open at once: a record closes the
+// ticks due before it lands, so open ticks lie in [next,
+// next+DefaultGraceTicks].
+const slotCount = DefaultGraceTicks + 1
+
+// slot is one recycled open-tick aggregate: tick idx while idx >= the
+// sampler's next, a stale (closed) one otherwise, reset when a record or
+// a close next claims it.
+type slot struct {
+	idx  int
+	tick predict.Tick
 }
 
 // sampler is the Sample/Signal stage body: it folds records into
@@ -29,6 +43,11 @@ type tickBatch struct {
 // wall-clock advancement (advanceTo) is authoritative and closes ticks
 // without grace.
 //
+// A record first advances the high-water mark and closes the ticks that
+// became due, then lands in its tick, which is never among them. So the
+// open ticks always lie in [next, next+DefaultGraceTicks], and tick k
+// lives in slots[k%slotCount]: no tick is allocated or freed.
+//
 //elsa:snapshot
 type sampler struct {
 	origin time.Time
@@ -36,9 +55,9 @@ type sampler struct {
 	//elsa:ephemeral run-window bound is a constructor argument; resumed sessions are always unbounded
 	limit int // ticks in the run window; < 0 means unbounded (live session)
 
-	next int // next tick index to close
-	hw   time.Time
-	open map[int]*predict.Tick
+	next  int // next tick index to close
+	hw    time.Time
+	slots [slotCount]slot
 	//elsa:ephemeral derived from the open tick aggregates; recomputed on resume
 	buffered int // records currently held in open ticks
 
@@ -51,12 +70,11 @@ type sampler struct {
 //
 //elsa:snapshotter decode
 func newSampler(origin time.Time, step time.Duration, limit int) *sampler {
-	return &sampler{
-		origin: origin,
-		step:   step,
-		limit:  limit,
-		open:   make(map[int]*predict.Tick),
+	s := &sampler{origin: origin, step: step, limit: limit}
+	for i := range s.slots {
+		s.slots[i].idx = -1
 	}
+	return s
 }
 
 func (s *sampler) tickStart(idx int) time.Time {
@@ -65,12 +83,12 @@ func (s *sampler) tickStart(idx int) time.Time {
 
 // maxForwardJump is how far past the cursor an unbounded session lets one
 // record stamp itself. A record beyond it is dropped as a straggler:
-// sampling it would close, and materialise within that one call, every
-// tick up to a collector's sentinel date (2038, 9999) — which does not
-// return. The bound is a year, not minutes, because the cursor goes stale
-// while the monitored machine is down: a resumed monitor must accept the
-// first record after any shorter outage, or every later record would
-// look "ahead" of the stale cursor too.
+// sampling it would close, within that one call, every tick up to a
+// collector's sentinel date (2038, 9999) — which does not return. The
+// bound is a year, not minutes, because the cursor goes stale while the
+// monitored machine is down: a resumed monitor must accept the first
+// record after any shorter outage, or every later record would look
+// "ahead" of the stale cursor too.
 const maxForwardJump = 366 * 24 * time.Hour
 
 // tooFarAhead reports whether a timestamp d past the origin is more than
@@ -83,105 +101,111 @@ func (s *sampler) tooFarAhead(d time.Duration) bool {
 	return s.limit < 0 && d-time.Duration(s.next)*s.step > maxForwardJump
 }
 
-// add folds one record in and returns the ticks its arrival closed, in
-// order. ok is false when the record was dropped.
-func (s *sampler) add(rec logs.Record) (ready []tickBatch, ok bool) {
+// admit classifies one record and returns its tick; ok is false when it
+// was dropped. An admitted record advances the high-water mark: the
+// caller closes the ticks that made due (closeDue) before it inserts the
+// record.
+func (s *sampler) admit(rec logs.Record) (idx int, ok bool) {
 	if rec.Time.Before(s.origin) {
 		s.outside++
-		return nil, false
+		return 0, false
 	}
 	d := rec.Time.Sub(s.origin)
-	idx := int(d / s.step)
+	idx = int(d / s.step)
 	if s.limit >= 0 && idx >= s.limit {
 		s.outside++
-		return nil, false
+		return 0, false
 	}
 	if idx < s.next || s.tooFarAhead(d) {
 		s.late++
-		return nil, false
+		return 0, false
 	}
-	t := s.open[idx]
-	if t == nil {
-		t = predict.NewTick()
-		s.open[idx] = t
-	}
-	n0 := t.N
-	t.Add(rec)
-	s.buffered += t.N - n0
 	if rec.Time.After(s.hw) {
 		s.hw = rec.Time
 	}
-	// Close every tick whose grace window the high-water mark has passed:
-	// tick i closes once hw >= end(i) + DefaultGraceTicks*step.
-	for !s.hw.Before(s.tickStart(s.next + 1 + DefaultGraceTicks)) {
-		ready = append(ready, s.closeNext())
-	}
-	return ready, true
+	return idx, true
 }
 
-// bump advances the high-water mark without sampling a record, closing
-// any ticks whose grace window it passed. The overload-shedding path
-// uses it: a flood's records are dropped, but their timestamps still
-// drive tick progress so the buffer drains and shedding can stop — unless
-// the timestamp is too far ahead to be believed.
-func (s *sampler) bump(ts time.Time) (ready []tickBatch) {
+// insert folds an admitted record into its open tick.
+//
+//elsa:hotpath
+func (s *sampler) insert(idx int, rec logs.Record) {
+	t := s.claim(idx)
+	n0 := t.N
+	t.Add(rec)
+	s.buffered += t.N - n0
+}
+
+// claim returns tick idx's slot, emptied first if it still held a closed
+// tick.
+//
+//elsa:hotpath
+func (s *sampler) claim(idx int) *predict.Tick {
+	sl := &s.slots[idx%slotCount]
+	if sl.idx != idx {
+		sl.tick.Reset()
+		sl.idx = idx
+	}
+	return &sl.tick
+}
+
+// bump advances the high-water mark without sampling a record. The
+// overload-shedding path uses it: a flood's records are dropped, but
+// their timestamps still drive tick progress (closeDue) so the buffer
+// drains and shedding can stop — unless the timestamp is too far ahead
+// to be believed.
+func (s *sampler) bump(ts time.Time) {
 	if ts.After(s.hw) && !s.tooFarAhead(ts.Sub(s.origin)) {
 		s.hw = ts
 	}
-	for !s.hw.Before(s.tickStart(s.next + 1 + DefaultGraceTicks)) {
-		if s.limit >= 0 && s.next >= s.limit {
-			break
-		}
-		ready = append(ready, s.closeNext())
-	}
-	return ready
 }
 
-// advanceTo closes every tick that ends at or before now — the wall
-// clock is authoritative, so no grace applies. Call it periodically
-// during quiet spells so chain expiry keeps pace with real time.
-func (s *sampler) advanceTo(now time.Time) (ready []tickBatch) {
-	for {
-		if s.limit >= 0 && s.next >= s.limit {
-			return ready
-		}
-		if now.Before(s.tickStart(s.next + 1)) {
-			return ready
-		}
-		ready = append(ready, s.closeNext())
-	}
+// The close targets: every tick before the returned index is ready to
+// close. Ticks close, through Session.closeTo, in order and one at a
+// time; a bounded session never closes past its window.
+
+// closeDue is the target of the high-water mark: tick i closes once hw >=
+// end(i) + DefaultGraceTicks*step.
+func (s *sampler) closeDue() int {
+	return s.bound(int(s.hw.Sub(s.origin)/s.step) - DefaultGraceTicks)
 }
 
-// flush closes everything still pending: through the run window's end
-// when bounded (emitting trailing empty ticks so signal state evolves
+// closeBy is the target of the wall clock at now, which is authoritative:
+// every tick that ends at or before now closes, without grace.
+func (s *sampler) closeBy(now time.Time) int {
+	return s.bound(int(now.Sub(s.origin) / s.step))
+}
+
+// closeAll is the target of a flush: through the run window's end when
+// bounded (trailing empty ticks included, so signal state evolves
 // exactly as a full replay), or through the last tick holding records
 // when unbounded.
-func (s *sampler) flush() (ready []tickBatch) {
-	target := s.limit
-	if s.limit < 0 {
-		target = s.next
-		for idx := range s.open {
-			if idx >= target {
-				target = idx + 1
-			}
+func (s *sampler) closeAll() int {
+	if s.limit >= 0 {
+		return s.limit
+	}
+	target := s.next
+	for _, sl := range s.slots {
+		if sl.idx >= target {
+			target = sl.idx + 1
 		}
 	}
-	for s.next < target {
-		ready = append(ready, s.closeNext())
-	}
-	return ready
+	return target
 }
 
-// closeNext seals the next tick (empty if no records landed in it).
+func (s *sampler) bound(target int) int {
+	if s.limit >= 0 {
+		return min(target, s.limit)
+	}
+	return target
+}
+
+// closeNext seals the next tick (empty if no records landed in it). Its
+// slot is recycled by the next tick that claims it.
 func (s *sampler) closeNext() tickBatch {
 	idx := s.next
-	t := s.open[idx]
-	if t == nil {
-		t = predict.NewTick()
-	} else {
-		delete(s.open, idx)
-		s.buffered -= t.N
-	}
+	t := s.claim(idx)
+	s.buffered -= t.N
 	s.next++
 	return tickBatch{idx: idx, start: s.tickStart(idx), end: s.tickStart(idx + 1), sample: t}
 }

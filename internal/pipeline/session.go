@@ -78,24 +78,28 @@ func (s *Session) Feed(rec logs.Record) ([]predict.Prediction, error) {
 // progress so the buffer drains.
 func (s *Session) shed(ts time.Time) []predict.Prediction {
 	s.p.counters[stageSample].shed.Add(1)
-	return s.runBatches(s.smp.bump(ts))
+	s.smp.bump(ts)
+	return s.closeTo(s.smp.closeDue())
 }
 
-// sample folds one admitted, stamped record into its tick and runs the
-// ticks its arrival closed.
+// sample folds one admitted, stamped record into its tick, after running
+// the ticks its arrival closed.
 func (s *Session) sample(rec logs.Record) []predict.Prediction {
 	if s.p.accum != nil && rec.EventID >= 0 {
 		s.p.accum.NoteSeverity(rec.EventID, int(rec.Severity))
 	}
 	c := &s.p.counters[stageSample]
 	c.in.Add(1)
-	batches, accepted := s.smp.add(rec)
-	if !accepted {
+	idx, accepted := s.smp.admit(rec)
+	out := s.closeTo(s.smp.closeDue())
+	if accepted {
+		s.smp.insert(idx, rec)
+	} else {
 		c.dropped.Add(1)
 		s.res.Stats.LateRecords++
 	}
 	c.observeQueue(s.smp.buffered)
-	return s.runBatches(batches)
+	return out
 }
 
 // AdvanceTo closes every tick that ends at or before now, returning the
@@ -108,7 +112,7 @@ func (s *Session) AdvanceTo(now time.Time) []predict.Prediction {
 	if s.closed {
 		return nil
 	}
-	return s.runBatches(s.smp.advanceTo(now))
+	return s.closeTo(s.smp.closeBy(now))
 }
 
 // Close flushes every still-open tick and returns the accumulated
@@ -118,7 +122,7 @@ func (s *Session) AdvanceTo(now time.Time) []predict.Prediction {
 //elsa:transition open->closed closed->closed
 func (s *Session) Close() *predict.Result {
 	if !s.closed {
-		s.runBatches(s.smp.flush())
+		s.closeTo(s.smp.closeAll())
 		s.closed = true
 		s.p.fillStats(&s.res.Stats)
 	}
@@ -132,12 +136,15 @@ func (s *Session) Result() *predict.Result {
 	return s.res
 }
 
-// runBatches pushes closed ticks through the filter and match stages,
-// teeing each closed tick's hit set into the statistics accumulator
-// when one is armed.
-func (s *Session) runBatches(batches []tickBatch) []predict.Prediction {
+// closeTo closes every tick before target, in order, and pushes each
+// through the filter and match stages before the next closes — teeing
+// its hit set into the statistics accumulator when one is armed. Every
+// path that closes ticks (a record, a shed record's timestamp, the wall
+// clock, Close) goes through this one loop.
+func (s *Session) closeTo(target int) []predict.Prediction {
 	var out []predict.Prediction
-	for _, b := range batches {
+	for s.smp.next < target {
+		b := s.smp.closeNext()
 		s.p.counters[stageSample].out.Add(1)
 		hits := s.p.detectSafe(b.sample, b.start)
 		if s.p.accum != nil {

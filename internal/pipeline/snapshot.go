@@ -62,10 +62,12 @@ func (s *Session) State() (*SessionState, error) {
 		Shedding:  s.p.shedding.Load(),
 		Engine:    s.p.eng.State(),
 	}
-	if len(s.smp.open) > 0 {
-		st.Open = make(map[int]*predict.Tick, len(s.smp.open))
-		for idx, t := range s.smp.open {
-			st.Open[idx] = copyTick(t)
+	for i := range s.smp.slots {
+		if sl := &s.smp.slots[i]; sl.idx >= s.smp.next {
+			if st.Open == nil {
+				st.Open = make(map[int]*predict.Tick, slotCount)
+			}
+			st.Open[sl.idx] = sl.tick.Clone()
 		}
 	}
 	if s.p.accum != nil {
@@ -103,21 +105,9 @@ func (p *Pipeline) ResumeSession(st *SessionState) (*Session, error) {
 	if err := p.eng.Restore(st.Engine); err != nil {
 		return nil, err
 	}
-	smp := newSampler(st.Origin, st.Step, -1)
-	smp.next = st.NextTick
-	smp.hw = st.HighWater
-	smp.late = st.Late
-	smp.outside = st.Outside
-	for idx, t := range st.Open {
-		if t == nil {
-			continue
-		}
-		if idx < st.NextTick {
-			return nil, fmt.Errorf("pipeline: snapshot holds open tick %d behind its cursor %d",
-				idx, st.NextTick)
-		}
-		smp.open[idx] = copyTick(t)
-		smp.buffered += t.N
+	smp, err := resumeSampler(st)
+	if err != nil {
+		return nil, err
 	}
 	p.shedding.Store(st.Shedding)
 	if p.accum != nil && st.Accum != nil {
@@ -168,17 +158,47 @@ func (p *Pipeline) restoreCounters(stages []predict.StageStats) {
 	}
 }
 
-// copyTick deep-copies one open tick aggregate.
-func copyTick(t *predict.Tick) *predict.Tick {
-	c := predict.NewTick()
-	c.N = t.N
-	for k, v := range t.Counts {
-		c.Counts[k] = v
+// resumeSampler rebuilds the sampler cursor and its open ticks from a
+// snapshot, refusing what Session.State could not have written: a
+// cursor behind tick 0 or behind the ticks its high-water mark made due,
+// an open tick outside [NextTick, NextTick+DefaultGraceTicks], or one
+// whose record count is not the sum of its per-event counts.
+//
+//elsa:snapshotter decode
+func resumeSampler(st *SessionState) (*sampler, error) {
+	smp := newSampler(st.Origin, st.Step, -1)
+	smp.next = st.NextTick
+	smp.hw = st.HighWater
+	smp.late = st.Late
+	smp.outside = st.Outside
+	if smp.next < 0 || smp.closeDue() > smp.next {
+		return nil, fmt.Errorf("pipeline: snapshot cursor %d is behind tick 0 or its high-water mark %v",
+			st.NextTick, st.HighWater)
 	}
-	for k, v := range t.FirstLoc {
-		c.FirstLoc[k] = v
+	for idx, t := range st.Open {
+		if t == nil {
+			continue
+		}
+		if idx < smp.next || idx-smp.next > DefaultGraceTicks {
+			return nil, fmt.Errorf("pipeline: snapshot holds open tick %d outside [%d, %d]",
+				idx, smp.next, smp.next+DefaultGraceTicks)
+		}
+		sum := 0
+		for _, c := range t.Counts.All() {
+			if c.N < 1 || c.N > t.N-sum {
+				sum = -1 // a count no record total can hold
+				break
+			}
+			sum += c.N
+		}
+		if sum != t.N {
+			return nil, fmt.Errorf("pipeline: snapshot's open tick %d holds %d records, not the sum of its counts",
+				idx, t.N)
+		}
+		*smp.claim(idx) = *t.Clone()
+		smp.buffered += t.N
 	}
-	return c
+	return smp, nil
 }
 
 func copyCounts(m map[string]int) map[string]int {

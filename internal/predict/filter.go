@@ -67,13 +67,15 @@ type filterScan struct {
 	clock  int   // DetectOutliers calls so far
 	due    []int // each filter's due(), kept current by every visit
 	counts []int // scratch: the call's count of each filter's event
-	hits   []int // scratch: the call's hit event ids
+	ids    []int // scratch: the call's hit event ids
+	hits   []Hit // the call's hits, returned to the caller
 }
 
 // DetectOutliers runs the filtering stage for one tick: dense detectors
 // observe their value, sparse events pass through, and the hit set is
 // sorted for deterministic matching. The pipeline's filter stage and the
 // benchmark's layered driver both call it, once per tick, in tick order.
+// The hits are the engine's: valid until the next call.
 //
 // Every detector takes one sample a call, but only the ones whose state
 // can change are visited (DESIGN.md §8 "Visiting only what can change"):
@@ -99,12 +101,12 @@ func (e *Engine) DetectOutliers(t *Tick, tickStart time.Time) []Hit {
 	since := int(tickStart.Sub(e.model.TrainStart) / e.cfg.Step)
 
 	clear(s.counts)
-	ids := s.hits[:0]
-	for id, c := range t.Counts {
-		if i := e.detector(id); i >= 0 {
-			s.counts[i] = c
+	ids := s.ids[:0]
+	for _, c := range t.Counts.All() {
+		if i := e.detector(c.ID); i >= 0 {
+			s.counts[i] = c.N
 		} else {
-			ids = append(ids, id)
+			ids = append(ids, c.ID)
 		}
 	}
 	for i, c := range s.counts {
@@ -118,15 +120,16 @@ func (e *Engine) DetectOutliers(t *Tick, tickStart time.Time) []Hit {
 	}
 	at = len(e.detectors)
 
-	s.hits = ids
+	s.ids = ids
 	if len(ids) == 0 {
 		return nil
 	}
 	slices.Sort(ids)
-	hits := make([]Hit, len(ids))
-	for j, id := range ids {
-		hits[j] = Hit{Event: id, Loc: t.FirstLoc[id]}
+	hits := s.hits[:0]
+	for _, id := range ids {
+		hits = append(hits, Hit{Event: id, Loc: t.FirstLoc(id)})
 	}
+	s.hits = hits
 	return hits
 }
 

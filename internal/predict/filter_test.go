@@ -28,15 +28,15 @@ import (
 // engine's State and Restore read and write these windows.
 func eagerDetectOutliers(e *Engine, t *Tick, tickStart time.Time) []Hit {
 	var hits []Hit
-	for id := range t.Counts {
-		if e.detector(id) < 0 {
-			hits = append(hits, Hit{Event: id, Loc: t.FirstLoc[id]})
+	for _, c := range t.Counts.All() {
+		if e.detector(c.ID) < 0 {
+			hits = append(hits, Hit{Event: c.ID, Loc: t.FirstLoc(c.ID)})
 		}
 	}
 	sinceTrain := int(tickStart.Sub(e.model.TrainStart) / e.cfg.Step)
 	for i := range e.detectors {
 		d := &e.detectors[i]
-		c := t.Counts[d.id]
+		c := t.Counts.Of(d.id)
 		v := float64(c)
 		if n := len(d.baseline); n > 0 {
 			phase := sinceTrain % n
@@ -46,7 +46,7 @@ func eagerDetectOutliers(e *Engine, t *Tick, tickStart time.Time) []Hit {
 			v -= d.baseline[phase]
 		}
 		if d.det.Observe(v).Outlier && c > 0 {
-			hits = append(hits, Hit{Event: d.id, Loc: t.FirstLoc[d.id]})
+			hits = append(hits, Hit{Event: d.id, Loc: t.FirstLoc(d.id)})
 		}
 	}
 	sort.Slice(hits, func(a, b int) bool { return hits[a].Event < hits[b].Event })
@@ -226,7 +226,7 @@ func firstObserved(e *Engine, tk *Tick, tickStart time.Time) int {
 	since := int(tickStart.Sub(e.model.TrainStart) / e.cfg.Step)
 	for i := range e.detectors {
 		d := &e.detectors[i]
-		if d.residual(tk.Counts[d.id], since) != 0 {
+		if d.residual(tk.Counts.Of(d.id), since) != 0 {
 			return i
 		}
 	}

@@ -9,6 +9,9 @@
 package predict
 
 import (
+	"encoding/json"
+	"errors"
+	"fmt"
 	"slices"
 	"sort"
 	"time"
@@ -184,29 +187,120 @@ type Hit struct {
 
 // Tick is one sampling interval's aggregate: per-event counts, the first
 // location seen per event, and the number of stamped records. It is the
-// unit of work flowing between the sampling and filtering stages.
+// unit of work flowing between the sampling and filtering stages. The
+// counts keep the ids in first-seen order, so the stages walk what the
+// tick touched, and a Tick is recycled with Reset: once its tables have
+// grown to the stream's ids, counting and closing a tick allocate
+// nothing. The zero value is an empty tick.
 type Tick struct {
-	Counts   map[int]int
-	FirstLoc map[int]topology.Location
+	Counts   sig.Counts
+	firstLoc []topology.Location // parallel to Counts.All()
 	N        int
 }
 
 // NewTick returns an empty tick sample.
-func NewTick() *Tick {
-	return &Tick{Counts: make(map[int]int), FirstLoc: make(map[int]topology.Location)}
-}
+func NewTick() *Tick { return new(Tick) }
 
 // Add folds one record into the tick. Records without an event id are
 // ignored (they carry no signal).
+//
+//elsa:hotpath
 func (t *Tick) Add(r logs.Record) {
 	if r.EventID < 0 {
 		return
 	}
 	t.N++
-	t.Counts[r.EventID]++
-	if _, ok := t.FirstLoc[r.EventID]; !ok {
-		t.FirstLoc[r.EventID] = r.Location
+	if t.Counts.Add(r.EventID, 1) {
+		if t.firstLoc == nil {
+			t.firstLoc = make([]topology.Location, 0, 8) //nolint:elsahotpath // once per Tick, alongside the counts' first slots
+		}
+		t.firstLoc = append(t.firstLoc, r.Location) //nolint:elsahotpath // amortized: bounded by the distinct ids of one tick
 	}
+}
+
+// FirstLoc returns the location of the first record of event id the tick
+// counted, the zero Location when it counted none.
+func (t *Tick) FirstLoc(id int) topology.Location {
+	if s := t.Counts.Slot(id); s >= 0 {
+		return t.firstLoc[s]
+	}
+	return topology.Location{}
+}
+
+// Reset empties the tick for reuse, keeping its storage.
+//
+//elsa:hotpath
+func (t *Tick) Reset() {
+	t.Counts.Reset()
+	t.firstLoc = t.firstLoc[:0]
+	t.N = 0
+}
+
+// Clone returns a deep copy of the tick.
+func (t *Tick) Clone() *Tick {
+	c := NewTick()
+	for _, e := range t.Counts.All() {
+		c.Counts.Add(e.ID, e.N)
+	}
+	c.firstLoc = append(c.firstLoc, t.firstLoc...)
+	c.N = t.N
+	return c
+}
+
+// tickWire is a Tick's JSON form: the two maps it was once made of, so a
+// snapshot's open ticks keep their bytes.
+type tickWire struct {
+	Counts   map[int]int
+	FirstLoc map[int]topology.Location
+	N        int
+}
+
+// MarshalJSON writes the tick as {"Counts":…,"FirstLoc":…,"N":…}, id
+// keys in encoding/json's map order.
+func (t *Tick) MarshalJSON() ([]byte, error) {
+	w := tickWire{
+		Counts:   make(map[int]int, t.Counts.Len()),
+		FirstLoc: make(map[int]topology.Location, t.Counts.Len()),
+		N:        t.N,
+	}
+	for i, c := range t.Counts.All() {
+		w.Counts[c.ID] = c.N
+		w.FirstLoc[c.ID] = t.firstLoc[i]
+	}
+	return json.Marshal(w)
+}
+
+// UnmarshalJSON reads what MarshalJSON writes. A snapshot is bytes this
+// process did not necessarily write, so a tick Add could not have built
+// — a negative id, a count below 1, a first location without a count or
+// a count without one — is an error. Ids are counted in ascending order.
+// N is taken as written; ResumeSession checks it against the counts.
+func (t *Tick) UnmarshalJSON(data []byte) error {
+	var w tickWire
+	if err := json.Unmarshal(data, &w); err != nil {
+		return err
+	}
+	ids := make([]int, 0, len(w.Counts))
+	for id, n := range w.Counts {
+		if id < 0 || n < 1 {
+			return fmt.Errorf("predict: tick counts %d records of event %d", n, id)
+		}
+		if _, ok := w.FirstLoc[id]; !ok {
+			return fmt.Errorf("predict: tick counts event %d but holds no location for it", id)
+		}
+		ids = append(ids, id)
+	}
+	if len(w.FirstLoc) != len(w.Counts) {
+		return errors.New("predict: tick holds a location for an event it does not count")
+	}
+	slices.Sort(ids)
+	t.Reset()
+	for _, id := range ids {
+		t.Counts.Add(id, w.Counts[id])
+		t.firstLoc = append(t.firstLoc, w.FirstLoc[id])
+	}
+	t.N = w.N
+	return nil
 }
 
 // instance is a partially matched chain occurrence.
@@ -550,15 +644,16 @@ func (e *Engine) fireAndExpire(tick int, tickEnd time.Time, cost time.Duration, 
 		span := in.chain.Span()
 		if !in.fired && in.nMatched >= required(in.chain.Size()) {
 			in.fired = true
+			key := in.chain.Key()
 			expected := tickEnd.Add(time.Duration(in.startTick+span-tick-1) * e.cfg.Step)
 			issued := tickEnd.Add(cost)
 			scope := topology.ScopeNode
 			if e.cfg.UseLocation && e.profiles != nil {
-				if p, ok := e.profiles[in.chain.Key()]; ok {
+				if p, ok := e.profiles[key]; ok {
 					scope = p.PredictScope()
 				}
 			}
-			earlyTicks, lateTicks := e.windowTicks(in.chain.Key(), span)
+			earlyTicks, lateTicks := e.windowTicks(key, span)
 			tickOf := func(endTick int) time.Time {
 				return tickEnd.Add(time.Duration(in.startTick+endTick-tick-1) * e.cfg.Step)
 			}
@@ -571,7 +666,7 @@ func (e *Engine) fireAndExpire(tick int, tickEnd time.Time, cost time.Duration, 
 				Lead:             expected.Sub(issued),
 				AnalysisTime:     cost,
 				Event:            in.chain.Last().Event,
-				ChainKey:         in.chain.Key(),
+				ChainKey:         key,
 				ChainSize:        in.chain.Size(),
 				Trigger:          in.trigger,
 				Scope:            scope,
@@ -581,7 +676,7 @@ func (e *Engine) fireAndExpire(tick int, tickEnd time.Time, cost time.Duration, 
 				res.Stats.LatePreds++
 			}
 			res.Predictions = append(res.Predictions, pred)
-			res.Stats.ChainsUsed[in.chain.Key()]++
+			res.Stats.ChainsUsed[key]++
 		}
 		// Fired instances stay until expiry so the terminal event can
 		// confirm the chain and feed the adaptive window.

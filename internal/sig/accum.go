@@ -144,15 +144,15 @@ func (ac *Accumulator) NoteSeverity(id, sev int) {
 // tick's outlier event ids in ascending order (the pipeline's sorted hit
 // set). Ticks must arrive in strictly increasing order; a stale tick is
 // ignored.
-func (ac *Accumulator) ObserveTick(tick int, counts map[int]int, outliers []int) {
+func (ac *Accumulator) ObserveTick(tick int, counts Counts, outliers []int) {
 	if ac.ticks > 0 && tick <= ac.lastTick {
 		return
 	}
 	ac.ticks++
 	ac.lastTick = tick
-	for id, n := range counts {
-		es := ac.events.get(id)
-		es.Count += n
+	for _, c := range counts.seen {
+		es := ac.events.get(c.ID)
+		es.Count += c.N
 		es.LastTick = tick
 	}
 	if len(outliers) > 0 {

@@ -33,7 +33,7 @@ func feedTrains(ac *Accumulator, trains SpikeTrains) {
 				outliers = append(outliers, id)
 			}
 		}
-		ac.ObserveTick(t, nil, outliers)
+		ac.ObserveTick(t, Counts{}, outliers)
 	}
 }
 
@@ -102,8 +102,8 @@ func TestAccumulatorDirtyDrain(t *testing.T) {
 	ac := NewAccumulator(AccumConfig{MaxLag: 5, MinCount: 2})
 	// Events 1 and 2 co-occur on ticks 0..3 (1 then 2, lag 1).
 	for tick := 0; tick < 8; tick += 2 {
-		ac.ObserveTick(tick, nil, []int{1})
-		ac.ObserveTick(tick+1, nil, []int{2})
+		ac.ObserveTick(tick, Counts{}, []int{1})
+		ac.ObserveTick(tick+1, Counts{}, []int{2})
 	}
 	first := ac.DrainDirty()
 	if len(first) != 2 { // (1,2) and (2,1): lag 1 and lag 5 both within MaxLag
@@ -113,8 +113,8 @@ func TestAccumulatorDirtyDrain(t *testing.T) {
 		t.Fatalf("second drain without new data = %v, want empty", again)
 	}
 	// New co-occurrences re-dirty the pair.
-	ac.ObserveTick(20, nil, []int{1})
-	ac.ObserveTick(21, nil, []int{2})
+	ac.ObserveTick(20, Counts{}, []int{1})
+	ac.ObserveTick(21, Counts{}, []int{2})
 	delta := ac.DrainDirty()
 	if len(delta) == 0 {
 		t.Fatal("drain after new co-occurrences is empty")
@@ -135,14 +135,14 @@ func TestAccumulatorQuietDrainIsEmpty(t *testing.T) {
 	ac := NewAccumulator(AccumConfig{MaxLag: 30, MinCount: 1})
 	tick := 0
 	for ; tick < 3000; tick++ { // 40 events a tick, 30 ticks deep: ~1.4e8 spike pairs
-		ac.ObserveTick(tick, nil, seq(tick%7, tick%7+40))
+		ac.ObserveTick(tick, Counts{}, seq(tick%7, tick%7+40))
 	}
 	if len(ac.DrainDirty()) == 0 {
 		t.Fatal("the busy stream dirtied nothing")
 	}
 	for round := 0; round < 3; round++ {
 		for end := tick + 50; tick < end; tick++ {
-			ac.ObserveTick(tick, map[int]int{3: 2}, nil)
+			ac.ObserveTick(tick, countsOf(map[int]int{3: 2}), nil)
 		}
 		if len(ac.Candidates()) == 0 {
 			t.Fatal("the busy stream left no candidates")
@@ -151,7 +151,7 @@ func TestAccumulatorQuietDrainIsEmpty(t *testing.T) {
 			t.Fatalf("round %d: drain with no new spike returned %d pairs, want none", round, len(d))
 		}
 	}
-	ac.ObserveTick(tick, nil, []int{1, 2})
+	ac.ObserveTick(tick, Counts{}, []int{1, 2})
 	if d := ac.DrainDirty(); len(d) != 2 {
 		t.Fatalf("drain after one simultaneous pair = %v, want both orders", d)
 	}
@@ -162,13 +162,13 @@ func TestAccumulatorQuietDrainIsEmpty(t *testing.T) {
 // increment pushes it across the threshold.
 func TestAccumulatorBelowThresholdStaysDirtyAcrossCrossing(t *testing.T) {
 	ac := NewAccumulator(AccumConfig{MaxLag: 3, MinCount: 2})
-	ac.ObserveTick(0, nil, []int{1})
-	ac.ObserveTick(1, nil, []int{2})
+	ac.ObserveTick(0, Counts{}, []int{1})
+	ac.ObserveTick(1, Counts{}, []int{2})
 	if d := ac.DrainDirty(); len(d) != 0 {
 		t.Fatalf("pair below MinCount drained as candidate: %v", d)
 	}
-	ac.ObserveTick(10, nil, []int{1})
-	ac.ObserveTick(11, nil, []int{2})
+	ac.ObserveTick(10, Counts{}, []int{1})
+	ac.ObserveTick(11, Counts{}, []int{2})
 	d := ac.DrainDirty()
 	if len(d) != 1 || d[0].A != 1 || d[0].B != 2 || d[0].Count != 2 {
 		t.Fatalf("threshold crossing not re-surfaced: %v", d)
@@ -178,8 +178,8 @@ func TestAccumulatorBelowThresholdStaysDirtyAcrossCrossing(t *testing.T) {
 // TestAccumulatorRateStats checks the per-event statistics tap.
 func TestAccumulatorRateStats(t *testing.T) {
 	ac := NewAccumulator(DefaultAccumConfig())
-	ac.ObserveTick(0, map[int]int{7: 3, 9: 1}, []int{7})
-	ac.ObserveTick(1, map[int]int{7: 2}, nil)
+	ac.ObserveTick(0, countsOf(map[int]int{7: 3, 9: 1}), []int{7})
+	ac.ObserveTick(1, countsOf(map[int]int{7: 2}), nil)
 	ac.NoteSeverity(7, 3)
 	ac.NoteSeverity(7, 1) // lower severity must not regress the max
 	st := ac.EventStats()
@@ -199,8 +199,8 @@ func TestAccumulatorRateStats(t *testing.T) {
 func TestAccumulatorHorizonTrim(t *testing.T) {
 	ac := NewAccumulator(AccumConfig{MaxLag: 2, MinCount: 1, HorizonCap: 50})
 	for tick := 0; tick < 500; tick += 2 {
-		ac.ObserveTick(tick, nil, []int{1})
-		ac.ObserveTick(tick+1, nil, []int{2})
+		ac.ObserveTick(tick, Counts{}, []int{1})
+		ac.ObserveTick(tick+1, Counts{}, []int{2})
 	}
 	tr := ac.Trains()[1]
 	if len(tr) == 0 || tr[0] < ac.LastTick()-50-13 {
@@ -220,7 +220,7 @@ func TestAccumulatorHorizonTrim(t *testing.T) {
 func TestAccumulatorResumeAfterTrimMatchesUninterrupted(t *testing.T) {
 	cfg := AccumConfig{MaxLag: 3, MinCount: 1, HorizonCap: 40}
 	feed := func(ac *Accumulator, tick int) {
-		ac.ObserveTick(tick, map[int]int{1 + tick%3: 1}, []int{1 + tick%3})
+		ac.ObserveTick(tick, countsOf(map[int]int{1 + tick%3: 1}), []int{1 + tick%3})
 	}
 	whole := NewAccumulator(cfg)
 	for tick := 0; tick < 57; tick++ { // trims at 11, 22, ..., 55; killed between two
@@ -273,8 +273,8 @@ func TestAccumulatorStateRoundTrip(t *testing.T) {
 	base := ac.LastTick() + 3
 	for i := 0; i < 30; i++ {
 		out := []int{1 + i%3, 4}
-		ac.ObserveTick(base+i, map[int]int{4: 2}, out)
-		restored.ObserveTick(base+i, map[int]int{4: 2}, out)
+		ac.ObserveTick(base+i, countsOf(map[int]int{4: 2}), out)
+		restored.ObserveTick(base+i, countsOf(map[int]int{4: 2}), out)
 	}
 	if !reflect.DeepEqual(accumCounts(ac), accumCounts(restored)) {
 		t.Fatal("counters diverge after resume")
@@ -292,7 +292,7 @@ func TestAccumulatorStateRoundTrip(t *testing.T) {
 // TestRestoreAccumulatorRejectsWindowMismatch pins the MaxLag guard.
 func TestRestoreAccumulatorRejectsWindowMismatch(t *testing.T) {
 	ac := NewAccumulator(AccumConfig{MaxLag: 10, MinCount: 1})
-	ac.ObserveTick(0, nil, []int{1})
+	ac.ObserveTick(0, Counts{}, []int{1})
 	st := ac.State()
 	if _, err := RestoreAccumulator(AccumConfig{MaxLag: 20, MinCount: 1}, st); err == nil {
 		t.Fatal("restore across MaxLag mismatch succeeded")
@@ -351,7 +351,7 @@ func TestPairTelemetryDedupesAcrossRounds(t *testing.T) {
 // accumKernel is the surface the equivalence tests drive on both the live
 // accumulator and the frozen reference.
 type accumKernel interface {
-	ObserveTick(tick int, counts map[int]int, outliers []int)
+	ObserveTick(tick int, counts Counts, outliers []int)
 	NoteSeverity(id, sev int)
 	State() *AccumState
 	Candidates() []PairCand
@@ -449,8 +449,8 @@ func TestAccumulatorMatchesFrozenKernel(t *testing.T) {
 					live.NoteSeverity(id, sev)
 					frozen.NoteSeverity(id, sev)
 				}
-				live.ObserveTick(tick, counts, hits)
-				frozen.ObserveTick(tick, counts, hits)
+				live.ObserveTick(tick, countsOf(counts), hits)
+				frozen.ObserveTick(tick, countsOf(counts), hits)
 				at := fmt.Sprintf("tick %d (#%d)", tick, i)
 				sameState(t, live, frozen, at)
 
@@ -506,8 +506,8 @@ func TestAccumulatorSaturatesLikeFrozenKernel(t *testing.T) {
 	}
 	sameState(t, live, frozen, "seeded")
 	for i, hits := range [][]int{{2}, {2}, {1, 2}} {
-		live.ObserveTick(4+i, nil, hits)
-		frozen.ObserveTick(4+i, nil, hits)
+		live.ObserveTick(4+i, Counts{}, hits)
+		frozen.ObserveTick(4+i, Counts{}, hits)
 		at := fmt.Sprintf("spike %d", i)
 		sameState(t, live, frozen, at)
 		if n := live.PairCount(1, 2); n != counterCap {
@@ -534,10 +534,11 @@ func TestObserveTickWarmZeroAlloc(t *testing.T) {
 		sort.Ints(hitSets[i])
 		counts[hitSets[i][0]] = 3
 	}
+	tickCounts := countsOf(counts)
 	tick := 0
 	observe := func() {
 		ac.NoteSeverity(tick%200, 2)
-		ac.ObserveTick(tick, counts, hitSets[tick%len(hitSets)])
+		ac.ObserveTick(tick, tickCounts, hitSets[tick%len(hitSets)])
 		tick++
 	}
 	for tick < 20000 {
@@ -601,7 +602,7 @@ func TestRestoreAccumulatorRejectsForgedState(t *testing.T) {
 	if n := len(ac.pairs.dense); n > 64*64 {
 		t.Fatalf("wild ids grew the flat table to %d cells", n)
 	}
-	ac.ObserveTick(10, map[int]int{-1: 1}, []int{-1, 3, 1 << 31})
+	ac.ObserveTick(10, countsOf(map[int]int{-1: 1}), []int{-1, 3, 1 << 31})
 	again, err := RestoreAccumulator(cfg, ac.State())
 	if err != nil {
 		t.Fatal(err)
@@ -647,8 +648,8 @@ func FuzzIncrementalCounters(f *testing.F) {
 					hits = append(hits, id)
 				}
 			}
-			live.ObserveTick(tick, nil, hits)
-			frozen.ObserveTick(tick, nil, hits)
+			live.ObserveTick(tick, Counts{}, hits)
+			frozen.ObserveTick(tick, Counts{}, hits)
 			sameState(t, live, frozen, fmt.Sprintf("tick %d", tick))
 			if tick%5 == 4 {
 				if g, w := live.DrainDirty(), frozen.DrainDirty(); !reflect.DeepEqual(g, w) {
@@ -667,8 +668,8 @@ func FuzzIncrementalCounters(f *testing.F) {
 // accumulator keeps working.
 func FuzzRestoreAccumulator(f *testing.F) {
 	ac := NewAccumulator(AccumConfig{MaxLag: 4, MinCount: 1})
-	ac.ObserveTick(0, map[int]int{1: 2}, []int{1, 2})
-	ac.ObserveTick(2, nil, []int{2, 2100})
+	ac.ObserveTick(0, countsOf(map[int]int{1: 2}), []int{1, 2})
+	ac.ObserveTick(2, Counts{}, []int{2, 2100})
 	seed, _ := json.Marshal(ac.State())
 	f.Add(seed)
 	// A format version 3 state: the regime flag and the mass are no longer
@@ -680,7 +681,7 @@ func FuzzRestoreAccumulator(f *testing.F) {
 	f.Add([]byte(`{"max_lag":4,"ticks":-1}`))
 	trimmed := NewAccumulator(AccumConfig{MaxLag: 4, MinCount: 1, HorizonCap: 8})
 	for tick := 0; tick < 12; tick++ {
-		trimmed.ObserveTick(tick, nil, []int{1 + tick%2})
+		trimmed.ObserveTick(tick, Counts{}, []int{1 + tick%2})
 	}
 	seed, _ = json.Marshal(trimmed.State()) // "last_trim":9
 	f.Add(seed)
@@ -717,8 +718,8 @@ func FuzzRestoreAccumulator(f *testing.F) {
 			if tick < 0 || tick > 1<<40 {
 				break
 			}
-			ac.ObserveTick(tick, map[int]int{1: 1}, hits)
-			again.ObserveTick(tick, map[int]int{1: 1}, hits)
+			ac.ObserveTick(tick, countsOf(map[int]int{1: 1}), hits)
+			again.ObserveTick(tick, countsOf(map[int]int{1: 1}), hits)
 		}
 		sameState(t, again, ac, "continued")
 		ac.Candidates()
@@ -807,15 +808,15 @@ func (ac *refAccum) NoteSeverity(id, sev int) {
 // tick's outlier event ids in ascending order (the pipeline's sorted hit
 // set). Ticks must arrive in strictly increasing order; a stale tick is
 // ignored.
-func (ac *refAccum) ObserveTick(tick int, counts map[int]int, outliers []int) {
+func (ac *refAccum) ObserveTick(tick int, counts Counts, outliers []int) {
 	if ac.ticks > 0 && tick <= ac.lastTick {
 		return
 	}
 	ac.ticks++
 	ac.lastTick = tick
-	for id, n := range counts {
-		es := ac.stat(id)
-		es.Count += n
+	for _, c := range counts.All() {
+		es := ac.stat(c.ID)
+		es.Count += c.N
 		es.LastTick = tick
 	}
 	if len(outliers) > 0 {

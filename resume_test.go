@@ -364,6 +364,87 @@ func TestResumeMonitorRejectsUnevenDetectorWindows(t *testing.T) {
 	}
 }
 
+// openTicksSeed is a snapshot of a monitor over fuzzResumeModel taken
+// with records still in open ticks: the tick of the last records holds
+// two events.
+func openTicksSeed(t testing.TB) []byte {
+	t.Helper()
+	start := time.Date(2006, 7, 1, 0, 10, 0, 0, time.UTC)
+	mon := fuzzResumeModel(t).NewMonitor(start)
+	for i, msg := range []string{"link error on port 7", "node card failed hard", "link error on port 9", "node card failed hard"} {
+		feedOK(t, mon, Record{Time: start.Add(time.Duration(i) * 4 * time.Second), Severity: Severe, Message: msg, EventID: -1})
+	}
+	var seed bytes.Buffer
+	if err := mon.Snapshot(&seed); err != nil {
+		t.Fatal(err)
+	}
+	return seed.Bytes()
+}
+
+// forgedOpenTicks forges the open ticks and cursor of a monitor snapshot
+// one way per blob, each a state the monitor could not have written.
+func forgedOpenTicks(t testing.TB, snap []byte) map[string][]byte {
+	t.Helper()
+	tick := func(env map[string]any) (open, tk map[string]any, key string) {
+		open = object(t, env, "session", "open")
+		for k, v := range open {
+			if m, _ := v.(map[string]any); len(m["Counts"].(map[string]any)) >= 2 {
+				return open, m, k
+			}
+		}
+		t.Fatalf("the snapshot holds no open tick with two events")
+		return nil, nil, ""
+	}
+	shift := func(env map[string]any, by int64) {
+		open, tk, key := tick(env)
+		k, _ := json.Number(key).Int64()
+		delete(open, key)
+		open[fmt.Sprint(k+by)] = tk
+	}
+	return map[string][]byte{
+		"open tick behind the cursor": forgeSnapshot(t, snap, func(env map[string]any) {
+			open, tk, _ := tick(env)
+			next, _ := object(t, env, "session")["next_tick"].(json.Number).Int64()
+			open[fmt.Sprint(next-1)] = tk
+		}),
+		"open tick past the grace": forgeSnapshot(t, snap, func(env map[string]any) { shift(env, 2) }),
+		"zero count": forgeSnapshot(t, snap, func(env map[string]any) {
+			_, tk, _ := tick(env)
+			for id := range tk["Counts"].(map[string]any) {
+				tk["Counts"].(map[string]any)[id] = 0
+				break
+			}
+		}),
+		"N not the counts' sum": forgeSnapshot(t, snap, func(env map[string]any) {
+			_, tk, _ := tick(env)
+			n, _ := tk["N"].(json.Number).Int64()
+			tk["N"] = n + 1
+		}),
+		"location without a count": forgeSnapshot(t, snap, func(env map[string]any) {
+			_, tk, _ := tick(env)
+			tk["FirstLoc"].(map[string]any)["77"] = "SYSTEM"
+		}),
+		"high-water mark past the cursor's grace": forgeSnapshot(t, snap, func(env map[string]any) {
+			sess := object(t, env, "session")
+			sess["high_water"] = time.Date(2006, 7, 1, 0, 20, 0, 0, time.UTC)
+		}),
+	}
+}
+
+// TestResumeMonitorRejectsForgedOpenTicks: every forged open tick or
+// cursor is an error from ResumeMonitor, not a resumed monitor.
+func TestResumeMonitorRejectsForgedOpenTicks(t *testing.T) {
+	seed := openTicksSeed(t)
+	if _, err := fuzzResumeModel(t).ResumeMonitor(bytes.NewReader(seed)); err != nil {
+		t.Fatalf("the unforged seed does not resume: %v", err)
+	}
+	for name, blob := range forgedOpenTicks(t, seed) {
+		if _, err := fuzzResumeModel(t).ResumeMonitor(bytes.NewReader(blob)); err == nil {
+			t.Errorf("%s: resumed\n%s", name, blob)
+		}
+	}
+}
+
 // FuzzResumeMonitor: a monitor snapshot is bytes this process did not
 // necessarily write. Arbitrary input must come back as an error, never
 // a panic, and whatever ResumeMonitor accepts must be a fixed point of
@@ -379,6 +460,11 @@ func FuzzResumeMonitor(f *testing.F) {
 	f.Add([]byte(fmt.Sprintf(`{"version":%d,"session":{"accum":{"max_lag":360,"last_tick":3,"last_trim":9}}}`, monitorFormatVersion)))
 	f.Add(forgeThreshold(f, seed, "2"))
 	f.Add(forgeUnevenWindows(f, seed))
+	open := openTicksSeed(f)
+	f.Add(open)
+	for _, blob := range forgedOpenTicks(f, open) {
+		f.Add(blob) // each one refused: TestResumeMonitorRejectsForgedOpenTicks
+	}
 	f.Fuzz(func(t *testing.T, data []byte) {
 		mon, err := fuzzResumeModel(t).ResumeMonitor(bytes.NewReader(data))
 		if err != nil {
