@@ -1,14 +1,16 @@
 package lint
 
 // chan.go is the channel-protocol layer of the concurrency contract:
-// where elsactxflow asks "can this blocking op be cancelled?" and
-// elsalocksafe syntactically screens goroutine launches, elsachan
+// where elsactxflow asks "can this blocking op be cancelled?", elsachan
 // models every channel as a cell with send/receive/close edges —
 // including edges through goroutine closures and struct fields — and
 // checks the ownership discipline the pipeline's stage graph is built
 // on: exactly one closer, the closer is the owner, nothing sends after
-// close, and no goroutine's only exit is a channel op with no
-// guaranteed counterpart.
+// close (on flow.go's walker), and no goroutine's only exit is a
+// channel op with no guaranteed counterpart. The goroutine collection
+// also holds launches to their lifetime: no WaitGroup.Add inside the
+// goroutine it guards, and no goroutine in a cancellable function
+// without a ctx reference or a WaitGroup join.
 //
 // Ownership. The owner of a channel is the goroutine (function body or
 // go'd closure) that created it, or one explicitly handed the cell with
@@ -43,14 +45,13 @@ import (
 const chanOwnerDirective = "//elsa:chanowner"
 
 // ChanAnalyzer enforces channel close discipline and flags
-// goroutine-leak shapes. elsalocksafe's syntactic "uncancellable
-// goroutine" check is its pre-pass (the way elsadeterminism screens
-// for elsadetflow), so //nolint:elsalocksafe suppressions carry over.
+// goroutine-leak and goroutine-lifetime shapes.
 var ChanAnalyzer = &analysis.Analyzer{
 	Name: "elsachan",
 	Doc: "model channels as cells with send/recv/close edges and report double-close, " +
-		"close-by-non-owner, sends reachable after close, and goroutines whose only exit " +
-		"is a blocking channel op with no guaranteed counterpart",
+		"close-by-non-owner, sends reachable after close, goroutines whose only exit " +
+		"is a blocking channel op with no guaranteed counterpart, WaitGroup.Add inside the " +
+		"goroutine it guards, and goroutines in cancellable functions with no cancellation or join path",
 	Requires: []*analysis.Analyzer{inspect.Analyzer},
 	Run:      runChan,
 }
@@ -83,8 +84,10 @@ type chanClose struct {
 // observed in it.
 type chanGoroutine struct {
 	lit    *ast.FuncLit
-	owned  []string // channel names from an //elsa:chanowner launch annotation
-	hasCtx bool     // the body references a context value (an exit path exists)
+	pos    token.Pos // the go statement
+	owned  []string  // channel names from an //elsa:chanowner launch annotation
+	hasCtx bool      // the body references a context value (an exit path exists)
+	joins  bool      // the body calls WaitGroup.Done
 	ops    []chanOp
 }
 
@@ -104,15 +107,14 @@ type chanScope struct {
 	ownerIdx *lineIndex[[]string] // names of each //elsa:chanowner comment
 	cells    cellTable[chanCell]
 	gos      []*chanGoroutine
-	fnOwned  []string // names from a function-level //elsa:chanowner
+	adds     []token.Pos // WaitGroup.Add calls on a WaitGroup a goroutine captures
+	fnOwned  []string    // names from a function-level //elsa:chanowner
+	w        *flowWalker[*chanCell, closedAt]
 }
 
 func runChan(pass *analysis.Pass) (interface{}, error) {
 	ins := pass.ResultOf[inspect.Analyzer].(*inspector.Inspector)
 	rep := newReporter(pass)
-	// elsalocksafe's goroutine screen is the syntactic pre-pass of the
-	// leak analysis: one contract, two depths, one suppression.
-	rep.sup.aliases = []string{LockSafeAnalyzer.Name}
 	// A `go` statement on line L+1 looks up the transfer annotation on
 	// line L.
 	ownerIdx := indexComments(pass.Fset, pass.Files, func(c *ast.Comment) ([]string, bool) {
@@ -137,6 +139,7 @@ func runChan(pass *analysis.Pass) (interface{}, error) {
 		cs.collect(fn.Body, nil, false)
 		cs.checkCloses(rep)
 		cs.checkSendAfterClose(rep)
+		cs.checkLifetimes(rep)
 		cs.checkLeaks(rep)
 	})
 	return nil, nil
@@ -214,8 +217,8 @@ func (cs *chanScope) collect(n ast.Node, goLit *ast.FuncLit, inLoop bool) {
 		return
 	case *ast.GoStmt:
 		if lit, ok := n.Call.Fun.(*ast.FuncLit); ok {
-			g := &chanGoroutine{lit: lit, owned: cs.goAnnotations(n)}
-			g.hasCtx = referencesContext(cs.pass.TypesInfo, lit.Body)
+			g := &chanGoroutine{lit: lit, pos: n.Pos(), owned: cs.goAnnotations(n)}
+			g.hasCtx, g.joins = goroutineExits(cs.pass.TypesInfo, lit.Body)
 			cs.gos = append(cs.gos, g)
 			for _, arg := range n.Call.Args {
 				cs.collect(arg, goLit, inLoop)
@@ -285,16 +288,15 @@ func (cs *chanScope) collect(n ast.Node, goLit *ast.FuncLit, inLoop bool) {
 		}
 		return
 	case *ast.CallExpr:
-		if id, ok := ast.Unparen(n.Fun).(*ast.Ident); ok {
-			if b, ok := cs.pass.TypesInfo.Uses[id].(*types.Builtin); ok && b.Name() == "close" && len(n.Args) == 1 {
-				cell := cs.cellFor(n.Args[0])
-				if cell == nil {
-					// A close the model cannot attribute (call result,
-					// map element): out of scope for the discipline.
-					return
-				}
-				cell.closes = append(cell.closes, chanClose{pos: n.Pos(), goLit: goLit, inLoop: inLoop})
-				return
+		if cell := cs.closeTarget(n); cell != nil {
+			cell.closes = append(cell.closes, chanClose{pos: n.Pos(), goLit: goLit, inLoop: inLoop})
+			return
+		}
+		if name, wg := waitGroupCall(cs.pass.TypesInfo, n); name == "Add" && goLit != nil {
+			// A selector like s.wg is rooted in captured state or a
+			// parameter either way: treated as outside.
+			if id, ok := ast.Unparen(wg).(*ast.Ident); !ok || declaredOutside(cs.pass.TypesInfo, id, goLit) {
+				cs.adds = append(cs.adds, n.Pos())
 			}
 		}
 		for _, a := range n.Args {
@@ -417,22 +419,55 @@ func (cs *chanScope) goAnnotations(g *ast.GoStmt) []string {
 	return out
 }
 
-// referencesContext reports whether a body mentions any context-typed
-// value — an exit path via cancellation exists.
-func referencesContext(info *types.Info, body ast.Node) bool {
-	found := false
+// closeTarget returns the cell a close(ch) call closes: nil for any
+// other call, and for a close the model cannot attribute (call result,
+// map element), which is out of scope for the discipline.
+func (cs *chanScope) closeTarget(call *ast.CallExpr) *chanCell {
+	id, ok := ast.Unparen(call.Fun).(*ast.Ident)
+	if !ok || len(call.Args) != 1 {
+		return nil
+	}
+	if b, ok := cs.pass.TypesInfo.Uses[id].(*types.Builtin); !ok || b.Name() != "close" {
+		return nil
+	}
+	return cs.cellFor(call.Args[0])
+}
+
+// waitGroupCall returns the method name and receiver of a
+// sync.WaitGroup method call, "" for any other call.
+func waitGroupCall(info *types.Info, call *ast.CallExpr) (string, ast.Expr) {
+	sel, ok := call.Fun.(*ast.SelectorExpr)
+	if !ok {
+		return "", nil
+	}
+	fn, _ := info.Uses[sel.Sel].(*types.Func)
+	if fn == nil || fn.Pkg() == nil || fn.Pkg().Path() != "sync" {
+		return "", nil
+	}
+	if recv := fn.Type().(*types.Signature).Recv(); recv == nil || !strings.Contains(recv.Type().String(), "WaitGroup") {
+		return "", nil
+	}
+	return fn.Name(), sel.X
+}
+
+// goroutineExits reports whether a goroutine body has a cancellation
+// path (it mentions a context-typed value) and whether it joins a
+// WaitGroup (it calls Done).
+func goroutineExits(info *types.Info, body ast.Node) (hasCtx, joins bool) {
 	ast.Inspect(body, func(n ast.Node) bool {
-		if found {
-			return false
-		}
-		if id, ok := n.(*ast.Ident); ok {
-			if obj := info.Uses[id]; obj != nil && isContextType(obj.Type()) {
-				found = true
+		switch n := n.(type) {
+		case *ast.Ident:
+			if obj := info.Uses[n]; obj != nil && isContextType(obj.Type()) {
+				hasCtx = true
+			}
+		case *ast.CallExpr:
+			if name, _ := waitGroupCall(info, n); name == "Done" {
+				joins = true
 			}
 		}
-		return !found
+		return true
 	})
-	return found
+	return hasCtx, joins
 }
 
 // ---- checks ----
@@ -505,157 +540,68 @@ func (cs *chanScope) checkCloseOwner(rep *reporter, cell *chanCell, c chanClose)
 	}
 }
 
-// checkSendAfterClose walks each goroutine scope in program order
-// flagging sends that can execute after a close of the same cell.
+// closedAt is a channel cell's may-closed value: the first close that
+// reaches the point, NoPos on paths with none.
+type closedAt token.Pos
+
+func (a closedAt) join(b closedAt) closedAt {
+	if a == 0 {
+		return b
+	}
+	return a
+}
+
+func (a closedAt) same(b closedAt) bool { return (a == 0) == (b == 0) }
+
+// checkSendAfterClose flags sends that can execute after a close of the
+// same cell. A goroutine observes the closes made before it is
+// launched; its own closes race the launcher and are not carried back.
 func (cs *chanScope) checkSendAfterClose(rep *reporter) {
-	closed := make(map[*chanCell]token.Pos)
-	cs.orderWalk(rep, cs.fn.Body.List, nil, closed)
+	cs.w = &flowWalker[*chanCell, closedAt]{hooks: cs, rep: rep}
+	cs.w.fn(cs.fn.Body, make(flowState[*chanCell, closedAt]))
 }
 
-// orderWalk is a conservative sequential interpreter: it tracks
-// may-closed cells through a statement list, forking at branches
-// (union merge) and walking loop bodies twice so an iteration-two send
-// sees an iteration-one close.
-func (cs *chanScope) orderWalk(rep *reporter, stmts []ast.Stmt, goLit *ast.FuncLit, closed map[*chanCell]token.Pos) {
-	for _, s := range stmts {
-		cs.orderStmt(rep, s, goLit, closed)
-	}
-}
-
-func copyClosed(closed map[*chanCell]token.Pos) map[*chanCell]token.Pos {
-	out := make(map[*chanCell]token.Pos, len(closed))
-	for k, v := range closed {
-		out[k] = v
-	}
-	return out
-}
-
-func mergeClosed(dst, src map[*chanCell]token.Pos) {
-	for k, v := range src {
-		if _, ok := dst[k]; !ok {
-			dst[k] = v
+// call records the first close(ch) of a tracked cell on this path.
+func (cs *chanScope) call(call *ast.CallExpr, closed flowState[*chanCell, closedAt]) {
+	if cell := cs.closeTarget(call); cell != nil {
+		if _, already := closed[cell]; !already {
+			closed[cell] = closedAt(call.Pos())
 		}
 	}
 }
 
-func (cs *chanScope) orderStmt(rep *reporter, s ast.Stmt, goLit *ast.FuncLit, closed map[*chanCell]token.Pos) {
-	switch s := s.(type) {
-	case nil:
-	case *ast.BlockStmt:
-		cs.orderWalk(rep, s.List, goLit, closed)
-	case *ast.ExprStmt:
-		cs.orderExpr(rep, s.X, goLit, closed)
-	case *ast.SendStmt:
-		cs.orderSend(rep, s, closed)
-		cs.orderExpr(rep, s.Value, goLit, closed)
-	case *ast.AssignStmt:
-		for _, r := range s.Rhs {
-			cs.orderExpr(rep, r, goLit, closed)
-		}
-	case *ast.DeferStmt:
-		// Deferred closes run at exit: no ordering edge to later sends.
-		// A deferred closure's own sends are checked against the state
-		// at registration (conservative under-approximation).
-		if lit, ok := s.Call.Fun.(*ast.FuncLit); ok {
-			cs.orderWalk(rep, lit.Body.List, goLit, copyClosed(closed))
-		}
-	case *ast.GoStmt:
-		// The goroutine observes closes that happened before the spawn;
-		// its own closes race the parent and are not merged back.
-		if lit, ok := s.Call.Fun.(*ast.FuncLit); ok {
-			cs.orderWalk(rep, lit.Body.List, lit, copyClosed(closed))
-		}
-	case *ast.IfStmt:
-		cs.orderStmt(rep, s.Init, goLit, closed)
-		then := copyClosed(closed)
-		cs.orderStmt(rep, s.Body, goLit, then)
-		if s.Else != nil {
-			els := copyClosed(closed)
-			cs.orderStmt(rep, s.Else, goLit, els)
-			mergeClosed(closed, els)
-		}
-		mergeClosed(closed, then)
-	case *ast.ForStmt:
-		cs.orderStmt(rep, s.Init, goLit, closed)
-		body := copyClosed(closed)
-		cs.orderStmt(rep, s.Body, goLit, body)
-		cs.orderStmt(rep, s.Post, goLit, body)
-		cs.orderStmt(rep, s.Body, goLit, body)
-		mergeClosed(closed, body)
-	case *ast.RangeStmt:
-		body := copyClosed(closed)
-		cs.orderStmt(rep, s.Body, goLit, body)
-		cs.orderStmt(rep, s.Body, goLit, body)
-		mergeClosed(closed, body)
-	case *ast.SelectStmt:
-		merged := copyClosed(closed)
-		for _, c := range s.Body.List {
-			cc := c.(*ast.CommClause)
-			arm := copyClosed(closed)
-			if send, ok := cc.Comm.(*ast.SendStmt); ok {
-				cs.orderSend(rep, send, arm)
-			}
-			for _, st := range cc.Body {
-				cs.orderStmt(rep, st, goLit, arm)
-			}
-			mergeClosed(merged, arm)
-		}
-		mergeClosed(closed, merged)
-	case *ast.SwitchStmt:
-		cs.orderStmt(rep, s.Init, goLit, closed)
-		merged := copyClosed(closed)
-		for _, c := range s.Body.List {
-			if cc, ok := c.(*ast.CaseClause); ok {
-				arm := copyClosed(closed)
-				for _, st := range cc.Body {
-					cs.orderStmt(rep, st, goLit, arm)
-				}
-				mergeClosed(merged, arm)
-			}
-		}
-		mergeClosed(closed, merged)
-	case *ast.TypeSwitchStmt:
-		cs.orderStmt(rep, s.Init, goLit, closed)
-		cs.orderStmt(rep, s.Body, goLit, closed)
-	case *ast.LabeledStmt:
-		cs.orderStmt(rep, s.Stmt, goLit, closed)
-	case *ast.CaseClause:
-		for _, st := range s.Body {
-			cs.orderStmt(rep, st, goLit, closed)
-		}
+// bind reopens a rebound channel variable: it names another channel.
+func (cs *chanScope) bind(lhs, _ ast.Expr, closed flowState[*chanCell, closedAt]) {
+	if cell := cs.cellFor(lhs); cell != nil {
+		delete(closed, cell)
 	}
 }
 
-func (cs *chanScope) orderSend(rep *reporter, s *ast.SendStmt, closed map[*chanCell]token.Pos) {
+func (cs *chanScope) send(s *ast.SendStmt, closed flowState[*chanCell, closedAt]) {
 	cell := cs.cellFor(s.Chan)
-	if cell == nil {
-		return
-	}
 	if pos, ok := closed[cell]; ok {
-		rep.reportf(s.Pos(), "chan: send on %s is reachable after its close at line %d; a send on a closed channel panics",
-			cell.name, cs.pass.Fset.Position(pos).Line)
+		cs.w.reportf(s.Pos(), "chan: send on %s is reachable after its close at line %d; a send on a closed channel panics",
+			cell.name, cs.pass.Fset.Position(token.Pos(pos)).Line)
 	}
 }
 
-// orderExpr notices close(...) calls (advancing the closed state) and
-// descends into immediately invoked literals.
-func (cs *chanScope) orderExpr(rep *reporter, e ast.Expr, goLit *ast.FuncLit, closed map[*chanCell]token.Pos) {
-	call, ok := ast.Unparen(e).(*ast.CallExpr)
-	if !ok {
+// checkLifetimes flags WaitGroup.Add inside the goroutine it guards —
+// the Wait-before-Add race; Add must happen before `go` — and, in a
+// cancellable (ctx-taking) function, goroutines with neither a ctx
+// reference nor a WaitGroup join: the leak Run's "all stage goroutines
+// are joined" contract forbids.
+func (cs *chanScope) checkLifetimes(rep *reporter) {
+	for _, pos := range cs.adds {
+		rep.reportf(pos, "locksafe: WaitGroup.Add inside the goroutine it guards races Wait; call Add before the go statement")
+	}
+	if !hasCtxParam(cs.pass.TypesInfo, cs.fn) {
 		return
 	}
-	if id, ok := ast.Unparen(call.Fun).(*ast.Ident); ok {
-		if b, ok := cs.pass.TypesInfo.Uses[id].(*types.Builtin); ok && b.Name() == "close" && len(call.Args) == 1 {
-			if cell := cs.cellFor(call.Args[0]); cell != nil {
-				if _, already := closed[cell]; !already {
-					closed[cell] = call.Pos()
-				}
-			}
-			return
+	for _, g := range cs.gos {
+		if !g.hasCtx && !g.joins {
+			rep.reportf(g.pos,
+				"locksafe: goroutine in a cancellable function has neither a ctx reference nor a WaitGroup join; it can leak past cancellation")
 		}
-	}
-	if lit, ok := call.Fun.(*ast.FuncLit); ok {
-		cs.orderWalk(rep, lit.Body.List, goLit, closed)
 	}
 }
 

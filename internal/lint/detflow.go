@@ -1,14 +1,14 @@
 package lint
 
 // detflow.go is the taint layer of the determinism contract.
-// elsadeterminism is its syntactic pre-pass (the elsalocksafe→elsachan
-// pattern): inside the training packages it bans every wall-clock
-// read, global-rand call and unsorted map-order escape outright,
-// because the trained model must be bit-identical across runs.
-// elsadetflow covers the wider serving surface — pipeline, fleet,
-// ingest and the root package — where nondeterminism is only a bug
-// when it *reaches replayed output*: predictions, snapshot/journal
-// bytes, or exported stats. It tracks taint from four source families:
+// elsadeterminism is its syntactic pre-pass: inside the training
+// packages it bans every wall-clock read, global-rand call and
+// unsorted map-order escape outright, because the trained model must
+// be bit-identical across runs. elsadetflow covers the wider serving
+// surface — pipeline, fleet, ingest and the root package — where
+// nondeterminism is only a bug when it *reaches replayed output*:
+// predictions, snapshot/journal bytes, or exported stats. It tracks
+// taint from four source families:
 //
 //   - wall clock: time.Now / time.Since / time.Until
 //   - global randomness: package-level math/rand functions

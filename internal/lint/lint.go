@@ -4,7 +4,7 @@
 // lock usage — into compile-time contracts instead of benchmark
 // aspirations.
 //
-// The suite ships twelve analyzers:
+// The suite ships eleven analyzers:
 //
 //   - elsahotpath: the vet-time syntactic screen over //elsa:hotpath
 //     functions for constructs that cost an allocation whatever escape
@@ -19,17 +19,17 @@
 //     blocking channel operation must live in a select that also waits
 //     on ctx.Done() (or have a default case); bare sends, bare
 //     receives and channel ranges are flagged.
-//   - elsalocksafe: flags WaitGroup.Add called inside the goroutine it
-//     guards, and goroutines launched from cancellable functions with
-//     neither a cancellation nor a join path (the syntactic pre-pass
-//     of elsachan's leak analysis). Locks copied by value are stock
-//     go vet's copylocks, which CI runs as `go vet ./...`.
 //   - elsachan: models every channel as a cell with send/recv/close
 //     edges — through goroutine closures and struct fields — and flags
 //     double-close, close-by-non-owner (ownership = creating scope or
 //     an //elsa:chanowner annotation), sends reachable after a close,
 //     and goroutines whose only exit is a blocking channel op with no
-//     guaranteed counterpart and no ctx.Done() select.
+//     guaranteed counterpart and no ctx.Done() select. Its goroutine
+//     checks also flag WaitGroup.Add called inside the goroutine it
+//     guards, and goroutines launched from cancellable functions with
+//     neither a ctx reference nor a WaitGroup join. Locks copied by
+//     value are stock go vet's copylocks, which CI runs as
+//     `go vet ./...`.
 //   - elsalockorder: builds the interprocedural lock-acquisition graph
 //     (locks held at each acquire, propagated through calls via
 //     LockOrderFact/LockGraphFact) and reports any cycle as a
@@ -48,7 +48,8 @@
 //     also be accessed with plain loads or stores.
 //   - elsastate: annotation-declared typestate protocols
 //     (//elsa:state on a type, //elsa:transition and //elsa:requires
-//     on its methods) verified by a may-state abstract interpreter —
+//     on its methods) verified by a may-state abstract interpreter on
+//     the statement walker elsachan's send-after-close check shares —
 //     no Feed after Close, snapshot-before-retire, breaker state
 //     discipline — composing across packages through StateFacts.
 //   - elsadetflow: the taint layer of the determinism contract —
@@ -94,7 +95,6 @@ var Analyzers = []*analysis.Analyzer{
 	HotPathAnalyzer,
 	DeterminismAnalyzer,
 	CtxFlowAnalyzer,
-	LockSafeAnalyzer,
 	ChanAnalyzer,
 	LockOrderAnalyzer,
 	ErrFlowAnalyzer,
@@ -115,7 +115,6 @@ func analyzerNames() map[string]bool {
 		"elsahotpath":     true,
 		"elsadeterminism": true,
 		"elsactxflow":     true,
-		"elsalocksafe":    true,
 		"elsachan":        true,
 		"elsalockorder":   true,
 		"elsaerrflow":     true,

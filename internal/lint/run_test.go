@@ -132,17 +132,23 @@ type reported struct {
 }
 
 // check matches reports against the fixture's // want comments: every
-// report needs a want on its line, every want a report.
+// report needs a want on its line, every want a report, and no report
+// repeats.
 func (fx *fixture) check(t *testing.T, reports []reported) {
 	t.Helper()
 	// Index reports by line so unmatched wants can say what WAS
 	// reported there — the difference between "tweak the regexp" and
 	// "rerun under a debugger".
 	got := make(map[string][]string)
+	seen := make(map[reported]bool)
 	var problems []string
 	for _, r := range reports {
 		key := fmt.Sprintf("%s:%d", r.file, r.line)
 		got[key] = append(got[key], r.msg)
+		if seen[r] {
+			problems = append(problems, fmt.Sprintf("%s: duplicate diagnostic: %s", key, r.msg))
+		}
+		seen[r] = true
 		found := false
 		for _, w := range fx.wants[key] {
 			if w.rx.MatchString(r.msg) {
@@ -176,7 +182,7 @@ func TestSnapshot(t *testing.T)    { runOn(t, "snapshotfix", SnapshotAnalyzer) }
 func TestAtomic(t *testing.T)      { runOn(t, "atomicmix", AtomicAnalyzer) }
 func TestDeterminism(t *testing.T) { runOn(t, "determinism", DeterminismAnalyzer) }
 func TestCtxFlow(t *testing.T)     { runOn(t, "ctxflow", CtxFlowAnalyzer) }
-func TestLockSafe(t *testing.T)    { runOn(t, "locksafe", LockSafeAnalyzer) }
+func TestLockSafe(t *testing.T)    { runOn(t, "locksafe", ChanAnalyzer) }
 func TestChanFlow(t *testing.T)    { runOn(t, "chanflow", ChanAnalyzer) }
 func TestLockOrder(t *testing.T)   { runOn(t, "lockorder", LockOrderAnalyzer) }
 func TestErrFlow(t *testing.T)     { runOn(t, "errflow", ErrFlowAnalyzer) }

@@ -129,15 +129,31 @@ func TestStandaloneStopsAtNestedModule(t *testing.T) {
 }
 
 // TestStandaloneJSON checks the machine-readable output path: a JSON
-// array, one element per finding, sorted like the text form.
+// array, one element per finding, sorted like the text form, with no
+// finding emitted twice. A close-then-send inside a loop joins the
+// module: a walker that revisits the loop body must still report it
+// once.
 func TestStandaloneJSON(t *testing.T) {
 	root := writeTempModule(t)
+	loop := `package tmpmod
+
+func closeThenSend(n int) {
+	ch := make(chan int, 1)
+	for i := 0; i < n; i++ {
+		close(ch)
+		ch <- i
+	}
+}
+`
+	if err := os.WriteFile(filepath.Join(root, "loop.go"), []byte(loop), 0o644); err != nil {
+		t.Fatal(err)
+	}
 	var buf bytes.Buffer
 	findings, _, err := RunStandalone(StandaloneOptions{Root: root, JSON: true, Analyzers: Analyzers}, &buf)
 	if err != nil {
 		t.Fatal(err)
 	}
-	var decoded []struct {
+	type finding struct {
 		Package  string `json:"package"`
 		Analyzer string `json:"analyzer"`
 		File     string `json:"file"`
@@ -146,25 +162,35 @@ func TestStandaloneJSON(t *testing.T) {
 		Message  string `json:"message"`
 		Fixable  bool   `json:"fixable"`
 	}
+	var decoded []finding
 	if err := json.Unmarshal(buf.Bytes(), &decoded); err != nil {
 		t.Fatalf("output is not valid JSON: %v\n%s", err, buf.String())
 	}
 	if len(decoded) != len(findings) {
 		t.Fatalf("JSON has %d findings, driver returned %d", len(decoded), len(findings))
 	}
+	wantFile := map[string]string{"elsaatomic": "counter.go", "elsachan": "loop.go"}
+	seen := make(map[finding]bool)
+	perAnalyzer := make(map[string]int)
 	for i, d := range decoded {
+		if seen[d] {
+			t.Errorf("finding %d emitted twice: %s:%d:%d: %s: %s", i, d.File, d.Line, d.Column, d.Analyzer, d.Message)
+		}
+		seen[d] = true
+		perAnalyzer[d.Analyzer]++
 		if d.Package != "example.com/tmpmod" {
 			t.Errorf("finding %d: package = %q, want example.com/tmpmod", i, d.Package)
 		}
-		if d.Analyzer != "elsaatomic" {
-			t.Errorf("finding %d: analyzer = %q, want elsaatomic", i, d.Analyzer)
+		if want, ok := wantFile[d.Analyzer]; !ok || !strings.HasSuffix(d.File, want) || d.Line <= 0 || d.Column <= 0 {
+			t.Errorf("finding %d: bad position %s:%d:%d for %s, want a position in %s", i, d.File, d.Line, d.Column, d.Analyzer, want)
 		}
-		if !strings.HasSuffix(d.File, "counter.go") || d.Line <= 0 || d.Column <= 0 {
-			t.Errorf("finding %d: bad position %s:%d:%d", i, d.File, d.Line, d.Column)
+		if d.Fixable != (d.Analyzer == "elsaatomic") {
+			t.Errorf("finding %d: %s finding has fixable=%v; only the atomic rewrites are fixable", i, d.Analyzer, d.Fixable)
 		}
-		if !d.Fixable {
-			t.Errorf("finding %d: atomic rewrites are fixable, got fixable=false", i)
-		}
+	}
+	// Two atomic rewrites; the close inside a loop and the send after it.
+	if perAnalyzer["elsaatomic"] != 2 || perAnalyzer["elsachan"] != 2 || len(perAnalyzer) != 2 {
+		t.Errorf("findings per analyzer = %v, want elsaatomic:2 elsachan:2", perAnalyzer)
 	}
 }
 

@@ -16,13 +16,13 @@ package lint
 //	//elsa:requires open
 //	func (s *Session) Feed(rec Record) ([]Prediction, error) { ... }
 //
-// The checker is a may-state abstract interpreter in the elsachan
-// shape: per function, each tracked value (ident or rooted field path)
-// carries the set of states it may be in; branches fork and
-// union-merge; a //elsa:requires violated by any member of the set, or
-// a //elsa:transition with no edge from a member, is reported.
+// The checker is a may-state abstract interpreter on flow.go's walker:
+// per function, each tracked value (ident or rooted field path)
+// carries the set of states it may be in; branches join, loops run to
+// a fixpoint, and a //elsa:requires violated by any member of the set,
+// or a //elsa:transition with no edge from a member, is reported.
 //
-// Interpretation choices, tuned so the unmutated repo proves clean:
+// Transfer choices, tuned so the unmutated repo proves clean:
 //
 //   - Values start unconstrained: a parameter or field may arrive in
 //     any state, and the checker only enforces ordering established
@@ -35,18 +35,12 @@ package lint
 //     parameter.
 //   - Unannotated methods of a protocol type are observers: they keep
 //     the state. The annotation set IS the transition surface.
-//   - Loop bodies are interpreted once, not twice: a worker loop that
-//     dispatches Close in one switch arm and Feed in another (the
-//     fleet incarnation loop) is protocol-correct per iteration, and a
-//     twice-walk would merge the arms across iterations into a false
-//     Feed-after-Close. Cross-iteration misuse is the runtime typed
-//     ErrClosed guard's job; the static layer proves the code shape.
-//   - return/break/continue terminate their path: the idempotent-Close
-//     early-return shape (`if closed { return }`) must not leak its
-//     terminal state into the fall-through.
-//   - defer and go bodies are checked against the state at
-//     registration and never advance the outer walk (the elsachan
-//     rule), so `defer mon.Close()` above a feed loop stays clean.
+//
+// The walker's own policy does the rest: a worker loop whose closing
+// arm returns (the fleet incarnation loop) is clean, one that keeps
+// serving after Close is a Feed-after-Close; the early-return shape
+// (`if closed { return }`) does not leak its terminal state into the
+// fall-through; and `defer mon.Close()` above a feed loop stays clean.
 //
 // Cross-package composition: each annotated type exports a StateFact on
 // its *types.TypeName, so fleet code calling elsa.Monitor methods is
@@ -205,7 +199,8 @@ func runState(pass *analysis.Pass) (interface{}, error) {
 			return
 		}
 		sf := &stateFunc{ck: ck, cells: newCellTable[stateCell]()}
-		sf.walk(fn.Body.List, make(stateTable))
+		sf.w = &flowWalker[*stateCell, *stateSet]{hooks: sf, rep: rep}
+		sf.w.fn(fn.Body, make(stateTable))
 	})
 	return nil, nil
 }
@@ -420,71 +415,56 @@ type stateCell struct {
 // stateSet is the may-state of one cell: the states the value may have
 // been moved into on some path, each with the position that entered
 // it. vague adds "and possibly states this function has not observed"
-// — the unconstrained component every value starts with.
+// — the unconstrained component every value starts with. Values are
+// never mutated once in a table.
 type stateSet struct {
 	may   map[string]token.Pos
 	vague bool
 }
 
-func (ss *stateSet) clone() *stateSet {
-	out := &stateSet{may: make(map[string]token.Pos, len(ss.may)), vague: ss.vague}
-	for k, v := range ss.may {
-		out.may[k] = v
+// join is the branch join. A cell absent on one side (nil) is
+// unconstrained there.
+func (ss *stateSet) join(o *stateSet) *stateSet {
+	out := &stateSet{may: make(map[string]token.Pos), vague: ss == nil || o == nil}
+	for _, x := range []*stateSet{ss, o} {
+		if x == nil {
+			continue
+		}
+		out.vague = out.vague || x.vague
+		for s, pos := range x.may {
+			if _, have := out.may[s]; !have {
+				out.may[s] = pos
+			}
+		}
 	}
 	return out
+}
+
+func (ss *stateSet) same(o *stateSet) bool {
+	if ss == nil || o == nil {
+		return ss == o
+	}
+	if ss.vague != o.vague || len(ss.may) != len(o.may) {
+		return false
+	}
+	for s := range ss.may {
+		if _, ok := o.may[s]; !ok {
+			return false
+		}
+	}
+	return true
 }
 
 // stateTable maps tracked cells to their current may-state. A cell
 // absent from the table is fully unconstrained (vague, no observed
 // states).
-type stateTable map[*stateCell]*stateSet
+type stateTable = flowState[*stateCell, *stateSet]
 
-func copyTable(tbl stateTable) stateTable {
-	out := make(stateTable, len(tbl))
-	for c, ss := range tbl {
-		out[c] = ss.clone()
-	}
-	return out
-}
-
-// mergeTable unions src into dst (branch join).
-func mergeTable(dst, src stateTable) {
-	for c, ss := range src {
-		d, ok := dst[c]
-		if !ok {
-			merged := ss.clone()
-			merged.vague = true // absent in dst = unconstrained there
-			dst[c] = merged
-			continue
-		}
-		for s, pos := range ss.may {
-			if _, have := d.may[s]; !have {
-				d.may[s] = pos
-			}
-		}
-		d.vague = d.vague || ss.vague
-	}
-	for c, d := range dst {
-		if _, ok := src[c]; !ok {
-			d.vague = true // absent in src = unconstrained there
-		}
-	}
-}
-
-// assignTable replaces dst's contents with src's.
-func assignTable(dst, src stateTable) {
-	for c := range dst {
-		delete(dst, c)
-	}
-	for c, ss := range src {
-		dst[c] = ss
-	}
-}
-
-// stateFunc is the per-function interpreter.
+// stateFunc holds the transfer functions of one function's walk.
 type stateFunc struct {
 	ck    *stateChecker
 	cells cellTable[stateCell]
+	w     *flowWalker[*stateCell, *stateSet]
 }
 
 // cellFor resolves an expression of a protocol type to its cell.
@@ -510,220 +490,20 @@ func (sf *stateFunc) cellFor(e ast.Expr) *stateCell {
 	return nil
 }
 
-// walk interprets a statement list; reports true when the path
-// terminates (return, branch) so callers drop it from the merge.
-func (sf *stateFunc) walk(stmts []ast.Stmt, tbl stateTable) bool {
-	for _, s := range stmts {
-		if sf.stmt(s, tbl) {
-			return true
-		}
+// bind resets an assigned cell: a fresh composite literal starts in the
+// initial state, anything else is unconstrained.
+func (sf *stateFunc) bind(lhs, rhs ast.Expr, tbl stateTable) {
+	cell := sf.cellFor(lhs)
+	switch {
+	case cell == nil:
+	case rhs != nil && isCompositeLit(rhs):
+		tbl[cell] = freshState(cell, lhs.Pos())
+	default:
+		delete(tbl, cell)
 	}
-	return false
 }
 
-func (sf *stateFunc) stmt(s ast.Stmt, tbl stateTable) bool {
-	switch s := s.(type) {
-	case nil:
-	case *ast.BlockStmt:
-		return sf.walk(s.List, tbl)
-	case *ast.ExprStmt:
-		sf.expr(s.X, tbl)
-	case *ast.ReturnStmt:
-		for _, r := range s.Results {
-			sf.expr(r, tbl)
-		}
-		return true
-	case *ast.BranchStmt:
-		// break/continue/goto end this linear path; the state they carry
-		// out is intentionally dropped (may-analysis underapproximation
-		// in exchange for the idempotent-early-return shape staying
-		// clean).
-		return true
-	case *ast.AssignStmt:
-		sf.assign(s, tbl)
-	case *ast.DeclStmt:
-		if gd, ok := s.Decl.(*ast.GenDecl); ok {
-			for _, spec := range gd.Specs {
-				if vs, ok := spec.(*ast.ValueSpec); ok {
-					for _, v := range vs.Values {
-						sf.expr(v, tbl)
-					}
-					for i, name := range vs.Names {
-						if cell := sf.cellFor(name); cell != nil {
-							if len(vs.Values) == len(vs.Names) && isCompositeLit(vs.Values[i]) {
-								tbl[cell] = freshState(cell, vs.Names[i].Pos())
-							} else {
-								delete(tbl, cell)
-							}
-						}
-					}
-				}
-			}
-		}
-	case *ast.IncDecStmt:
-		sf.expr(s.X, tbl)
-	case *ast.SendStmt:
-		sf.expr(s.Chan, tbl)
-		sf.expr(s.Value, tbl)
-	case *ast.DeferStmt:
-		// The deferred body runs at exit: check it against the state at
-		// registration, without advancing the outer walk.
-		if lit, ok := s.Call.Fun.(*ast.FuncLit); ok {
-			sf.walk(lit.Body.List, copyTable(tbl))
-		}
-	case *ast.GoStmt:
-		if lit, ok := s.Call.Fun.(*ast.FuncLit); ok {
-			sf.walk(lit.Body.List, copyTable(tbl))
-		} else if cell := sf.callReceiverCell(s.Call); cell != nil {
-			// `go mon.Close()` races the rest of the function: the cell's
-			// state is unknown from here on.
-			delete(tbl, cell)
-		}
-	case *ast.IfStmt:
-		sf.stmt(s.Init, tbl)
-		sf.expr(s.Cond, tbl)
-		then := copyTable(tbl)
-		tTerm := sf.stmt(s.Body, then)
-		if s.Else != nil {
-			els := copyTable(tbl)
-			eTerm := sf.stmt(s.Else, els)
-			switch {
-			case tTerm && eTerm:
-				return true
-			case tTerm:
-				assignTable(tbl, els)
-			case eTerm:
-				assignTable(tbl, then)
-			default:
-				mergeTable(then, els)
-				assignTable(tbl, then)
-			}
-		} else if !tTerm {
-			mergeTable(tbl, then)
-		}
-	case *ast.ForStmt:
-		sf.stmt(s.Init, tbl)
-		if s.Cond != nil {
-			sf.expr(s.Cond, tbl)
-		}
-		body := copyTable(tbl)
-		if !sf.stmt(s.Body, body) {
-			sf.stmt(s.Post, body)
-		}
-		mergeTable(tbl, body)
-	case *ast.RangeStmt:
-		sf.expr(s.X, tbl)
-		body := copyTable(tbl)
-		sf.stmt(s.Body, body)
-		mergeTable(tbl, body)
-	case *ast.SwitchStmt:
-		sf.stmt(s.Init, tbl)
-		if s.Tag != nil {
-			sf.expr(s.Tag, tbl)
-		}
-		return sf.arms(armBodies(s.Body, nil), hasDefaultClause(s.Body), tbl)
-	case *ast.TypeSwitchStmt:
-		sf.stmt(s.Init, tbl)
-		sf.stmt(s.Assign, tbl)
-		return sf.arms(armBodies(s.Body, nil), hasDefaultClause(s.Body), tbl)
-	case *ast.SelectStmt:
-		var bodies [][]ast.Stmt
-		for _, c := range s.Body.List {
-			cc := c.(*ast.CommClause)
-			var arm []ast.Stmt
-			if cc.Comm != nil {
-				arm = append(arm, cc.Comm)
-			}
-			arm = append(arm, cc.Body...)
-			bodies = append(bodies, arm)
-		}
-		// A select with no default blocks until some arm runs: if every
-		// arm terminates, so does the select.
-		return sf.arms(bodies, hasDefaultClause(s.Body), tbl)
-	case *ast.LabeledStmt:
-		return sf.stmt(s.Stmt, tbl)
-	}
-	return false
-}
-
-// armBodies flattens case clauses into per-arm statement lists.
-func armBodies(body *ast.BlockStmt, extra [][]ast.Stmt) [][]ast.Stmt {
-	out := extra
-	for _, c := range body.List {
-		if cc, ok := c.(*ast.CaseClause); ok {
-			out = append(out, cc.Body)
-		}
-	}
-	return out
-}
-
-func hasDefaultClause(body *ast.BlockStmt) bool {
-	for _, c := range body.List {
-		switch cc := c.(type) {
-		case *ast.CaseClause:
-			if cc.List == nil {
-				return true
-			}
-		case *ast.CommClause:
-			if cc.Comm == nil {
-				return true
-			}
-		}
-	}
-	return false
-}
-
-// arms interprets each arm from the pre-state and union-merges the
-// non-terminated results. Exhaustive arms (a default exists) where
-// every arm terminates end the path.
-func (sf *stateFunc) arms(bodies [][]ast.Stmt, exhaustive bool, tbl stateTable) bool {
-	var merged stateTable
-	allTerm := len(bodies) > 0
-	for _, b := range bodies {
-		arm := copyTable(tbl)
-		if sf.walk(b, arm) {
-			continue
-		}
-		allTerm = false
-		if merged == nil {
-			merged = arm
-		} else {
-			mergeTable(merged, arm)
-		}
-	}
-	if allTerm && exhaustive {
-		return true
-	}
-	if merged != nil {
-		if exhaustive {
-			// Some arm always runs: the pre-state does not fall through.
-			assignTable(tbl, merged)
-		} else {
-			mergeTable(tbl, merged)
-		}
-	}
-	return false
-}
-
-// assign interprets one assignment: RHS effects first, then LHS cells
-// reset (fresh composite literals start in the initial state, anything
-// else is unconstrained).
-func (sf *stateFunc) assign(s *ast.AssignStmt, tbl stateTable) {
-	for _, r := range s.Rhs {
-		sf.expr(r, tbl)
-	}
-	for i, l := range s.Lhs {
-		cell := sf.cellFor(l)
-		if cell == nil {
-			continue
-		}
-		if len(s.Rhs) == len(s.Lhs) && isCompositeLit(s.Rhs[i]) {
-			tbl[cell] = freshState(cell, s.Pos())
-		} else {
-			delete(tbl, cell)
-		}
-	}
-}
+func (sf *stateFunc) send(*ast.SendStmt, stateTable) {}
 
 // isCompositeLit reports whether e is (a pointer to) a composite
 // literal — a provably fresh value.
@@ -740,96 +520,21 @@ func freshState(cell *stateCell, pos token.Pos) *stateSet {
 	return &stateSet{may: map[string]token.Pos{cell.proto.initial(): pos}}
 }
 
-// expr interprets an expression for its call effects.
-func (sf *stateFunc) expr(e ast.Expr, tbl stateTable) {
-	switch e := e.(type) {
-	case nil:
-	case *ast.CallExpr:
-		if sel, ok := ast.Unparen(e.Fun).(*ast.SelectorExpr); ok {
-			sf.expr(sel.X, tbl)
-		} else {
-			sf.expr(e.Fun, tbl)
-		}
-		for _, a := range e.Args {
-			if lit, ok := a.(*ast.FuncLit); ok {
-				// A closure argument may run synchronously inside the callee
-				// (resilience.Supervisor.Do): interpret it as a may-executed
-				// branch.
-				branch := copyTable(tbl)
-				sf.walk(lit.Body.List, branch)
-				mergeTable(tbl, branch)
-				continue
-			}
-			sf.expr(a, tbl)
-		}
-		sf.applyCall(e, tbl)
-	case *ast.FuncLit:
-		// A literal bound to a variable may run at any later point:
-		// check its body against the registration state, no merge.
-		sf.walk(e.Body.List, copyTable(tbl))
-	case *ast.ParenExpr:
-		sf.expr(e.X, tbl)
-	case *ast.UnaryExpr:
-		sf.expr(e.X, tbl)
-	case *ast.StarExpr:
-		sf.expr(e.X, tbl)
-	case *ast.BinaryExpr:
-		sf.expr(e.X, tbl)
-		sf.expr(e.Y, tbl)
-	case *ast.IndexExpr:
-		sf.expr(e.X, tbl)
-		sf.expr(e.Index, tbl)
-	case *ast.SliceExpr:
-		sf.expr(e.X, tbl)
-		sf.expr(e.Low, tbl)
-		sf.expr(e.High, tbl)
-		sf.expr(e.Max, tbl)
-	case *ast.TypeAssertExpr:
-		sf.expr(e.X, tbl)
-	case *ast.CompositeLit:
-		for _, el := range e.Elts {
-			sf.expr(el, tbl)
-		}
-	case *ast.KeyValueExpr:
-		sf.expr(e.Value, tbl)
-	}
-}
-
-// callReceiverCell resolves a method call's receiver cell, if tracked.
-func (sf *stateFunc) callReceiverCell(call *ast.CallExpr) *stateCell {
-	sel, ok := ast.Unparen(call.Fun).(*ast.SelectorExpr)
-	if !ok {
-		return nil
-	}
-	if s, isSel := sf.ck.pass.TypesInfo.Selections[sel]; !isSel || s.Kind() != types.MethodVal {
-		return nil
-	}
-	return sf.cellFor(sel.X)
-}
-
-// applyCall checks a call against the protocol and advances state.
-func (sf *stateFunc) applyCall(call *ast.CallExpr, tbl stateTable) {
+// call checks a method call against its receiver's protocol and
+// advances the receiver's state; unannotated methods of a protocol type
+// are observers, since the annotation set is the full transition
+// surface. Tracked cells passed as arguments drop back to
+// unconstrained: the callee is checked on its own parameters.
+func (sf *stateFunc) call(call *ast.CallExpr, tbl stateTable) {
 	if sel, ok := ast.Unparen(call.Fun).(*ast.SelectorExpr); ok {
 		if s, isSel := sf.ck.pass.TypesInfo.Selections[sel]; isSel && s.Kind() == types.MethodVal {
-			if proto := sf.ck.protoFor(s.Recv()); proto != nil {
-				if m := proto.methods[sel.Sel.Name]; m != nil {
-					if cell := sf.cellFor(sel.X); cell != nil {
-						sf.applyMethod(call, cell, m, tbl)
-					}
+			if proto := sf.ck.protoFor(s.Recv()); proto != nil && proto.methods[sel.Sel.Name] != nil {
+				if cell := sf.cellFor(sel.X); cell != nil {
+					sf.applyMethod(call, cell, proto.methods[sel.Sel.Name], tbl)
 				}
-				// Unannotated methods of a protocol type are observers:
-				// the annotation set is the full transition surface.
-				sf.resetArgs(call, tbl)
-				return
 			}
 		}
 	}
-	sf.resetArgs(call, tbl)
-}
-
-// resetArgs drops tracked cells passed as call arguments back to
-// unconstrained: the callee is checked on its own parameters.
-func (sf *stateFunc) resetArgs(call *ast.CallExpr, tbl stateTable) {
 	for _, a := range call.Args {
 		if cell := sf.cellFor(a); cell != nil {
 			delete(tbl, cell)
@@ -872,7 +577,7 @@ func (sf *stateFunc) applyMethod(call *ast.CallExpr, cell *stateCell, m *stateMe
 				reqs = append(reqs, r)
 			}
 			sort.Strings(reqs)
-			sf.ck.rep.reportf(call.Pos(), "state: %s.%s requires state %s, but %s may be in state %s (entered at line %d)",
+			sf.w.reportf(call.Pos(), "state: %s.%s requires state %s, but %s may be in state %s (entered at line %d)",
 				cell.proto.typeName, m.name, strings.Join(reqs, " or "), cell.name,
 				strings.Join(bad, "/"), sf.ck.pass.Fset.Position(ss.may[bad[0]]).Line)
 		}
@@ -898,7 +603,7 @@ func (sf *stateFunc) applyMethod(call *ast.CallExpr, cell *stateCell, m *stateMe
 			}
 		}
 		if len(dead) > 0 {
-			sf.ck.rep.reportf(call.Pos(), "state: %s.%s has no transition from state %s (%s entered it at line %d); declared: %s",
+			sf.w.reportf(call.Pos(), "state: %s.%s has no transition from state %s (%s entered it at line %d); declared: %s",
 				cell.proto.typeName, m.name, strings.Join(dead, "/"), cell.name,
 				sf.ck.pass.Fset.Position(ss.may[dead[0]]).Line, transitionList(m))
 		}

@@ -74,6 +74,56 @@ func TestStateMutationGuard(t *testing.T) {
 	}
 }
 
+// handoffLoopTmpl mirrors a shard's serve loop: one incarnation fed
+// batch after batch and retired once the stream ends. The %s hole sits
+// at the end of the loop body, where an early close makes the next
+// iteration's feed a use-after-close.
+const handoffLoopTmpl = `package fleet
+
+//elsa:state open closed
+type monitor struct{ preds int }
+
+//elsa:requires open
+func (m *monitor) feed(rec int) int {
+	m.preds++
+	return rec
+}
+
+//elsa:transition open->closed closed->closed
+func (m *monitor) close() {}
+
+func serve(batches [][]int) []int {
+	live := &monitor{}
+	var out []int
+	for _, b := range batches {
+		for _, r := range b {
+			out = append(out, live.feed(r))
+		}
+%s	}
+	live.close()
+	return out
+}
+`
+
+// TestStateLoopMutationGuard closes the incarnation inside the serve
+// loop and demands elsastate report the next iteration's feed, once:
+// the finding exists only on the path through a second iteration.
+func TestStateLoopMutationGuard(t *testing.T) {
+	clean := fmt.Sprintf(handoffLoopTmpl, "")
+	if diags := runAnalyzers(t, loadSource(t, clean), []*analysis.Analyzer{StateAnalyzer}); len(diags) != 0 {
+		t.Fatalf("control fixture should be clean, got: %v", diags)
+	}
+
+	mutant := fmt.Sprintf(handoffLoopTmpl, "\t\tlive.close()\n")
+	diags := runAnalyzers(t, loadSource(t, mutant), []*analysis.Analyzer{StateAnalyzer})
+	if len(diags) != 1 {
+		t.Fatalf("mutant should produce exactly one finding, got %d: %v", len(diags), diags)
+	}
+	if msg := diags[0].Message; !strings.Contains(msg, "monitor.feed requires state open, but live may be in state closed") {
+		t.Fatalf("finding does not describe the feed-after-close: %s", msg)
+	}
+}
+
 // TestStateAnnotationStripped proves the analyzer is annotation-driven:
 // the same use-after-close mutant with every //elsa: directive stripped
 // produces no findings — there is no protocol left to verify against.

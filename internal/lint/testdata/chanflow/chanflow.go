@@ -89,6 +89,55 @@ func sendAfterCloseBranch(b bool) {
 	ch <- 1 // want "send on ch is reachable after its close"
 }
 
+// closeThenReturn: the closing path has returned before the send.
+func closeThenReturn(b bool) {
+	ch := make(chan int, 1)
+	if b {
+		close(ch)
+		return
+	}
+	ch <- 1
+}
+
+// closeThenBreak: break carries the closed state out of the loop.
+func closeThenBreak(n int) {
+	ch := make(chan int, 1)
+	for i := 0; i < n; i++ {
+		if i == 1 {
+			close(ch) // want "close of ch inside a loop"
+			break
+		}
+	}
+	ch <- 1 // want "send on ch is reachable after its close"
+}
+
+// closeThenLabeledBreak: the only way out of the loop is the labeled
+// break, which carries the close.
+func closeThenLabeledBreak(in chan int) {
+	ch := make(chan int, 1)
+loop:
+	for {
+		select {
+		case v := <-in:
+			if v == 0 {
+				close(ch) // want "close of ch inside a loop"
+				break loop
+			}
+		}
+	}
+	ch <- 1 // want "send on ch is reachable after its close"
+}
+
+// closeThenSendInLoop is one finding, however often the loop body is
+// walked.
+func closeThenSendInLoop(n int) {
+	ch := make(chan int, 1)
+	for i := 0; i < n; i++ {
+		close(ch) // want "close of ch inside a loop"
+		ch <- i   // want "send on ch is reachable after its close"
+	}
+}
+
 func deferCloseThenSend() {
 	ch := make(chan int, 1)
 	defer close(ch)

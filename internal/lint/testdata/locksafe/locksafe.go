@@ -1,7 +1,7 @@
 // Package locksafe seeds in-goroutine WaitGroup.Add and leakable
-// goroutines — the two goroutine-lifetime mistakes the analyzer exists
-// to catch before the race detector has to. (Locks copied by value are
-// stock go vet's copylocks.)
+// goroutines — the two goroutine-lifetime mistakes elsachan's goroutine
+// checks exist to catch before the race detector has to. (Locks copied
+// by value are stock go vet's copylocks.)
 package locksafe
 
 import (
@@ -40,7 +40,7 @@ func leakyInCancellable(ctx context.Context, ch chan int) {
 	go func() { // want "neither a ctx reference nor a WaitGroup join"
 		for {
 			select {
-			case v, ok := <-ch:
+			case v, ok := <-ch: // want "blocking receive from ch with no close, sender"
 				if !ok {
 					return
 				}

@@ -1,7 +1,8 @@
 // Package statefix exercises elsastate: annotation-declared lifecycle
 // protocols verified by the may-state interpreter — requires
-// violations, dead transitions, branch union-merge, fresh composite
-// literals, and the directive grammar's own error surface.
+// violations, dead transitions, branch union-merge, loops carried to a
+// fixpoint, fresh composite literals, and the directive grammar's own
+// error surface.
 package statefix
 
 // ---- the session protocol (the Monitor/Session shape) ----
@@ -81,7 +82,8 @@ func exhaustiveClose(s *Session, k int) {
 }
 
 // serveLoop is the fleet incarnation shape: Close and Feed in parallel
-// switch arms of a worker loop are protocol-correct per iteration.
+// switch arms of a worker loop, and the closing arm ends the loop, so
+// no later iteration feeds the closed session.
 func serveLoop(s *Session, reqs []int) {
 	for _, r := range reqs {
 		switch r {
@@ -89,7 +91,53 @@ func serveLoop(s *Session, reqs []int) {
 			s.Feed(r)
 		default:
 			s.Close()
+			return
 		}
+	}
+}
+
+// serveLoopOn keeps serving after the closing arm: the next iteration
+// feeds a closed session.
+func serveLoopOn(s *Session, reqs []int) {
+	for _, r := range reqs {
+		switch r {
+		case 0:
+			s.Feed(r) // want "Session.Feed requires state open, but s may be in state closed"
+		default:
+			s.Close()
+		}
+	}
+}
+
+// feedThenMaybeClose closes on some iteration; the iteration after it
+// feeds the closed session.
+func feedThenMaybeClose(s *Session, vals []int) {
+	for _, v := range vals {
+		s.Feed(v) // want "Session.Feed requires state open, but s may be in state closed"
+		if v == 0 {
+			s.Close()
+		}
+	}
+}
+
+// closeAndContinue: continue carries the closed session to the next
+// iteration's feed.
+func closeAndContinue(s *Session, vals []int) {
+	for _, v := range vals {
+		if v == 0 {
+			s.Close()
+			continue
+		}
+		s.Feed(v) // want "Session.Feed requires state open, but s may be in state closed"
+	}
+}
+
+// closeEach rebinds s on every iteration: each session is fed, then
+// closed, once.
+func closeEach(ss []*Session) {
+	for _, s := range ss {
+		s.Feed(1)
+		s.Close()
 	}
 }
 
