@@ -130,9 +130,10 @@ func pickSegment(dir string, fromNewest int) (string, error) {
 // mid-send. The frame encoding (u32 big-endian payload length, u32
 // big-endian IEEE CRC, payload bytes) is spelled out here on purpose: the
 // injector speaks the documented wire format, not the producer library,
-// so a reader that only survives the library's framing fails this.
+// so a reader that only survives the library's framing fails this. The
+// payload is the record's binary encoding (logs.Record.AppendBinary).
 func AbortMidFrame(w io.WriteCloser, rec logs.Record, keep int) error {
-	payload := []byte(rec.String())
+	payload := rec.AppendBinary(nil)
 	frame := make([]byte, 8, 8+len(payload))
 	binary.BigEndian.PutUint32(frame[0:4], uint32(len(payload)))
 	binary.BigEndian.PutUint32(frame[4:8], crc32.ChecksumIEEE(payload))

@@ -275,7 +275,7 @@ func (c *Coordinator) restore(sl *slot) ([]Merged, error) {
 // previous snapshot in place; a liveness miss abandons the incarnation
 // and recovers it.
 func (c *Coordinator) takeSnapshot(sl *slot) []Merged {
-	resp, ok := sl.call(request{kind: reqSnapshot, seq: sl.seq}, c.cfg.FeedTimeout)
+	resp, ok := c.snapshot(sl)
 	switch {
 	case !ok:
 		c.abandon(sl, "snapshot liveness probe timed out")
@@ -289,6 +289,17 @@ func (c *Coordinator) takeSnapshot(sl *slot) []Merged {
 	}
 	sl.commitSnapshot(resp.snap)
 	return nil
+}
+
+// snapshot asks the live incarnation for its state at the current seq.
+// A snapshot serialises the whole shard, not one record, so it does not
+// share the per-record deadline: it gets Close's flush bound,
+// 4×FeedTimeout. ok=false: the call outlived it, a failed liveness probe
+// like a feed's.
+func (c *Coordinator) snapshot(sl *slot) (response, bool) {
+	req := request{kind: reqSnapshot, seq: sl.seq, stall: sl.stallSnap}
+	sl.stallSnap = 0
+	return sl.call(req, 4*c.cfg.FeedTimeout)
 }
 
 // Handoff drains a shard through a fresh snapshot and hands its state to
@@ -306,7 +317,7 @@ func (c *Coordinator) Handoff(name string) error {
 	if sl.state != slotActive {
 		return fmt.Errorf("fleet: shard %s is down; crash failover owns its recovery", name)
 	}
-	resp, callOK := sl.call(request{kind: reqSnapshot, seq: sl.seq}, c.cfg.FeedTimeout)
+	resp, callOK := c.snapshot(sl)
 	switch {
 	case !callOK:
 		c.abandon(sl, "handoff drain timed out")

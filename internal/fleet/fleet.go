@@ -81,9 +81,11 @@ type Config struct {
 	// automatic snapshots (the failover replay bound). 0 selects
 	// DefaultSnapshotEvery; negative disables automatic snapshots.
 	SnapshotEvery int
-	// FeedTimeout bounds every synchronous worker call; a miss is a
-	// failed liveness probe, detected within 1.25×FeedTimeout, and the
-	// incarnation is abandoned. <= 0 selects DefaultFeedTimeout.
+	// FeedTimeout bounds every per-record synchronous worker call; a
+	// miss is a failed liveness probe, detected within 1.25×FeedTimeout,
+	// and the incarnation is abandoned. Calls that do more than one
+	// record's work scale it: Close's flush and a snapshot get 4×. <= 0
+	// selects DefaultFeedTimeout.
 	FeedTimeout time.Duration
 	// Handoff seeds and fakes the restore retry loop's delays.
 	Handoff HandoffPolicy

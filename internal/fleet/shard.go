@@ -185,8 +185,10 @@ type slot struct {
 	lost         int64 // entries whose effects were never merged (unrecoverable slot at Close)
 	flushFails   int64 // Close flushes that failed: the open-tick tail is missing, accounted here
 
-	// Chaos hooks armed by the injector through the coordinator.
+	// Chaos hooks armed by the injector through the coordinator, and
+	// stallSnap, the next snapshot call's stall, armed by tests.
 	stallNext    time.Duration
+	stallSnap    time.Duration
 	failRestores int
 }
 

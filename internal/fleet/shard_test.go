@@ -99,6 +99,53 @@ func TestTightDeadlineNoSpuriousFailover(t *testing.T) {
 	}
 }
 
+// TestSnapshotDeadlineFitsItsWork: a snapshot call runs under its own
+// deadline, not the per-record one. A snapshot that runs past FeedTimeout
+// but inside its bound commits and fails nothing over; one stalled past
+// its bound is a failed liveness probe, and the shard fails over from the
+// snapshot before it.
+func TestSnapshotDeadlineFitsItsWork(t *testing.T) {
+	model, test, start, _ := fixture(t)
+	cfg := testConfig(1)
+	cfg.SnapshotEvery = -1
+	cfg.FeedTimeout = 20 * time.Millisecond * raceSlack
+	c, err := New(model, start, cfg)
+	if err != nil {
+		t.Fatalf("fleet.New: %v", err)
+	}
+	defer c.Close()
+	for _, rec := range test[:len(test)/2] {
+		c.Feed(rec)
+	}
+	sl := c.slots[0]
+
+	sl.stallSnap = 2 * cfg.FeedTimeout
+	c.takeSnapshot(sl)
+	if sl.snapshots != 1 || sl.failovers != 0 || sl.sup.Stats().Panics != 0 {
+		t.Fatalf("a snapshot %v long under a %v feed deadline: %d snapshots, %d failovers, %d failures charged",
+			sl.stallSnap, cfg.FeedTimeout, sl.snapshots, sl.failovers, sl.sup.Stats().Panics)
+	}
+
+	bound := 4 * cfg.FeedTimeout
+	sl.stallSnap = 2 * bound
+	t0 := time.Now()
+	c.takeSnapshot(sl)
+	waited := time.Since(t0)
+	if sl.snapshots != 1 || sl.failovers != 1 || sl.state != slotActive {
+		t.Fatalf("a snapshot stalled past its %v bound: %d snapshots, %d failovers, state %d; want the stall to fail over",
+			bound, sl.snapshots, sl.failovers, sl.state)
+	}
+	if waited < bound {
+		t.Fatalf("the stalled snapshot was expired after %v, inside its own %v bound", waited, bound)
+	}
+	for _, rec := range test[len(test)/2:] {
+		c.Feed(rec)
+	}
+	if res := c.Close(); res.Stats.Shards[0].LostEntries != 0 {
+		t.Fatalf("%d entries lost after the failover", res.Stats.Shards[0].LostEntries)
+	}
+}
+
 // mallocs counts the heap allocations f makes, on every goroutine.
 func mallocs(f func()) uint64 {
 	var before, after runtime.MemStats

@@ -11,16 +11,19 @@ import (
 
 // Frame format shared by the socket and segment backends: an 8-byte
 // header — u32 payload length, u32 IEEE CRC of the payload, both
-// big-endian — followed by the payload, a canonical record text line
-// without the trailing newline. A zero-length frame (CRC 0) is the
-// producer's end-of-stream marker on the socket backend and is invalid
-// inside a segment.
+// big-endian — followed by the payload, one record in the binary
+// encoding of logs.Record.AppendBinary (its first byte is the payload
+// version, logs.BinaryVersion). A payload that logs.ParseBinary rejects
+// — a text line from an old producer among them — is quarantined like a
+// CRC failure. A zero-length frame (CRC 0) is the producer's
+// end-of-stream marker on the socket backend and is invalid inside a
+// segment.
 
 // frameHeaderLen is the fixed frame header size.
 const frameHeaderLen = 8
 
 // MaxFramePayload bounds a frame's payload. It tracks the largest line
-// the log codec accepts; anything bigger did not come out of a sane
+// the text codec accepts; anything bigger did not come out of a sane
 // producer and is treated as stream corruption.
 const MaxFramePayload = 1 << 20
 
@@ -37,13 +40,13 @@ var errFrameInvalid = fmt.Errorf("ingest: invalid frame header")
 var errFrameCRC = fmt.Errorf("ingest: frame CRC mismatch")
 
 // appendRecordFrame appends rec's frame to dst: the header bytes are
-// reserved, the canonical text is rendered straight after them, then
-// length and CRC are back-filled — the record is formatted once and
-// copied nowhere.
+// reserved, the binary payload is encoded straight after them, then
+// length and CRC are back-filled — the record is encoded once and copied
+// nowhere.
 func appendRecordFrame(dst []byte, rec logs.Record) []byte {
 	start := len(dst)
 	dst = append(dst, make([]byte, frameHeaderLen)...)
-	dst = rec.AppendText(dst)
+	dst = rec.AppendBinary(dst)
 	payload := dst[start+frameHeaderLen:]
 	binary.BigEndian.PutUint32(dst[start:], uint32(len(payload)))
 	binary.BigEndian.PutUint32(dst[start+4:], crc32.ChecksumIEEE(payload))
@@ -93,8 +96,8 @@ func readFrame(r io.Reader, buf []byte) (payload, newBuf []byte, size int, err e
 	return buf, buf, frameHeaderLen + int(n), nil
 }
 
-// frameWindowLen is the block a frameWindow reads at a time: ~680
-// canonical records, so a sequential reader pays one pread per block
+// frameWindowLen is the block a frameWindow reads at a time: ~950
+// binary records, so a sequential reader pays one pread per block
 // instead of two per frame. A constant, not an option: past a few tens
 // of KiB the syscall is already amortised away and a reader only ever
 // holds one window.

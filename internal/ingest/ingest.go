@@ -10,11 +10,12 @@
 //     stdin) or, seekable, from the flat log file the batch tools always
 //     read, tracking byte offsets so a monitor can resume mid-file;
 //   - Socket: a unix/TCP listener speaking CRC-framed, length-prefixed
-//     records, for collectors that push;
+//     records in the binary payload (logs.Record.AppendBinary), for
+//     collectors that push;
 //   - SegDir: a Kafka-style segmented append-only log directory —
-//     fixed-size CRC-framed segments with index sidecars, atomic segment
-//     roll, and a tailing reader that follows across rolls and resumes
-//     from a persisted offset.
+//     fixed-size segments of the same frames, with index sidecars,
+//     atomic segment roll, and a tailing reader that follows across
+//     rolls and resumes from a persisted offset.
 //
 // Backends deliver parsed records; malformed input is counted (and where
 // possible skipped) rather than wedging the stream, mirroring the

@@ -14,9 +14,11 @@ import (
 // The frozen references of the segment store: the per-frame decoder and
 // the reader built on it as they stood before SegDir read in blocks (two
 // ReadAt calls per frame, payload copied into buf and again into the
-// record's string). Nothing outside the tests uses them; the differential
-// test and FuzzSegDirReader hold the block reader to them record by
-// record.
+// record's strings). Nothing outside the tests uses them; the
+// differential test and FuzzSegDirReader hold the block reader to them
+// record by record. Their frame and block logic is frozen; only the
+// payload codec followed the frames from text to binary
+// (logs.ParseBinary).
 
 // appendFrame appends the framed payload to dst: the reference encoder
 // appendRecordFrame and readFrame are checked against.
@@ -102,7 +104,7 @@ func (r *refSegDir) Next(ctx context.Context) (logs.Record, error) {
 		case nil:
 			r.pos += size
 			r.rel++
-			rec, perr := logs.ParseRecord(string(payload))
+			rec, perr := logs.ParseBinary(payload)
 			if perr != nil {
 				r.stats.Quarantined++
 				continue

@@ -128,8 +128,10 @@ func (r *SegDir) Next(ctx context.Context) (logs.Record, error) {
 		return logs.Record{}, ErrClosed
 	}
 	for {
-		if err := ctx.Err(); err != nil {
-			return logs.Record{}, err
+		select { // not ctx.Err, which takes a lock on every record
+		case <-ctx.Done():
+			return logs.Record{}, ctx.Err()
+		default:
 		}
 		payload, size, ferr := r.win.frameAt(r.f, r.size, r.pos)
 		if ferr == io.EOF || ferr == errFrameTorn {
@@ -146,7 +148,7 @@ func (r *SegDir) Next(ctx context.Context) (logs.Record, error) {
 		case nil:
 			r.pos += size
 			r.rel++
-			rec, perr := logs.ParseRecord(string(payload))
+			rec, perr := logs.ParseBinary(payload)
 			if perr != nil {
 				r.stats.Quarantined++
 				continue

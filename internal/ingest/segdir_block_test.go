@@ -5,7 +5,9 @@ import (
 	"bytes"
 	"context"
 	"encoding/binary"
+	"errors"
 	"io"
+	"net"
 	"os"
 	"path/filepath"
 	"strings"
@@ -177,7 +179,7 @@ func TestSegDirBlockReaderMatchesFrozenReference(t *testing.T) {
 		var headerLast [frameHeaderLen]bool
 		payloadSplit := 0
 		for pad := 0; pad < 160; pad++ {
-			shifted := append([]logs.Record{padded(recs[0], 40+pad)}, recs[1:900]...)
+			shifted := append([]logs.Record{padded(recs[0], 40+pad)}, recs[1:1200]...)
 			offs, _ := lockstep(t, stageSegDir(t, shifted, SegmentOptions{}), -1)
 			for i := 1; i < len(offs); i++ {
 				if start, end := offs[i-1].Bytes, offs[i].Bytes; start < firstEdge && end > firstEdge {
@@ -201,7 +203,7 @@ func TestSegDirBlockReaderMatchesFrozenReference(t *testing.T) {
 
 	// One segment whose frames run well past the first window edge, and
 	// the boundaries of the frame that straddles it.
-	edgeRecs := recs[:900]
+	edgeRecs := recs[:1200]
 	var before, after int64
 	offs, _ := lockstep(t, stageSegDir(t, edgeRecs, SegmentOptions{}), -1)
 	for _, o := range offs {
@@ -280,14 +282,14 @@ func TestSegDirBlockReaderMatchesFrozenReference(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if err := chaos.AbortMidFrame(f, padded(recs[1000], 300), keep); err != nil {
+			if err := chaos.AbortMidFrame(f, padded(recs[1300], 300), keep); err != nil {
 				t.Fatal(err)
 			}
 			if _, st := lockstep(t, dir, -1); st.Resyncs != 1 {
 				t.Fatalf("keep %d: stats %+v, want the torn tail counted", keep, st)
 			}
 			// A restarted writer truncates the torn frame and carries on.
-			appendSegDir(t, dir, recs[1000:1100], SegmentOptions{})
+			appendSegDir(t, dir, recs[1300:1400], SegmentOptions{})
 			if _, st := lockstep(t, dir, -1); st.Resyncs != 0 || st.Quarantined != 0 {
 				t.Fatalf("keep %d: stats %+v after the writer restarted", keep, st)
 			}
@@ -436,7 +438,7 @@ func BenchmarkSegDirNext(b *testing.B) {
 func TestAppendRecordFrameMatchesReferenceEncoder(t *testing.T) {
 	buf := []byte("kept")
 	for _, rec := range append(blockRecords(t, 200), logs.Record{}, padded(logs.Record{}, 70000)) {
-		want := appendFrame([]byte("kept"), []byte(rec.String()))
+		want := appendFrame([]byte("kept"), rec.AppendBinary(nil))
 		if buf = appendRecordFrame(buf[:4], rec); !bytes.Equal(buf, want) {
 			t.Fatalf("frame of %q differs from the reference encoding", rec)
 		}
@@ -480,30 +482,124 @@ type closeBuffer struct{ bytes.Buffer }
 
 func (*closeBuffer) Close() error { return nil }
 
+// v1Frames is recs as a version 1 segment framed them: each payload the
+// record's canonical text line.
+func v1Frames(recs []logs.Record) []byte {
+	var frames []byte
+	for _, rec := range recs {
+		frames = appendFrame(frames, []byte(rec.String()))
+	}
+	return frames
+}
+
+// writeSegment writes a one-segment directory's segment file — a header
+// of the given format version, then frames — and its index sidecar.
+func writeSegment(tb testing.TB, dir string, version uint32, frames, idx []byte) {
+	tb.Helper()
+	hdr := make([]byte, segHeaderLen)
+	copy(hdr, segMagic[:])
+	binary.BigEndian.PutUint32(hdr[4:], version)
+	if err := os.WriteFile(segPath(dir, 0), append(hdr, frames...), 0o644); err != nil {
+		tb.Fatal(err)
+	}
+	if err := os.WriteFile(idxPath(dir, 0), idx, 0o644); err != nil {
+		tb.Fatal(err)
+	}
+}
+
+// checkVersionRefused fails unless both opening dir to read and opening
+// it to append fail with the typed version error for version, leaving
+// the segment's bytes as they were.
+func checkVersionRefused(tb testing.TB, dir string, version uint32) {
+	tb.Helper()
+	before, err := os.ReadFile(segPath(dir, 0))
+	if err != nil {
+		tb.Fatal(err)
+	}
+	want := ErrSegmentVersion{Path: segPath(dir, 0), Got: version, Want: segVersion}
+	var verr *ErrSegmentVersion
+	if r, err := OpenSegDir(dir, SegDirOptions{}); !errors.As(err, &verr) || *verr != want {
+		if r != nil {
+			r.Close()
+		}
+		tb.Fatalf("OpenSegDir on a version %d segment: %v, want %v", version, err, &want)
+	}
+	if w, err := CreateSegmentDir(dir, SegmentOptions{}); !errors.As(err, &verr) || *verr != want {
+		if w != nil {
+			w.Close()
+		}
+		tb.Fatalf("CreateSegmentDir on a version %d segment: %v, want %v", version, err, &want)
+	}
+	if after, err := os.ReadFile(segPath(dir, 0)); err != nil || !bytes.Equal(after, before) {
+		tb.Fatalf("the refused segment changed: %v", err)
+	}
+}
+
+// TestSocketQuarantinesTextFrame: a frame whose CRC holds but whose
+// payload is a text line, as a producer from before the binary payload
+// sends, is quarantined; the binary frames around it are delivered.
+func TestSocketQuarantinesTextFrame(t *testing.T) {
+	recs := blockRecords(t, 2)
+	s, err := ListenSocket("unix", filepath.Join(t.TempDir(), "ingest.sock"), 16)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	conn, err := net.Dial("unix", s.Addr().String())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+	fc := NewFrameConn(conn)
+	if err := fc.WriteRecord(recs[0]); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := conn.Write(v1Frames(recs[1:])); err != nil {
+		t.Fatal(err)
+	}
+	if err := fc.WriteRecord(recs[1]); err != nil {
+		t.Fatal(err)
+	}
+	if err := fc.End(); err != nil {
+		t.Fatal(err)
+	}
+	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+	defer cancel()
+	for i, want := range recs {
+		if rec, err := s.Next(ctx); err != nil || rec != want {
+			t.Fatalf("record %d: %+v, %v; want %+v", i, rec, err, want)
+		}
+	}
+	if _, err := s.Next(ctx); err != io.EOF {
+		t.Fatalf("Next after the end marker = %v, want io.EOF", err)
+	}
+	if st := s.Stats(); st.Delivered != 2 || st.Quarantined != 1 || st.AbortedConns != 0 {
+		t.Fatalf("stats = %+v, want 2 delivered, the text frame quarantined, the connection clean", st)
+	}
+}
+
 // FuzzSegDirReader feeds arbitrary bytes to the block reader as the frames
-// (and the index sidecar) of a one-segment directory: Next until io.EOF
-// and Seek must neither panic nor loop, cannot account more records than
-// the bytes could frame, and must agree with the frozen reference call by
-// call.
+// (and the index sidecar) of a one-segment directory of the given format
+// version. A version other than segVersion is refused with the typed
+// error. Otherwise Next until io.EOF and Seek must neither panic nor
+// loop, cannot account more records than the bytes could frame, and must
+// agree with the frozen reference call by call.
 func FuzzSegDirReader(f *testing.F) {
 	for i, frames := range fuzzSeedFrames(f) {
 		// A true first entry, then one that points into a frame.
 		idx := binary.BigEndian.AppendUint64(make([]byte, 8), segHeaderLen)
 		idx = binary.BigEndian.AppendUint64(idx, uint64(i))
 		idx = binary.BigEndian.AppendUint64(idx, uint64(segHeaderLen+i*7))
-		f.Add(frames, idx, uint16(i*5))
+		f.Add(uint32(segVersion), frames, idx, uint16(i*5))
 	}
-	f.Add([]byte{}, []byte{}, uint16(0))
-	f.Fuzz(func(t *testing.T, frames, idx []byte, seek uint16) {
+	f.Add(uint32(segVersion), []byte{}, []byte{}, uint16(0))
+	f.Add(uint32(1), v1Frames(blockRecords(f, 40)), binary.BigEndian.AppendUint64(make([]byte, 8), segHeaderLen), uint16(3))
+	f.Fuzz(func(t *testing.T, version uint32, frames, idx []byte, seek uint16) {
 		dir := t.TempDir()
-		hdr := make([]byte, segHeaderLen)
-		copy(hdr, segMagic[:])
-		hdr[7] = segVersion
-		if err := os.WriteFile(segPath(dir, 0), append(hdr, frames...), 0o644); err != nil {
-			t.Fatal(err)
-		}
-		if err := os.WriteFile(idxPath(dir, 0), idx, 0o644); err != nil {
-			t.Fatal(err)
+		writeSegment(t, dir, version, frames, idx)
+		if version != segVersion {
+			checkVersionRefused(t, dir, version)
+			return
 		}
 		// A frame is a header and at least one payload byte; a torn tail
 		// quarantines one record more.
@@ -518,11 +614,15 @@ func FuzzSegDirReader(f *testing.F) {
 
 // FuzzReadFrame feeds arbitrary bytes to the socket's frame decoder the
 // way Socket.serve does, through a bufio.Reader: an error, never a panic,
-// and an accepted frame re-encodes to exactly the bytes it consumed.
+// and an accepted frame re-encodes to exactly the bytes it consumed. Its
+// payload then decodes to a record that re-encodes to it, or is
+// quarantined — always so when it is not a binary payload, like the text
+// frames of the version 1 seed.
 func FuzzReadFrame(f *testing.F) {
 	for _, frames := range fuzzSeedFrames(f) {
 		f.Add(frames)
 	}
+	f.Add(v1Frames(blockRecords(f, 3)))
 	f.Add(make([]byte, frameHeaderLen))
 	f.Add([]byte{0, 0, 0, 0, 0, 0, 0, 1})
 	f.Add([]byte{0xff, 0xff, 0xff, 0xff, 0, 0, 0, 0, 'x'})
@@ -543,6 +643,15 @@ func FuzzReadFrame(f *testing.F) {
 			}
 			if consumed+size > len(data) || !bytes.Equal(appendFrame(nil, payload), data[consumed:consumed+size]) {
 				t.Fatalf("frame at %d (size %d) does not re-encode to the bytes consumed", consumed, size)
+			}
+			if payload != nil {
+				rec, err := logs.ParseBinary(payload)
+				switch {
+				case err == nil && !bytes.Equal(rec.AppendBinary(nil), payload):
+					t.Fatalf("frame at %d: record %+v does not re-encode to its payload", consumed, rec)
+				case err == nil && payload[0] != logs.BinaryVersion:
+					t.Fatalf("frame at %d: payload % x without the version byte was delivered", consumed, payload)
+				}
 			}
 			consumed += size
 		}

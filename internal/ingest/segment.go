@@ -36,8 +36,23 @@ import (
 // segMagic opens every segment file.
 var segMagic = [4]byte{'E', 'L', 'S', 'G'}
 
-// segVersion is the on-disk format version.
-const segVersion = 1
+// segVersion is the on-disk format version. Version 2 frames carry the
+// binary record payload; version 1 frames carried text.
+const segVersion = 2
+
+// ErrSegmentVersion reports a segment written under another on-disk
+// format version. Opening or appending to such a directory fails with it:
+// a directory is read and written in one version, never converted in
+// place.
+type ErrSegmentVersion struct {
+	Path string
+	Got  uint32
+	Want uint32
+}
+
+func (e *ErrSegmentVersion) Error() string {
+	return fmt.Sprintf("ingest: segment %s is format version %d, this build reads version %d", e.Path, e.Got, e.Want)
+}
 
 // segHeaderLen is the fixed segment header size.
 const segHeaderLen = 16
@@ -337,7 +352,7 @@ func checkSegHeader(f *os.File, base int64) error {
 		return fmt.Errorf("ingest: bad segment magic %q", hdr[0:4])
 	}
 	if v := binary.BigEndian.Uint32(hdr[4:8]); v != segVersion {
-		return fmt.Errorf("ingest: unsupported segment version %d", v)
+		return &ErrSegmentVersion{Path: f.Name(), Got: v, Want: segVersion}
 	}
 	if b := int64(binary.BigEndian.Uint64(hdr[8:16])); b != base {
 		return fmt.Errorf("ingest: segment header base %d does not match name %d", b, base)

@@ -132,7 +132,7 @@ func (s *Socket) serve(conn net.Conn) {
 			s.mu.Unlock()
 			break
 		}
-		rec, perr := logs.ParseRecord(string(payload))
+		rec, perr := logs.ParseBinary(payload)
 		if perr != nil {
 			s.quarantined.Add(1)
 			continue

@@ -36,10 +36,10 @@ const DefaultMaxBuffered = 1 << 16
 // non-UTF-8 or NUL-spliced message bytes, runaway message sizes, and
 // event ids no organizer could have stamped.
 func quarantineReason(rec *logs.Record) string {
-	switch {
+	switch y := rec.Time.Year(); {
 	case rec.Time.IsZero():
 		return "zero timestamp"
-	case rec.Time.Year() < 1970 || rec.Time.Year() > 9999:
+	case y < 1970 || y > 9999:
 		return "timestamp out of range"
 	case rec.EventID < -1:
 		return "invalid event id"

@@ -140,7 +140,10 @@ type Stats struct {
 // StageStats is one pipeline stage's counter snapshot: records (or tick
 // batches) in and out, drops, the most records the open ticks held at once
 // (MaxQueue, sample stage only), wall time spent inside the stage body,
-// plus the stage's hardening counters and supervision health.
+// plus the stage's hardening counters and supervision health. In, Out and
+// the counters are exact. The template stage's Wall is an estimate: it
+// times one record in every 64 and scales, because a clock read costs
+// about what stamping a record does; the per-tick stages time every call.
 type StageStats struct {
 	Name     string
 	In       int64

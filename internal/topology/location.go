@@ -157,13 +157,12 @@ func appendInt2(dst []byte, v int) []byte {
 // look hierarchical are treated as flat hostnames.
 func Parse(s string) (Location, error) {
 	s = strings.TrimSpace(s)
-	switch s {
-	case "", "SYSTEM", "NULL", "-":
+	if isSystemCode(s) {
 		return System, nil
 	}
-	if len(s) < 3 || s[0] != 'R' || !isDigit(s[1]) {
+	if !looksHierarchical(s) {
 		// Flat hostname.
-		if strings.ContainsAny(s, " \t") {
+		if !IsFlatHost(s) {
 			return Location{}, fmt.Errorf("topology: invalid location %q", s)
 		}
 		return FlatNode(s), nil
@@ -243,6 +242,27 @@ func Parse(s string) (Location, error) {
 }
 
 func isDigit(b byte) bool { return b >= '0' && b <= '9' }
+
+// isSystemCode reports whether s is one of the codes Parse reads as System.
+func isSystemCode(s string) bool {
+	switch s {
+	case "", "SYSTEM", "NULL", "-":
+		return true
+	}
+	return false
+}
+
+// looksHierarchical reports whether Parse reads s as a rack code rather
+// than a flat hostname.
+func looksHierarchical(s string) bool { return len(s) >= 3 && s[0] == 'R' && isDigit(s[1]) }
+
+// IsFlatHost reports whether Parse reads s back as FlatNode(s): s is not
+// a System code or a rack code, holds no space or tab and has no
+// surrounding white space. A host that fails cannot travel as text, in
+// a log line or in a snapshot.
+func IsFlatHost(s string) bool {
+	return !isSystemCode(s) && !looksHierarchical(s) && !strings.ContainsAny(s, " \t") && strings.TrimSpace(s) == s
+}
 
 // MustParse is Parse that panics on error; intended for literals in tests
 // and examples.
