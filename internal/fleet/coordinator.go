@@ -287,7 +287,7 @@ func (c *Coordinator) takeSnapshot(sl *slot) []Merged {
 		sl.snapFailures++
 		return nil
 	}
-	sl.commitSnapshot(resp.snap)
+	sl.commitSnapshot(resp.snap, c.cfg.SnapshotEvery)
 	return nil
 }
 
@@ -328,7 +328,7 @@ func (c *Coordinator) Handoff(name string) error {
 	case resp.err != nil:
 		return fmt.Errorf("fleet: shard %s handoff snapshot: %w", name, resp.err)
 	}
-	sl.commitSnapshot(resp.snap)
+	sl.commitSnapshot(resp.snap, c.cfg.SnapshotEvery)
 	sl.retire()
 	// The replay window is empty, so recovery regenerates nothing; were it
 	// to, the Degraded counter would show it.

@@ -320,18 +320,31 @@ func (sl *slot) journalFrom(seq int64) []entry {
 
 // commitSnapshot installs a fresh snapshot taken at the current seq and
 // trims the journal: entries at seq < snapSeq can never be replayed
-// again. The suffix is copied out so the trimmed prefix's backing array
-// is released. The snapshot must have been taken from the still-live
-// incarnation — committing after retire would trim journal entries the
-// successor still needs to replay.
+// again. In the steady state the suffix is copied down to the front of
+// the same backing array, which the next snapshot interval (every
+// entries) refills without regrowing it, and the vacated tail is cleared
+// so the trimmed records' strings are released. An outage grows the
+// journal past any snapshot cadence; once the array is more than four
+// times what the next interval needs, the suffix is copied out instead so
+// the outage's array is released. Copying in place is safe because no
+// journal slice outlives a call: requests carry entries by value, and
+// restore's replay loop never commits a snapshot. The snapshot must have
+// been taken from the still-live incarnation — committing after retire
+// would trim journal entries the successor still needs to replay.
 //
 //elsa:requires live
-func (sl *slot) commitSnapshot(snap []byte) {
+func (sl *slot) commitSnapshot(snap []byte, every int) {
 	sl.snap = snap
 	sl.snapSeq = sl.seq
 	sl.snapPreds = sl.preds
 	sl.snapshots++
 	keep := sl.journalFrom(sl.snapSeq)
-	sl.journal = append(make([]entry, 0, len(keep)), keep...)
+	if cap(sl.journal) > 4*max(len(keep), every) {
+		sl.journal = append(make([]entry, 0, len(keep)), keep...)
+	} else {
+		n := copy(sl.journal, keep)
+		clear(sl.journal[n:])
+		sl.journal = sl.journal[:n]
+	}
 	sl.trimBase = sl.snapSeq
 }

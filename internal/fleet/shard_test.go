@@ -7,6 +7,7 @@ import (
 	"time"
 
 	"github.com/elsa-hpc/elsa/internal/logs"
+	"github.com/elsa-hpc/elsa/internal/resilience"
 )
 
 // TestWatchdogExpiryIsExclusive races the worker's answer against the
@@ -143,6 +144,66 @@ func TestSnapshotDeadlineFitsItsWork(t *testing.T) {
 	}
 	if res := c.Close(); res.Stats.Shards[0].LostEntries != 0 {
 		t.Fatalf("%d entries lost after the failover", res.Stats.Shards[0].LostEntries)
+	}
+}
+
+// TestJournalShrinksAfterOutage: while a shard is down no snapshot can
+// trim its journal, so an outage grows the journal to the outage's
+// length. The first snapshot after recovery must release that array —
+// the journal's capacity falls back to the snapshot cadence's size — and
+// the steady-state snapshots after it keep reusing the array they have.
+func TestJournalShrinksAfterOutage(t *testing.T) {
+	model, test, start, _ := fixture(t)
+	cfg := testConfig(1)
+	cfg.Supervision = resilience.Policy{MaxFailures: 1_000_000}
+	const outage = 5_000
+	if len(test) < 3*cfg.SnapshotEvery+outage+2 {
+		t.Fatalf("fixture has %d records, too few for the outage", len(test))
+	}
+	c, err := New(model, start, cfg)
+	if err != nil {
+		t.Fatalf("fleet.New: %v", err)
+	}
+	sl := c.slots[0]
+	next := 0
+	feedUntil := func(done func() bool) {
+		t.Helper()
+		for !done() {
+			if next == len(test) {
+				t.Fatal("ran out of records")
+			}
+			c.Feed(test[next])
+			next++
+		}
+	}
+
+	feedUntil(func() bool { return sl.snapshots == 1 })
+	// Each delivery to a down shard runs one recovery round of
+	// handoffTries restores, so the shard stays down for outage entries.
+	c.FailRestores("shard0", handoffTries*outage)
+	if !c.Kill("shard0") {
+		t.Fatal("kill found no live incarnation")
+	}
+	feedUntil(func() bool { return sl.state == slotActive })
+	bound := 4 * cfg.SnapshotEvery
+	if peak := cap(sl.journal); peak <= bound {
+		t.Fatalf("outage of %d entries left a journal of capacity %d, want > %d", outage, peak, bound)
+	}
+	snaps := sl.snapshots
+	feedUntil(func() bool { return sl.snapshots > snaps })
+	if got := cap(sl.journal); got > bound {
+		t.Fatalf("after recovery and a snapshot the journal keeps capacity %d, want <= %d", got, bound)
+	}
+	feedUntil(func() bool { return sl.snapshots > snaps+2 })
+	if got := cap(sl.journal); got < cfg.SnapshotEvery || got > bound {
+		t.Fatalf("steady-state journal capacity %d, want the reused interval's array (%d..%d)",
+			got, cfg.SnapshotEvery, bound)
+	}
+	if sl.failovers != 1 {
+		t.Fatalf("%d failovers, want 1", sl.failovers)
+	}
+	if res := c.Close(); res.Stats.Shards[0].LostEntries != 0 {
+		t.Fatalf("%d entries lost after the outage", res.Stats.Shards[0].LostEntries)
 	}
 }
 

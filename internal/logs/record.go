@@ -142,12 +142,6 @@ func ParseRecord(line string) (Record, error) {
 	}, nil
 }
 
-// SortByTime sorts records chronologically (stable, so simultaneous
-// records keep generation order).
-func SortByTime(recs []Record) {
-	sort.SliceStable(recs, func(i, j int) bool { return recs[i].Time.Before(recs[j].Time) })
-}
-
 // Window returns the sub-slice of time-sorted recs with Time in
 // [from, to). It assumes recs is sorted by time.
 func Window(recs []Record, from, to time.Time) []Record {

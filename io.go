@@ -12,8 +12,11 @@ import (
 // COMPONENT message..." per line; blank and '#' lines skipped).
 func ReadLog(r io.Reader) ([]Record, error) { return logs.ReadAll(r) }
 
-// SortRecords orders records chronologically (stable). Adapter-imported
-// logs are not guaranteed to be time-sorted.
+// SortRecords orders records chronologically and stably: equal times
+// keep their input order. Adapter-imported logs are not guaranteed to be
+// time-sorted, but they arrive as a few time-sorted sources concatenated;
+// SortRecords merges those runs in O(n log k) for k runs, costs one
+// linear pass on sorted input, and never copies the records.
 func SortRecords(recs []Record) { logs.SortByTime(recs) }
 
 // WriteLog encodes records in the canonical text format.
