@@ -1,9 +1,10 @@
 package gen
 
 import (
-	"fmt"
 	"math/rand"
+	"slices"
 	"sort"
+	"strconv"
 	"strings"
 	"time"
 
@@ -54,7 +55,21 @@ type Generator struct {
 	// silences holds per-rack heartbeat-suppression windows collected
 	// while emitting fault cascades.
 	silences map[int][]interval
+
+	// templates holds each message template compiled on first use, and
+	// buf is the scratch every substituted message is built in.
+	templates map[string]*template
+	buf       []byte
+
+	// blocks holds the records of the Generate call in progress, in
+	// fixed-size blocks that are copied once into a slice of the exact
+	// length: growing one slice record by record cleared and copied about
+	// five times the log's size.
+	blocks [][]logs.Record
 }
+
+// blockLen is the record capacity of one block.
+const blockLen = 4096
 
 // interval is a half-open time window.
 type interval struct{ from, to time.Time }
@@ -62,9 +77,10 @@ type interval struct{ from, to time.Time }
 // New returns a deterministic generator for the profile and seed.
 func New(prof Profile, seed int64) *Generator {
 	return &Generator{
-		prof:     prof,
-		rng:      rand.New(rand.NewSource(seed)),
-		silences: make(map[int][]interval),
+		prof:      prof,
+		rng:       rand.New(rand.NewSource(seed)),
+		silences:  make(map[int][]interval),
+		templates: make(map[string]*template),
 	}
 }
 
@@ -82,6 +98,17 @@ func (g *Generator) Generate(start time.Time, dur time.Duration) *Result {
 	for _, d := range g.prof.Daemons {
 		g.emitDaemon(res, d, start, end)
 	}
+	n := 0
+	for _, b := range g.blocks {
+		n += len(b)
+	}
+	if n > 0 {
+		res.Records = make([]logs.Record, 0, n)
+		for _, b := range g.blocks {
+			res.Records = append(res.Records, b...)
+		}
+	}
+	g.blocks = nil
 	logs.SortByTime(res.Records)
 	sort.Slice(res.Failures, func(i, j int) bool { return res.Failures[i].Time.Before(res.Failures[j].Time) })
 	return res
@@ -94,7 +121,7 @@ func (g *Generator) emitDaemon(res *Result, d DaemonSpec, start, end time.Time) 
 			t := start.Add(time.Duration(g.rng.Int63n(int64(d.Period))))
 			for t.Before(end) {
 				if !g.silenced(rack, t) {
-					res.Records = append(res.Records, g.record(t, d.Severity, loc, d.Component, d.Message))
+					g.emit(g.record(t, d.Severity, loc, d.Component, d.Message))
 				}
 				t = t.Add(d.Period)
 			}
@@ -105,7 +132,7 @@ func (g *Generator) emitDaemon(res *Result, d DaemonSpec, start, end time.Time) 
 		// Random phase so daemons do not all align on the start tick.
 		t := start.Add(time.Duration(g.rng.Int63n(int64(d.Period))))
 		for t.Before(end) {
-			res.Records = append(res.Records, g.record(t, d.Severity, g.daemonLoc(d), d.Component, d.Message))
+			g.emit(g.record(t, d.Severity, g.daemonLoc(d), d.Component, d.Message))
 			t = t.Add(d.Period)
 		}
 		return
@@ -116,9 +143,19 @@ func (g *Generator) emitDaemon(res *Result, d DaemonSpec, start, end time.Time) 
 	mean := 1 / d.Rate // seconds between events
 	t := start.Add(secs(stats.Exponential(g.rng, mean)))
 	for t.Before(end) {
-		res.Records = append(res.Records, g.record(t, d.Severity, g.daemonLoc(d), d.Component, d.Message))
+		g.emit(g.record(t, d.Severity, g.daemonLoc(d), d.Component, d.Message))
 		t = t.Add(secs(stats.Exponential(g.rng, mean)))
 	}
+}
+
+// emit appends r to the last block, starting a new one when it is full.
+func (g *Generator) emit(r logs.Record) {
+	n := len(g.blocks)
+	if n == 0 || len(g.blocks[n-1]) == blockLen {
+		g.blocks = append(g.blocks, make([]logs.Record, 0, blockLen))
+		n++
+	}
+	g.blocks[n-1] = append(g.blocks[n-1], r)
 }
 
 // silenced reports whether a rack's heartbeats are muted at time t.
@@ -208,7 +245,7 @@ func (g *Generator) emitEvent(res *Result, ev EventSpec, t time.Time, origin top
 			// Spread burst copies over up to two seconds so bursts look
 			// like real near-simultaneous notification storms.
 			jt := t.Add(time.Duration(g.rng.Int63n(int64(2 * time.Second))))
-			res.Records = append(res.Records, g.record(jt, ev.Severity, loc, ev.Component, ev.Message))
+			g.emit(g.record(jt, ev.Severity, loc, ev.Component, ev.Message))
 		}
 	}
 	return locs
@@ -221,14 +258,13 @@ func (g *Generator) eventLocations(ev EventSpec, origin topology.Location) []top
 		return []topology.Location{origin}
 	}
 	scope := origin.Truncate(ev.Scope)
-	seen := map[topology.Location]bool{origin: true}
-	out := []topology.Location{origin}
+	out := make([]topology.Location, 1, ev.FanOut)
+	out[0] = origin
 	// Bounded attempts keep this terminating when the scope is smaller
 	// than the requested fan-out.
 	for attempts := 0; len(out) < ev.FanOut && attempts < 8*ev.FanOut; attempts++ {
 		n := g.prof.Machine.RandomNodeWithin(g.rng, scope)
-		if !seen[n] {
-			seen[n] = true
+		if !slices.Contains(out, n) {
 			out = append(out, n)
 		}
 	}
@@ -250,28 +286,105 @@ func (g *Generator) record(t time.Time, sev logs.Severity, loc topology.Location
 
 var starWords = []string{"alpha", "bravo", "charlie", "delta", "echo", "foxtrot"}
 
+// A template is a message compiled into the variable fields substitute
+// fills: each part is a literal run followed by one variable, and tail is
+// the literal after the last variable. A template without variables has
+// no parts and stands for its message unchanged.
+type template struct {
+	parts []part
+	tail  string
+}
+
+type part struct {
+	lit  string
+	kind varKind
+}
+
+type varKind uint8
+
+const (
+	varWord   varKind = iota // "*": one of starWords
+	varNum                   // "d+" or "d+.": 0..9999, the "." dropped
+	varHex                   // "0xd+": 0x and eight hex digits
+	varSuffix                // "<prefix>d+": 0..99 after the prefix, which ends lit
+)
+
+// compile splits a message template on single spaces and classifies each
+// field the way substitute always has; literal fields and the spaces
+// between fields merge into the runs around the variables.
+func compile(msg string) *template {
+	t := &template{}
+	var lit strings.Builder
+	for i, f := range strings.Split(msg, " ") {
+		if i > 0 {
+			lit.WriteByte(' ')
+		}
+		var kind varKind
+		switch {
+		case f == "*":
+			kind = varWord
+		case f == "d+" || f == "d+.":
+			kind = varNum
+		case f == "0xd+":
+			kind = varHex
+		case strings.HasSuffix(f, "d+"): // embedded numeric suffix, e.g. "sdd+"
+			kind = varSuffix
+			lit.WriteString(f[:len(f)-2])
+		default:
+			lit.WriteString(f)
+			continue
+		}
+		t.parts = append(t.parts, part{lit: lit.String(), kind: kind})
+		lit.Reset()
+	}
+	t.tail = lit.String()
+	return t
+}
+
 // substitute replaces the variable tokens of a message template with
 // concrete values: "d+" becomes a number, "0xd+" a hex literal, "*" a
 // word. HELO's normalisation maps them back to the same template, so the
-// round trip through raw text exercises the real preprocessing path.
+// round trip through raw text exercises the real preprocessing path. The
+// template is compiled once per generator and the message is appended
+// into g.buf, so a substituted message costs one allocation, its string.
+// The rng draws are the ones the split-and-format version made, in the
+// same order (ref_test.go keeps that version as the reference).
 func (g *Generator) substitute(msg string) string {
-	if !strings.ContainsAny(msg, "*+") {
+	t := g.templates[msg]
+	if t == nil {
+		t = compile(msg)
+		g.templates[msg] = t
+	}
+	if len(t.parts) == 0 {
 		return msg
 	}
-	fields := strings.Split(msg, " ")
-	for i, f := range fields {
-		switch {
-		case f == "*":
-			fields[i] = starWords[g.rng.Intn(len(starWords))]
-		case f == "d+" || f == "d+.":
-			fields[i] = fmt.Sprintf("%d", g.rng.Intn(10000))
-		case f == "0xd+":
-			fields[i] = fmt.Sprintf("0x%08x", g.rng.Uint32())
-		case strings.HasSuffix(f, "d+"): // embedded numeric suffix, e.g. "sdd+"
-			fields[i] = f[:len(f)-2] + fmt.Sprintf("%d", g.rng.Intn(100))
+	b := g.buf[:0]
+	for _, p := range t.parts {
+		b = append(b, p.lit...)
+		switch p.kind {
+		case varWord:
+			b = append(b, starWords[g.rng.Intn(len(starWords))]...)
+		case varNum:
+			b = strconv.AppendInt(b, int64(g.rng.Intn(10000)), 10)
+		case varHex:
+			b = appendHex8(append(b, "0x"...), g.rng.Uint32())
+		case varSuffix:
+			b = strconv.AppendInt(b, int64(g.rng.Intn(100)), 10)
 		}
 	}
-	return strings.Join(fields, " ")
+	b = append(b, t.tail...)
+	g.buf = b
+	return string(b)
+}
+
+// appendHex8 appends v as eight lower-case hex digits, as "%08x" formats
+// a uint32.
+func appendHex8(b []byte, v uint32) []byte {
+	const digits = "0123456789abcdef"
+	for shift := 28; shift >= 0; shift -= 4 {
+		b = append(b, digits[v>>uint(shift)&0xf])
+	}
+	return b
 }
 
 func secs(s float64) time.Duration { return time.Duration(s * float64(time.Second)) }

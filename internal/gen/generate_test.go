@@ -1,6 +1,7 @@
 package gen
 
 import (
+	"math/rand"
 	"strings"
 	"testing"
 	"time"
@@ -287,4 +288,66 @@ func TestMessageRateReasonable(t *testing.T) {
 	if rate < 0.05 || rate > 20 {
 		t.Errorf("message rate = %v msg/s, outside sane band", rate)
 	}
+}
+
+// FuzzSubstitute holds the compiled substitute to the frozen
+// split-and-format one on any template: the same string, and the rng left
+// in the same state. Each input runs twice so the second call expands the
+// template compiled by the first.
+func FuzzSubstitute(f *testing.F) {
+	for _, msg := range []string{
+		"", " ", "  ", "a  b", "+", "d+", "d+.", "xd+", "0xd+", "*", "* *", "**",
+		"*d+", "d+d+", "0xd+.", " d+ ", "n+", "lr:d+ cr:d+ xer:d+ ctr:d+",
+		"journal commit i/o error on device sdd+", "job d+ timed out. n+",
+	} {
+		f.Add(msg, int64(1))
+	}
+	for _, p := range []Profile{BlueGeneL(), Mercury()} {
+		for _, d := range p.Daemons {
+			f.Add(d.Message, int64(2))
+		}
+		for _, a := range p.Archetypes {
+			for _, ev := range append(a.Precursors, a.Final) {
+				f.Add(ev.Message, int64(3))
+			}
+		}
+	}
+	f.Fuzz(func(t *testing.T, msg string, seed int64) {
+		g := New(Profile{}, seed)
+		ref := rand.New(rand.NewSource(seed))
+		for round := 0; round < 2; round++ {
+			if got, want := g.substitute(msg), refSubstitute(ref, msg); got != want {
+				t.Fatalf("round %d: substitute(%q) = %q, reference %q", round, msg, got, want)
+			}
+			if got, want := g.rng.Int63(), ref.Int63(); got != want {
+				t.Fatalf("round %d: rng state after substitute(%q) differs from the reference's", round, msg)
+			}
+		}
+	})
+}
+
+// TestGenerateAllocs pins the cost of a BG/L day: one allocation per
+// substituted message (its string) plus the record blocks, the final
+// record slice, the failures and the sort's scratch. Splitting,
+// formatting and re-joining every message read ~4 allocations a record.
+func TestGenerateAllocs(t *testing.T) {
+	var records int
+	allocs := testing.AllocsPerRun(1, func() {
+		records = len(New(BlueGeneL(), 1).Generate(t0, 24*time.Hour).Records)
+	})
+	if per := allocs / float64(records); per > 1.2 {
+		t.Errorf("a BG/L day allocated %.0f times for %d records: %.2f a record, want at most 1.2",
+			allocs, records, per)
+	}
+}
+
+// BenchmarkGenerate times one BG/L day, set-up cost of every experiment
+// and benchmark workload.
+func BenchmarkGenerate(b *testing.B) {
+	b.ReportAllocs()
+	var records int
+	for i := 0; i < b.N; i++ {
+		records = len(New(BlueGeneL(), 1).Generate(t0, 24*time.Hour).Records)
+	}
+	b.ReportMetric(float64(records), "records/op")
 }

@@ -17,6 +17,18 @@
 //   - CIODB/job-control faults emit everything at the same instant (no
 //     prediction window);
 //   - restart and multiline sequences are correlated but informational.
+//
+// Generation sits behind every experiment and every benchmark set-up, so
+// its cost is kept to one allocation per substituted message: a Generator
+// compiles each message template once into literal runs and variable
+// fields and appends every message into one reused buffer, which becomes
+// the record's string. Records collect in fixed-size blocks copied once
+// into a slice of the exact length. The rng draws are the ones the old
+// split, format and re-join code made, in the same order, so a seed gives
+// the same log byte for byte; that code is kept as the frozen reference
+// in ref_test.go (TestGenerateMatchesFrozenReference, FuzzSubstitute).
+// Pre-sizing the record slice from the profile was measured and rejected:
+// it put the benchmark's peak RSS past its bound.
 package gen
 
 import (
